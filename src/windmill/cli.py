@@ -18,7 +18,7 @@ import time
 
 from . import arch as arch_mod
 from .arch import ExecMode, TopologyKind, parse_arch_file, perimeter_lsu_map
-from .errors import (CycleLimitExceeded, MissingService, ParseError,
+from .errors import (AddressOutOfRange, CycleLimitExceeded, MissingService, ParseError,
                      SimulationError, Unmappable, ValidationError, WindmillError)
 from .mapper import emit_bitstream, map_dfg, parse_dfg
 from .pe import unpack_bitstream
@@ -155,7 +155,8 @@ def cmd_sim(args) -> int:
     ctx = elaborate_arch(params)
     image = _read_image(args.data) if args.data else []
     system = build_system(ctx, image, cycle_limit=args.cycle_limit)
-    records = unpack_bitstream(open(args.bitstream, "rb").read())
+    with open(args.bitstream, "rb") as fh:
+        records = unpack_bitstream(fh.read())
     system.register_config(0, records)
     if args.script:
         system.submit_script(parse_script(_read_text(args.script)))
@@ -172,7 +173,8 @@ def cmd_sim(args) -> int:
     partial = None
     try:
         stats = system.run()
-    except (CycleLimitExceeded, SimulationError) as exc:
+    except (CycleLimitExceeded, SimulationError, AddressOutOfRange) as exc:
+        # a machine fault mid-run: report it and still write the partial stats
         system._finalize_stats()
         partial = exc
         stats = system.stats

@@ -30,6 +30,11 @@ class Direction(Enum):
     E2 = (0, 2)
     W2 = (0, -2)
 
+    # members are singletons compared by identity, so hash them by identity:
+    # Enum's default hashes the name in Python code, and latches are dicts
+    # keyed by Direction that the simulator reads every cycle
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Direction":
         dr, dc = self.value
@@ -138,7 +143,7 @@ class SharedRegFile:
         n = scope_count(mode, dims)
         self._value = [[0] * reg_count for _ in range(n)]
         self._valid = [[False] * reg_count for _ in range(n)]
-        self._pending: dict[tuple[int, int], tuple[Coord, int]] = {}
+        self.pending: dict[tuple[int, int], tuple[Coord, int]] = {}
         self.conflicts = 0
 
     def _check_idx(self, idx: int):
@@ -155,23 +160,23 @@ class SharedRegFile:
         self._check_idx(idx)
         s = scope_of(self.mode, coord, self.dims)
         key = (s, idx)
-        prior = self._pending.get(key)
+        prior = self.pending.get(key)
         if prior is None:
-            self._pending[key] = (coord, value)
+            self.pending[key] = (coord, value)
         else:
             self.conflicts += 1
             if coord < prior[0]:
-                self._pending[key] = (coord, value)
+                self.pending[key] = (coord, value)
 
     def commit(self):
-        for (s, idx), (_, value) in self._pending.items():
+        for (s, idx), (_, value) in self.pending.items():
             self._value[s][idx] = value & 0xFFFFFFFF
             self._valid[s][idx] = True
-        self._pending.clear()
+        self.pending.clear()
 
     def clear(self):
         for bank_v, bank_f in zip(self._value, self._valid):
             for i in range(self.reg_count):
                 bank_v[i] = 0
                 bank_f[i] = False
-        self._pending.clear()
+        self.pending.clear()

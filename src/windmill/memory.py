@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AddressOutOfRange
+from .errors import AddressOutOfRange, SimulationError
 
 
 class BankedSram:
@@ -93,7 +93,9 @@ class PaiArbiter:
         self.total_requests = 0
 
     def post(self, request: Request):
-        assert request.requester not in self.pending, "one pending request per LSU"
+        if request.requester in self.pending:
+            raise SimulationError(
+                f"requester {request.requester} posted while its request is pending")
         self.pending[request.requester] = request
         self.total_requests += 1
 

@@ -103,6 +103,8 @@ class DstSel(IntEnum):
 
 _DIR_BY_SEL = {s: Direction[s.name] for s in SrcSel if s.value <= 7}
 _DST_DIR = {d: Direction[d.name] for d in DstSel if d.value <= 7}
+_TWO_HOP_SRC = {s for s, d in _DIR_BY_SEL.items() if d.is_two_hop}
+_TWO_HOP_DST = {s for s, d in _DST_DIR.items() if d.is_two_hop}
 
 # Affine LSU stride table, indexed by the shared_reg_idx field.
 STRIDES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128, 256, -1, -4)
@@ -188,33 +190,32 @@ def context_capacity(exec_mode: ExecMode, context_depth_mcmd: int) -> int:
     return context_depth_mcmd
 
 
+# One function per binary ALU opcode. Each masks its result (and, where the
+# operation is not modular, its inputs) to 32 bits, so any int operands give
+# the same result as masking them first.
+_ALU = {
+    Opcode.ADD: lambda a, b: (a + b) & MASK32,
+    Opcode.SUB: lambda a, b: (a - b) & MASK32,
+    Opcode.MUL: lambda a, b: (a * b) & MASK32,
+    Opcode.AND: lambda a, b: a & b & MASK32,
+    Opcode.OR: lambda a, b: (a | b) & MASK32,
+    Opcode.XOR: lambda a, b: (a ^ b) & MASK32,
+    Opcode.SHL: lambda a, b: (a << (b & 31)) & MASK32,
+    Opcode.SHR: lambda a, b: (a & MASK32) >> (b & 31),
+    Opcode.CMP_LT: lambda a, b: 1 if to_signed32(a) < to_signed32(b) else 0,
+}
+
+
 def alu_eval(opcode: Opcode, a: int, b: int) -> int:
     """Reference two's-complement semantics for the binary ALU opcodes.
 
     32-bit wrapping arithmetic; MUL keeps the low 32 bits; shift amounts are
     masked to 5 bits; SHR is a logical right shift; CMP_LT compares signed.
     """
-    a &= MASK32
-    b &= MASK32
-    if opcode is Opcode.ADD:
-        return (a + b) & MASK32
-    if opcode is Opcode.SUB:
-        return (a - b) & MASK32
-    if opcode is Opcode.MUL:
-        return (a * b) & MASK32
-    if opcode is Opcode.AND:
-        return a & b
-    if opcode is Opcode.OR:
-        return a | b
-    if opcode is Opcode.XOR:
-        return a ^ b
-    if opcode is Opcode.SHL:
-        return (a << (b & 31)) & MASK32
-    if opcode is Opcode.SHR:
-        return a >> (b & 31)
-    if opcode is Opcode.CMP_LT:
-        return 1 if to_signed32(a) < to_signed32(b) else 0
-    raise ValueError(f"{opcode} is not a binary ALU opcode")
+    fn = _ALU.get(opcode)
+    if fn is None:
+        raise ValueError(f"{opcode} is not a binary ALU opcode")
+    return fn(a, b)
 
 
 def lsu_addr(word: ConfigWord, iter_idx: int, src1_value: int | None) -> int:
@@ -300,16 +301,93 @@ def validate_bitstream(params: ArchParams,
             if w.dst is DstSel.RTT and pe_type is not PeType.CPE:
                 raise BitstreamTargetInvalid(f"{where}: RTT destination on a {pe_type.name}")
             if params.topology is not TopologyKind.ONE_HOP:
-                for sel in (w.src0, w.src1):
-                    if sel.value <= 7 and _DIR_BY_SEL[sel].is_two_hop:
-                        raise BitstreamTargetInvalid(
-                            f"{where}: 2-hop source under {params.topology.value}")
-                if w.dst.value <= 7 and _DST_DIR[w.dst].is_two_hop:
+                if w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC:
+                    raise BitstreamTargetInvalid(
+                        f"{where}: 2-hop source under {params.topology.value}")
+                if w.dst in _TWO_HOP_DST:
                     raise BitstreamTargetInvalid(
                         f"{where}: 2-hop destination under {params.topology.value}")
 
 
 # --- runtime -----------------------------------------------------------------
+#
+# load_context pre-decodes every ConfigWord into a flat tuple, so the
+# per-cycle path does no Enum hashing or property lookup:
+#
+#     (kind, alu, srcs, pulls, to, to_arg, entry, iterations, next_step, word)
+#
+# kind        one of the _K_* codes below; alu is the _ALU function of an
+#             _K_ALU word
+# srcs        the required operands in firing order, each (_S_* code, arg):
+#             the entry latch Direction, a constant, or a shared-register index
+# pulls       the latch directions among srcs, consumed when the word fires
+# to          one of the _TO_* codes; to_arg is the shared-register index, the
+#             RTT payload or the receiving PE's coordinate, and entry is the
+#             latch the value lands in there
+# word        the ConfigWord itself, for the memory-address path
+
+_K_NOP, _K_ALU, _K_PHI, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(8)
+_KIND = {Opcode.NOP: _K_NOP, Opcode.PHI: _K_PHI, Opcode.ROUTE: _K_ROUTE,
+         Opcode.SEL: _K_SEL, Opcode.LOAD: _K_LOAD, Opcode.STORE: _K_STORE,
+         Opcode.HALT: _K_HALT, **{op: _K_ALU for op in BINARY_OPS}}
+
+_S_LATCH, _S_CONST, _S_ACC, _S_SREG = range(4)
+
+# _TO_EDGE: a directional destination with no neighbor; the value still
+# passes the write-back stage and is then dropped
+_TO_NONE, _TO_ACC, _TO_LATCH, _TO_EDGE, _TO_SREG, _TO_RTT = range(6)
+
+
+def _required(word: ConfigWord) -> tuple:
+    """The source selects an opcode needs valid before it can fire."""
+    op = word.opcode
+    if op in (Opcode.NOP, Opcode.HALT):
+        return ()
+    if op is Opcode.ROUTE:
+        return (word.src0,)
+    if op is Opcode.LOAD:
+        return () if word.src1 is SrcSel.NONE else (word.src1,)
+    if op is Opcode.STORE:
+        return (word.src0,) if word.src1 is SrcSel.NONE else (word.src0, word.src1)
+    return (word.src0, word.src1)
+
+
+# decoded sources that do not depend on the word's other fields
+_FIXED_SOURCE = {SrcSel.NONE: (_S_CONST, 0), SrcSel.ACC: (_S_ACC, None),
+                 **{s: (_S_LATCH, d) for s, d in _DIR_BY_SEL.items()}}
+# directional destination -> (drive direction, entry latch at the receiver)
+_DST_LINK = {s: (d, d.opposite) for s, d in _DST_DIR.items()}
+
+
+def _source(sel: SrcSel, word: ConfigWord) -> tuple:
+    fixed = _FIXED_SOURCE.get(sel)
+    if fixed is not None:
+        return fixed
+    if sel is SrcSel.IMM:
+        return (_S_CONST, sign_extend16(word.imm16) & MASK32)
+    return (_S_SREG, word.shared_reg_idx)
+
+
+def _destination(word: ConfigWord, ports: dict) -> tuple:
+    dst = word.dst
+    link = _DST_LINK.get(dst)
+    if link is not None:
+        dest = ports.get(link[0])
+        return (_TO_EDGE, None, None) if dest is None else (_TO_LATCH, dest, link[1])
+    if dst is DstSel.NONE:
+        return (_TO_NONE, None, None)
+    if dst is DstSel.ACC:
+        return (_TO_ACC, None, None)
+    if dst is DstSel.SREG:
+        return (_TO_SREG, word.shared_reg_idx, None)
+    return (_TO_RTT, word.imm16, None)
+
+
+def _predecode(word: ConfigWord, ports: dict) -> tuple:
+    srcs = tuple(_source(sel, word) for sel in _required(word))
+    pulls = tuple(arg for kind, arg in srcs if kind == _S_LATCH)
+    return (_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls,
+            *_destination(word, ports), word.iterations, word.next_step, word)
 
 
 class PE:
@@ -318,14 +396,15 @@ class PE:
     ``tick`` advances all four stages one cycle against start-of-cycle
     snapshots provided by the surrounding array (input latches, shared
     registers, memory responses), making intra-cycle evaluation order
-    irrelevant.
+    irrelevant. Pipeline slots hold pre-decoded words (see ``_predecode``).
     """
 
     def __init__(self, coord, pe_type: PeType, ports: dict[Direction, tuple]):
         self.coord = coord
         self.pe_type = pe_type
         self.ports = ports  # outgoing direction -> destination coord
-        self.context: list[ConfigWord] = []
+        self._context: list[ConfigWord] = []
+        self._code: list[tuple] = []   # pre-decoded _context
         self.pc = 0
         self.iter_index: list[int] = []
         self.remaining: list[int] = []
@@ -334,223 +413,201 @@ class PE:
         self.acc = 0
         self.acc_valid = True
         # pipeline slots
-        self.f_slot: tuple[ConfigWord, int] | None = None
-        self.d_slot: tuple[ConfigWord, int] | None = None
-        self.x_slot: tuple | None = None   # ("mem", word, iter) | ("out", word, value)
-        self.w_slot: tuple[ConfigWord, int] | None = None  # (word, value)
+        self.f_slot: tuple | None = None   # (decoded word, iter)
+        self.d_slot: tuple | None = None   # (decoded word, iter)
+        self.x_slot: tuple | None = None   # ("mem", decoded, iter) | ("out", decoded, value)
+        self.w_slot: tuple | None = None   # (decoded word, value)
         self.done = True
         self.active_cycles = 0
 
     # -- configuration flow (never touches data-flow latches) ------------
 
+    @property
+    def context(self) -> list[ConfigWord]:
+        """The loaded words. Replace them only through ``load_context``,
+        which keeps the pre-decoded form in step."""
+        return self._context
+
     def load_context(self, words: list[ConfigWord], capacity: int):
         if len(words) > capacity:
             raise CapacityExceeded(
                 f"PE {self.coord}: {len(words)} words > capacity {capacity}")
-        self.context = list(words)
+        self._context = list(words)
+        self._code = [_predecode(w, self.ports) for w in words]
         self.pc = 0
         self.iter_index = [0] * len(words)
-        self.remaining = [w.iterations for w in words]
+        self.remaining = [dec[7] for dec in self._code]
 
     def launch_reset(self):
         """Start of a compute phase: arm the ICB and clear data-flow state."""
         self.pc = 0
-        self.iter_index = [0] * len(self.context)
-        self.remaining = [w.iterations for w in self.context]
+        self.iter_index = [0] * len(self._code)
+        self.remaining = [dec[7] for dec in self._code]
         self.latch.clear()
         self.acc = 0
         self.acc_valid = True
         self.f_slot = self.d_slot = self.x_slot = self.w_slot = None
-        self.done = not self.context
+        self.done = not self._code
 
     # -- data flow --------------------------------------------------------
-
-    def _operand(self, sel: SrcSel, word: ConfigWord, bus):
-        """(value, valid, consumed_direction | None) for one source select."""
-        if sel is SrcSel.NONE:
-            return 0, True, None
-        if sel is SrcSel.IMM:
-            return sign_extend16(word.imm16) & MASK32, True, None
-        if sel is SrcSel.ACC:
-            return self.acc, self.acc_valid, None
-        if sel is SrcSel.SREG:
-            value, valid = bus.sreg_read(self.coord, word.shared_reg_idx)
-            return value, valid, None
-        d = _DIR_BY_SEL[sel]
-        if d in self.latch:
-            return self.latch[d], True, d
-        return 0, False, None
-
-    def _required(self, word: ConfigWord):
-        op = word.opcode
-        if op in (Opcode.NOP, Opcode.HALT):
-            return ()
-        if op is Opcode.ROUTE:
-            return (word.src0,)
-        if op is Opcode.LOAD:
-            return () if word.src1 is SrcSel.NONE else (word.src1,)
-        if op is Opcode.STORE:
-            return (word.src0,) if word.src1 is SrcSel.NONE else (word.src0, word.src1)
-        return (word.src0, word.src1)
 
     def tick(self, bus):
         if self.done:
             return
-        self._stage_writeback(bus)
-        self._stage_execute(bus)
+        # write back: drive the outbound value, or stall on a full latch
+        w = self.w_slot
+        if w is not None:
+            dec, value = w
+            to = dec[4]
+            if to == _TO_LATCH:
+                if bus.latch_free(dec[5], dec[6]):
+                    bus.deliver(dec[5], dec[6], value)
+                    self.w_slot = None
+            else:
+                if to == _TO_SREG:
+                    bus.sreg_write(self.coord, dec[5], value)
+                elif to == _TO_RTT:
+                    bus.rtt_action(self.coord, dec[5])
+                self.w_slot = None   # _TO_EDGE drops the value off the grid
+        # execute
+        x = self.x_slot
+        if x is not None:
+            if x[0] == "mem":
+                resp = bus.mem_response(self.coord)  # None or 1-tuple
+                if resp is not None:
+                    self._complete(x[1], resp[0] if x[1][0] == _K_LOAD else None)
+                self.active_cycles += 1
+            elif self.w_slot is None:
+                # "out": the result waited for the write-back slot to drain
+                self.w_slot = (x[1], x[2])
+                self.x_slot = None
+        elif self.d_slot is not None:
+            self._execute(bus)
+        # decode
         if self.d_slot is None and self.f_slot is not None:
             self.d_slot, self.f_slot = self.f_slot, None
-        self._stage_fetch()
-        if self._drained():
-            self.done = True
-
-    def _drained(self) -> bool:
-        return (self.pc >= len(self.context) and self.f_slot is None
-                and self.d_slot is None and self.x_slot is None
-                and self.w_slot is None)
-
-    def _stage_fetch(self):
-        if self.f_slot is not None or self.pc >= len(self.context):
+        # fetch
+        if self.f_slot is not None:
             return
-        word = self.context[self.pc]
-        if word.opcode is Opcode.HALT and (self.d_slot or self.x_slot or self.w_slot):
+        code = self._code
+        pc = self.pc
+        if pc >= len(code):
+            if self.d_slot is None and self.x_slot is None and self.w_slot is None:
+                self.done = True
+            return
+        dec = code[pc]
+        if dec[0] == _K_HALT and (self.d_slot is not None or self.x_slot is not None
+                                  or self.w_slot is not None):
             return  # let the pipeline drain before the freeze enters it
-        self.f_slot = (word, self.iter_index[self.pc])
-        self.iter_index[self.pc] += 1
-        self.remaining[self.pc] -= 1
-        if self.remaining[self.pc] == 0:
-            target = self.pc + 1 if word.next_step == 0 else word.next_step
-            self.pc = target
-            if self.pc < len(self.context) and self.remaining[self.pc] == 0:
+        iter_index, remaining = self.iter_index, self.remaining
+        self.f_slot = (dec, iter_index[pc])
+        iter_index[pc] += 1
+        remaining[pc] -= 1
+        if remaining[pc] == 0:
+            pc = pc + 1 if dec[8] == 0 else dec[8]
+            self.pc = pc
+            if pc < len(code) and remaining[pc] == 0:
                 # re-entering a step on a loop back-edge re-arms its counter
-                self.remaining[self.pc] = self.context[self.pc].iterations
-                self.iter_index[self.pc] = 0
+                remaining[pc] = code[pc][7]
+                iter_index[pc] = 0
 
-    def _stage_execute(self, bus):
-        if self.x_slot is not None:
-            kind = self.x_slot[0]
-            if kind == "mem":
-                resp = bus.mem_response(self.coord)  # None or 1-tuple
-                if resp is None:
-                    self.active_cycles += 1
-                    return
-                _, word, _ = self.x_slot
-                self._complete(word, resp[0] if word.opcode is Opcode.LOAD else None, bus)
-                self.active_cycles += 1
-                return
-            # "out": waiting for the write-back slot to drain
-            if self.w_slot is None:
-                _, word, value = self.x_slot
-                self.w_slot = (word, value)
-                self.x_slot = None
-            return
-        if self.d_slot is None:
-            return
-        word, iter_idx = self.d_slot
-        if word.opcode is Opcode.HALT:
+    def _execute(self, bus):
+        """Fire the decoded word when every required operand is valid;
+        otherwise hold it, leaving the accumulator untouched."""
+        dec, iter_idx = self.d_slot
+        kind = dec[0]
+        if kind == _K_HALT:
             if self.w_slot is None:
                 # freeze: context stays loaded for a later relaunch
                 self.d_slot = None
                 self.f_slot = None
-                self.pc = len(self.context)
+                self.pc = len(self._code)
                 self.done = True
             return
-        ops = {}
-        for sel in self._required(word):
-            value, valid, consumed = self._operand(sel, word, bus)
-            if not valid and word.opcode is not Opcode.PHI:
-                return  # hold until every operand is valid
-            ops[sel] = (value, valid, consumed)
-        result = self._fire(word, iter_idx, ops, bus)
-        if result is _STALLED:
-            return
+        if kind == _K_PHI:
+            result = self._merge(dec[2], bus)
+            if result is _STALLED:
+                return
+        else:
+            latch = self.latch
+            vals = []
+            for src, arg in dec[2]:
+                if src == _S_LATCH:
+                    if arg not in latch:
+                        return
+                    vals.append(latch[arg])
+                elif src == _S_CONST:
+                    vals.append(arg)
+                else:
+                    value, valid = self._operand(src, arg, bus)
+                    if not valid:
+                        return
+                    vals.append(value)
+            if kind == _K_LOAD or kind == _K_STORE:
+                self._mem_request(dec, iter_idx, vals, bus)
+                self.d_slot = None
+                self.active_cycles += 1
+                return
+            for direction in dec[3]:
+                bus.consume_latch(self.coord, direction)
+            if kind == _K_ALU:
+                result = dec[1](vals[0], vals[1])
+            elif kind == _K_ROUTE:
+                result = vals[0]
+            elif kind == _K_SEL:
+                result = vals[1] if vals[0] != 0 else 0
+            else:
+                result = None   # NOP
         self.d_slot = None
         self.active_cycles += 1
-        if result is not _PENDING:
-            self._complete(word, result, bus)
+        self._complete(dec, result)
 
-    def _fire(self, word: ConfigWord, iter_idx: int, ops, bus):
-        op = word.opcode
-        if op is Opcode.NOP:
-            return None
-        if op is Opcode.PHI:
-            v0, ok0, c0 = ops[word.src0]
-            v1, ok1, c1 = ops[word.src1]
-            if not (ok0 or ok1):
-                return _STALLED
-            if ok0:
-                self._consume(c0, bus)
-                return v0
-            self._consume(c1, bus)
-            return v1
-        if op in MEMORY_OPS:
-            src1_val = ops[word.src1][0] if word.src1 is not SrcSel.NONE else None
-            addr = lsu_addr(word, iter_idx, src1_val)
-            data = ops[word.src0][0] if op is Opcode.STORE else None
-            for sel in self._required(word):
-                self._consume(ops[sel][2], bus)
-            bus.mem_request(self.coord, "write" if op is Opcode.STORE else "read",
-                            addr, data)
-            self.x_slot = ("mem", word, iter_idx)
-            return _PENDING
-        if op is Opcode.ROUTE:
-            v0, _, c0 = ops[word.src0]
-            self._consume(c0, bus)
-            return v0
-        if op is Opcode.SEL:
-            v0, _, c0 = ops[word.src0]
-            v1, _, c1 = ops[word.src1]
-            self._consume(c0, bus)
-            self._consume(c1, bus)
-            return v1 if v0 != 0 else 0
-        v0, _, c0 = ops[word.src0]
-        v1, _, c1 = ops[word.src1]
-        self._consume(c0, bus)
-        self._consume(c1, bus)
-        return alu_eval(op, v0, v1)
+    def _operand(self, src: int, arg, bus) -> tuple[int, bool]:
+        """(value, valid) of one decoded source."""
+        if src == _S_LATCH:
+            return self.latch.get(arg, 0), arg in self.latch
+        if src == _S_CONST:
+            return arg, True
+        if src == _S_ACC:
+            return self.acc, self.acc_valid
+        return bus.sreg_read(self.coord, arg)
 
-    def _consume(self, direction, bus):
-        if direction is not None:
+    def _merge(self, srcs, bus):
+        """PHI: forward src0 when it is valid, else src1; stall on neither."""
+        (v0, ok0), (v1, ok1) = [self._operand(src, arg, bus) for src, arg in srcs]
+        if not (ok0 or ok1):
+            return _STALLED
+        src, arg = srcs[0] if ok0 else srcs[1]
+        if src == _S_LATCH:
+            bus.consume_latch(self.coord, arg)
+        return v0 if ok0 else v1
+
+    def _mem_request(self, dec, iter_idx: int, vals: list, bus):
+        """Post a memory op to the scratchpad; execute waits for the reply."""
+        word = dec[9]
+        addr = lsu_addr(word, iter_idx, vals[-1] if word.src1 is not SrcSel.NONE else None)
+        store = dec[0] == _K_STORE
+        for direction in dec[3]:
             bus.consume_latch(self.coord, direction)
+        bus.mem_request(self.coord, "write" if store else "read", addr,
+                        vals[0] if store else None)
+        self.x_slot = ("mem", dec, iter_idx)
 
-    def _complete(self, word: ConfigWord, result, bus):
+    def _complete(self, dec, result):
         """Execute-stage completion: accumulator updates land here; outbound
         destinations continue to the write-back stage."""
         self.x_slot = None
-        if result is None or word.dst is DstSel.NONE:
+        to = dec[4]
+        if result is None or to == _TO_NONE:
             return
-        if word.dst is DstSel.ACC:
-            self.acc = result & MASK32
+        value = result & MASK32
+        if to == _TO_ACC:
+            self.acc = value
             self.acc_valid = True
-            return
-        slot = (word, result & MASK32)
-        if self.w_slot is None:
-            self.w_slot = slot
+        elif self.w_slot is None:
+            self.w_slot = (dec, value)
         else:
-            self.x_slot = ("out", word, result & MASK32)
-
-    def _stage_writeback(self, bus):
-        if self.w_slot is None:
-            return
-        word, value = self.w_slot
-        if word.dst is DstSel.SREG:
-            bus.sreg_write(self.coord, word.shared_reg_idx, value)
-            self.w_slot = None
-            return
-        if word.dst is DstSel.RTT:
-            bus.rtt_action(self.coord, word.imm16)
-            self.w_slot = None
-            return
-        direction = _DST_DIR[word.dst]
-        dest = self.ports.get(direction)
-        if dest is None:
-            self.w_slot = None  # driving off the grid edge drops the value
-            return
-        if bus.latch_free(dest, direction.opposite):
-            bus.deliver(dest, direction.opposite, value)
-            self.w_slot = None
-        # else: stall; retry next cycle
+            self.x_slot = ("out", dec, value)
 
 
-_PENDING = object()
 _STALLED = object()

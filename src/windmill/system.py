@@ -210,6 +210,7 @@ class Rpu:
         self.queue: list[Action] = []
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
+        self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
         self.launch_count = 0
         self.batches_enqueued = 0
         self.running_cycles = 0
@@ -234,10 +235,10 @@ class Rpu:
         return self.dma.array_half
 
     def load_config(self, records: list[tuple[int, int, list[ConfigWord]]]):
-        validate_bitstream(self.params, records)
+        """Load a registered config; SystemSim.register_config validated it."""
         cap = self.params.context_capacity()
         for pe in self.pes.values():
-            pe.context = []
+            pe.load_context([], cap)
         for row, col, words in records:
             if self.params.exec_mode is ExecMode.SCMD:
                 for c in range(self.params.cols):
@@ -252,6 +253,7 @@ class Rpu:
                 f"rpu {self.id}: launch from {self.status!r}, expected configured")
         for pe in self.pes.values():
             pe.launch_reset()
+        self.live = [pe for _, pe in sorted(self.pes.items()) if not pe.done]
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
         self.launch_count += 1
@@ -312,15 +314,34 @@ class Rpu:
 
     # -- cycle advance ------------------------------------------------------
 
+    def has_work(self):
+        """Whether ``end_cycle`` can change anything; SystemSim.tick skips it
+        otherwise, and ticks PEs only while some are live.
+
+        True for live PEs or a running phase (whose cycles are counted and
+        whose finish signal is raised after its last PE is done), for staged
+        latch, shared-register or response effects, for a pending arbiter
+        request (a never-launched RPU still serves its neighbor's ring reads),
+        and for a busy DMA (a configured RPU still streams its staging data).
+        """
+        return (self.live or self.status == RpuStatus.RUNNING
+                or self._consumes or self._deliveries or self.sregs.pending
+                or self.pai.pending or self._delayed or self._responses_now
+                or not self.dma.idle())
+
     def tick_pes(self):
-        self.cycle_pea_halves = set()
-        self.cycle_dma_half = None
-        for coord in sorted(self.pes):
-            pe = self.pes[coord]
-            if not pe.done:
-                pe.tick(self)
+        """Tick the live PEs in coordinate order; drop those that finish."""
+        finished = False
+        for pe in self.live:
+            pe.tick(self)
+            if pe.done:
+                finished = True
+        if finished:
+            self.live = [pe for pe in self.live if not pe.done]
 
     def end_cycle(self, system):
+        self.cycle_pea_halves = set()
+        self.cycle_dma_half = None
         for coord, direction in set(self._consumes):
             del self.pes[coord].latch[direction]
         self._consumes.clear()
@@ -330,22 +351,23 @@ class Rpu:
                 raise SimulationError(f"latch overrun at {coord} {direction}")
             latch[direction] = value
         self._deliveries.clear()
-        self.sregs.commit()
+        if self.sregs.pending:
+            self.sregs.commit()
 
-        grants = self.pai.arbitrate(self.sram)
         blocked = set()
-        for g in grants:
-            blocked.add(g.bank)
-            self.cycle_pea_halves.add(self.sram.half_of(g.addr))
-            if g.op == "read":
-                value = self.sram.read(g.addr)
-                if g.requester == ("ring",):
-                    system.ring_response(self.id, value)
+        if self.pai.pending:
+            for g in self.pai.arbitrate(self.sram):
+                blocked.add(g.bank)
+                self.cycle_pea_halves.add(self.sram.half_of(g.addr))
+                if g.op == "read":
+                    value = self.sram.read(g.addr)
+                    if g.requester == ("ring",):
+                        system.ring_response(self.id, value)
+                    else:
+                        self._delayed.append((1, g.requester, (value,)))
                 else:
-                    self._delayed.append((1, g.requester, (value,)))
-            else:
-                self.sram.write(g.addr, g.data)
-                self._delayed.append((1, g.requester, (None,)))
+                    self.sram.write(g.addr, g.data)
+                    self._delayed.append((1, g.requester, (None,)))
 
         dma_bank = self.dma.step(self.sram, blocked)
         if dma_bank is not None:
@@ -366,7 +388,7 @@ class Rpu:
 
         if self.status == RpuStatus.RUNNING:
             self.running_cycles += 1
-            if all(pe.done for pe in self.pes.values()):
+            if not self.live:
                 self.status = RpuStatus.DONE
                 self.dma.request_toggle()
             elif self.running_cycles > system.cycle_limit:
@@ -401,8 +423,8 @@ class SystemSim:
     # -- host-side setup ----------------------------------------------------
 
     def register_config(self, config_id: int, records: list):
-        for rpu in self.rpus:
-            validate_bitstream(rpu.params, records)
+        """Validate a config once, against the parameters every RPU shares."""
+        validate_bitstream(self.params, records)
         self.configs[config_id] = records
 
     def submit_script(self, commands: list[HostCommand]):
@@ -513,13 +535,20 @@ class SystemSim:
     def tick(self):
         self._dispatch_one_command()
         for rpu in self.rpus:
-            self._controller_step(rpu)
+            if rpu.queue or rpu._cpe_actions:
+                self._controller_step(rpu)
         # forward ring requests enqueued on previous cycles (1 transit cycle)
         self._step_ring()
         for rpu in self.rpus:
-            rpu.tick_pes()
+            if rpu.live:
+                rpu.tick_pes()
         for rpu in self.rpus:
-            rpu.end_cycle(self)
+            if rpu.has_work():
+                rpu.end_cycle(self)
+            else:
+                # skipped: neither the array nor the DMA touched a half
+                rpu.cycle_pea_halves = set()
+                rpu.cycle_dma_half = None
         for origin_id, coord, value in self._ring_staging:
             # one transit cycle back; the staging boundary adds the other
             self.rpus[origin_id]._delayed.append((1, coord, (value,)))

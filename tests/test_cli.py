@@ -164,6 +164,35 @@ class TestSim:
         assert r.returncode == 4
         assert stats.exists() and len(stats.read_text().splitlines()) == 2
 
+    def test_runtime_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path):
+        """A load from an address past the remote window maps fine and then
+        faults in the simulator: exit 4, partial stats still written."""
+        dfg = tmp_path / "far.dfg"
+        dfg.write_text("c const 70000\nx load c\nout x 1\n")
+        bs = tmp_path / "far.bit"
+        assert windmill("map", "--arch", std_arch, "--dfg", dfg, "--out", bs).returncode == 0
+        stats = tmp_path / "stats.csv"
+        r = windmill("sim", "--arch", std_arch, "--bitstream", bs, "--stats", stats)
+        assert r.returncode == 4
+        assert "outside half space" in r.stderr
+        header, row = stats.read_text().splitlines()
+        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+
+    def test_in_process_sim_closes_its_files(self, std_arch, tmp_path):
+        import gc
+        import warnings
+        from windmill.cli import main
+        from windmill.pe import ConfigWord, Opcode, pack_bitstream
+        bs = tmp_path / "halt.bit"
+        bs.write_bytes(pack_bitstream([(1, 2, [ConfigWord(opcode=Opcode.HALT)])]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = main(["sim", "--arch", str(std_arch), "--bitstream", str(bs),
+                       "--stats", str(tmp_path / "stats.csv")])
+            gc.collect()
+        assert rc == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_matmul_fixture_matches_reference(self, tmp_path):
         from windmill.mapper import parse_dfg, reference_execute
         arch_f = FIXTURES / "standard_deep.arch"

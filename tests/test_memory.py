@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from windmill.errors import AddressOutOfRange
+from windmill.errors import AddressOutOfRange, SimulationError
 from windmill.memory import (BankedSram, DmaController, PaiArbiter, Request,
                              TransferBatch)
 
@@ -158,6 +158,15 @@ class TestArbiter:
         assert ("lsu", 1) in pai.pending
         second = pai.arbitrate(sram)
         assert [g.requester for g in second] == [("lsu", 1)]
+
+    def test_second_post_for_one_requester_raises(self):
+        """One pending request per requester, enforced even under -O."""
+        pai = PaiArbiter(16, lsu_ids(2))
+        pai.post(Request(("lsu", 0), "read", 0))
+        with pytest.raises(SimulationError):
+            pai.post(Request(("lsu", 0), "read", 1))
+        assert pai.pending[("lsu", 0)].addr == 0
+        assert pai.total_requests == 1
 
 
 class TestDma:

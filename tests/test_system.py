@@ -65,9 +65,31 @@ class TestRtt:
 
     def test_bitstream_target_checked_at_registration(self):
         from windmill.errors import BitstreamTargetInvalid
-        system = SystemSim(arch())
+        system = SystemSim(arch(rpus=4))
         with pytest.raises(BitstreamTargetInvalid):
             system.register_config(0, [(1, 2, [W(opcode=Opcode.LOAD)])])
+        assert 0 not in system.configs
+
+    def test_config_validated_once_for_all_rpus(self, monkeypatch):
+        """Registration validates once; loading and running never re-validate."""
+        import windmill.system as system_mod
+        calls = []
+        real = system_mod.validate_bitstream
+
+        def counting(params, records):
+            calls.append(params)
+            return real(params, records)
+
+        monkeypatch.setattr(system_mod, "validate_bitstream", counting)
+        system = SystemSim(arch(rpus=4))
+        records = [(1, 1, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=3),
+                           W(opcode=Opcode.HALT)])]
+        system.register_config(0, records)
+        assert calls == [system.params]
+        system.submit_script([HostCommand(0x01, (0xF, 0)), HostCommand(0x03, (0xF,))])
+        system.run()
+        assert len(calls) == 1
+        assert [rpu.pes[(1, 1)].acc for rpu in system.rpus] == [3] * 4
 
 
 class TestProtocol:
@@ -287,6 +309,31 @@ class TestCpe:
         assert counts[4] - counts[3] >= 1
         with_cpe = [self.run_workload(p, True)[1].host_commands for p in (2, 4)]
         assert with_cpe[0] == with_cpe[1] == 3
+
+    def test_reload_runs_the_new_context(self):
+        """The controller loads a second config on the same RPU: the relaunch
+        runs the new words, and PEs the new config leaves out run nothing."""
+        params = arch(cpe=True)
+        system = SystemSim(params, cycle_limit=1000)   # a stale reload loop fails fast
+        first = [(2, 2, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=5),
+                         W(opcode=Opcode.HALT)]),
+                 (3, 3, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=6)])]
+        second = [(2, 2, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=4),
+                          W(Opcode.ADD, SrcSel.ACC, SrcSel.IMM, DstSel.ACC, imm16=5),
+                          W(opcode=Opcode.HALT)])]
+        system.register_config(1, first)
+        system.register_config(2, second)
+        cpe_words = [cfg_word(0x1, 1), cfg_word(0x3, 0),
+                     cfg_word(0x1, 2), cfg_word(0x3, 0), W(opcode=Opcode.HALT)]
+        system.register_config(0, [(1, 1, cpe_words)])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        system.run()
+        rpu = system.rpus[0]
+        assert rpu.action_log == ["load_config", "launch"] * 3
+        assert rpu.pes[(2, 2)].context == second[0][2]
+        assert rpu.pes[(2, 2)].acc == 9
+        assert rpu.pes[(3, 3)].context == [] and rpu.pes[(3, 3)].acc == 0
+        assert rpu.pes[(1, 1)].context == []
 
     def test_empty_sequence_stays_configured(self):
         params = arch(cpe=True)
