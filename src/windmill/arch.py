@@ -140,10 +140,9 @@ def standard_preset() -> ArchParams:
 def validate(params: ArchParams) -> ArchParams:
     """Check every invariant; raise ValidationError listing all violations."""
     errs = []
-    if params.rows < 2:
-        errs.append("rows: must be >= 2")
-    if params.cols < 2:
-        errs.append("cols: must be >= 2")
+    for name in ("rows", "cols"):
+        if not 2 <= getattr(params, name) <= 256:
+            errs.append(f"{name}: must be in 2..256 (8-bit bitstream header field)")
     if len(params.pe_type_map) != params.rows:
         errs.append(f"pe_type_map: {len(params.pe_type_map)} rows, expected {params.rows}")
     else:

@@ -18,12 +18,12 @@ import time
 
 from . import arch as arch_mod
 from .arch import ExecMode, TopologyKind, parse_arch_file, perimeter_lsu_map
-from .errors import (AddressOutOfRange, CycleLimitExceeded, MissingService, ParseError,
-                     SimulationError, Unmappable, ValidationError, WindmillError)
+from .errors import (AddressOutOfRange, CycleLimitExceeded, ParseError, SimulationError,
+                     Unmappable, WindmillError)
 from .mapper import emit_bitstream, map_dfg, parse_dfg
 from .pe import unpack_bitstream
 from .plugins import build_system, elaborate_arch, report_from_build
-from .system import HostCommand, parse_script
+from .system import four_step_script, parse_script
 
 log = logging.getLogger("windmill")
 
@@ -31,6 +31,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNMAPPABLE = 3
 EXIT_RUNTIME = 4
+
+# error class -> exit code; any other toolkit error, or a missing input
+# file, is an input error
+_EXIT_CODES = ((Unmappable, EXIT_UNMAPPABLE),
+               ((CycleLimitExceeded, SimulationError), EXIT_RUNTIME))
 
 _SWEEP_FIELDS = {
     "rows": int, "cols": int, "sm_banks": int, "bank_depth": int,
@@ -158,18 +163,9 @@ def cmd_sim(args) -> int:
     with open(args.bitstream, "rb") as fh:
         records = unpack_bitstream(fh.read())
     system.register_config(0, records)
-    if args.script:
-        system.submit_script(parse_script(_read_text(args.script)))
-        result_len = args.result_len
-    else:
-        n = len(image)
-        result_len = args.result_len
-        system.submit_script([
-            HostCommand(0x01, (0x1, 0)),
-            HostCommand(0x02, (0x1, 0, 0, n, 1)),
-            HostCommand(0x03, (0x1,)),
-            HostCommand(0x04, (0x1, args.result_addr, 0, result_len)),
-        ])
+    result_len = args.result_len
+    system.submit_script(parse_script(_read_text(args.script)) if args.script
+                         else four_step_script(len(image), args.result_addr, result_len))
     partial = None
     try:
         stats = system.run()
@@ -223,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="CSV report path")
     g.add_argument("--sweep", action="append", metavar="KEY=V1,V2",
                    help="sweep a parameter over values (repeatable)")
-    g.add_argument("--jobs", type=int, default=1, help="reserved; runs sequentially")
     g.add_argument("--timestamps", action="store_true")
     g.set_defaults(fn=cmd_generate)
 
@@ -258,21 +253,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, MissingService) as exc:
+    except (WindmillError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Unmappable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNMAPPABLE
-    except (CycleLimitExceeded, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except WindmillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
+                    EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ those outputs relabeled onto the receiving PE's entry port.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 from .arch import SharedRegScope, TopologyKind
 from .errors import IndexOutOfRange
@@ -37,14 +40,15 @@ class Direction(Enum):
 
     @property
     def opposite(self) -> "Direction":
-        dr, dc = self.value
-        return Direction((-dr, -dc))
+        return _OPPOSITE[self]
 
     @property
     def is_two_hop(self) -> bool:
         dr, dc = self.value
         return abs(dr) + abs(dc) == 2
 
+
+_OPPOSITE = {d: Direction((-d.value[0], -d.value[1])) for d in Direction}
 
 _ONE_HOP_ORDER = (Direction.N, Direction.S, Direction.E, Direction.W,
                   Direction.N2, Direction.S2, Direction.E2, Direction.W2)
@@ -77,13 +81,19 @@ def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[D
     return out
 
 
-def neighbor_map(topology: TopologyKind, dims: Coord) -> dict[Coord, dict[Direction, Coord]]:
-    """Precomputed outgoing ports for every coordinate."""
+@lru_cache(maxsize=8)
+def neighbor_map(topology: TopologyKind, dims: Coord) -> Mapping[Coord, Mapping[Direction, Coord]]:
+    """Outgoing ports for every coordinate, built once per geometry.
+
+    Every caller with the same (topology, dims) gets the same table, so it
+    is read-only, outer and inner mappings alike. The few most recent
+    geometries are kept, which covers every array one run builds.
+    """
     rows, cols = dims
-    return {
-        (r, c): dict(neighbors(topology, (r, c), dims))
+    return MappingProxyType({
+        (r, c): MappingProxyType(dict(neighbors(topology, (r, c), dims)))
         for r in range(rows) for c in range(cols)
-    }
+    })
 
 
 def exchange(outputs: dict[Coord, tuple[Direction, int]],

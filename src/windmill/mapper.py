@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from .arch import ArchParams, PeType, TopologyKind
 from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
 from .interconnect import Direction, neighbor_map
-from .pe import (ConfigWord, DstSel, MASK32, Opcode, SrcSel, alu_eval,
-                 pack_bitstream)
+from .pe import (_DIR_BY_SEL, _DST_DIR, ConfigWord, DstSel, MASK32, Opcode, SrcSel,
+                 alu_eval, pack_bitstream, to_signed32)
 
 _OPS = {
     "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
@@ -317,11 +317,6 @@ class _LNode:
     seq: int = 0
 
 
-def _signed_value(value: int) -> int:
-    value &= MASK32
-    return value - 0x100000000 if value & 0x80000000 else value
-
-
 def _lower(dfg: Dfg) -> list[_LNode]:
     """Rewrite the DFG into machine-level nodes: directives become affine
     memory ops, ternary selects expand, constants fold or materialize."""
@@ -329,7 +324,7 @@ def _lower(dfg: Dfg) -> list[_LNode]:
         units = _topo_units(dfg)
     except CyclicGraph as exc:
         raise Unmappable(f"not mappable: {exc}") from exc
-    consts = {nid: _signed_value(dfg.nodes[nid].value)
+    consts = {nid: to_signed32(dfg.nodes[nid].value)
               for nid in dfg.order if dfg.nodes[nid].op == "const"}
     lnodes: list[_LNode] = []
     synth = 0
@@ -433,6 +428,11 @@ def _lower(dfg: Dfg) -> list[_LNode]:
 # --- mapping ---------------------------------------------------------------------
 
 
+# latch direction <-> operand / destination select, from the PE's tables
+_SRC_DIR = {d: s for s, d in _DIR_BY_SEL.items()}
+_DIR_DST = {d: s for s, d in _DST_DIR.items()}
+
+
 @dataclass
 class MicroOp:
     """One scheduled machine op on one PE."""
@@ -440,9 +440,9 @@ class MicroOp:
     pe: tuple
     step: int
     opcode: Opcode
-    src0: tuple = ("none",)
-    src1: tuple = ("none",)
-    dst: tuple = ("none",)
+    src0: SrcSel = SrcSel.NONE
+    src1: SrcSel = SrcSel.NONE
+    dst: DstSel = DstSel.NONE
     imm: int = 0
     stride_sel: int = 0
     node: str = ""
@@ -468,14 +468,6 @@ class Mapping:
         return {op.pe for op in self.micro_ops}
 
 
-def _manhattan(a, b, params: ArchParams) -> int:
-    dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
-    if params.topology is TopologyKind.TORUS:
-        dr = min(dr, params.rows - dr)
-        dc = min(dc, params.cols - dc)
-    return dr + dc
-
-
 class _Scheduler:
     """Placement-complete routing and step assignment.
 
@@ -492,7 +484,12 @@ class _Scheduler:
     def __init__(self, params: ArchParams, capacity: int):
         self.params = params
         self.capacity = capacity
-        self.ports = neighbor_map(params.topology, (params.rows, params.cols))
+        ports = neighbor_map(params.topology, (params.rows, params.cols))
+        # per cell, its (drive, to, entry, (to, entry)) links in route's
+        # tie-break order; the last field is the link's key in ``pending``
+        self.links = {coord: tuple((d, to, d.opposite, (to, d.opposite))
+                                   for d, to in sorted(out.items(), key=lambda x: x[0].name))
+                      for coord, out in ports.items()}
         self.next_free: dict[tuple, int] = {}
         self.last_consume: dict[tuple, int] = {}
         self.pending: set = set()          # (coord, entry dir) with an unconsumed arrival
@@ -527,32 +524,40 @@ class _Scheduler:
         """
         if src == dst:
             return None
-        counter = 0
-        pq = [(0, 0, counter, src, ())]
+        links, pending, op_count, capacity = (self.links, self.pending, self.op_count,
+                                              self.capacity)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # heap entries are (hops, occ, i, cell); back[i] = (i of the entry
+        # whose cell was left, that cell, link taken), unwound on success
+        back = [None]
+        pq = [(0, 0, 0, src)]
         seen = set()
         while pq:
-            hops, occ, _, coord, path = heapq.heappop(pq)
+            hops, occ, i, coord = heappop(pq)
             if coord == dst:
-                return list(path)
+                path = []
+                while i:
+                    i, frm, link = back[i]
+                    path.append((frm, link[0], link[1], link[2]))
+                path.reverse()
+                return path
             if coord in seen:
                 continue
             seen.add(coord)
-            for d in sorted(self.ports[coord], key=lambda x: x.name):
-                to = self.ports[coord][d]
-                entry = d.opposite
-                if to in seen or (to, entry) in self.pending:
+            for link in links[coord]:
+                to = link[1]
+                if to in seen or link[3] in pending:
                     continue
                 if to == dst:
-                    if entry in forbidden_final:
+                    if link[2] in forbidden_final:
                         continue
                     extra = 0
                 else:
-                    if self.op_count.get(to, 0) >= self.capacity:
+                    extra = op_count.get(to, 0)
+                    if extra >= capacity:
                         continue  # no room for another transit hop
-                    extra = self.op_count.get(to, 0)
-                counter += 1
-                heapq.heappush(pq, (hops + 1, occ + extra, counter, to,
-                                    path + ((coord, d, to, entry),)))
+                back.append((i, coord, link))
+                heappush(pq, (hops + 1, occ + extra, len(back) - 1, to))
         return None
 
 
@@ -589,44 +594,62 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     op_estimate: dict[tuple, int] = {}
     remote_consumers: dict[tuple, int] = {}
     ports = neighbor_map(params.topology, (params.rows, params.cols))
+    torus = params.topology is TopologyKind.TORUS
+    rows, cols = params.rows, params.cols
 
     for ln in lnodes:
         pool = lsus if ln.opcode in (Opcode.LOAD, Opcode.STORE) else gpes
         if not pool:
             raise Unmappable("no PE of the required type available", ln.id)
         pred_pes = [placement[s[1]] for s in ln.srcs if s[0] == "node"]
-        best = None
+        # key (crowded, Manhattan distance to the predecessors + estimated
+        # ops, pe); the pool is in coordinate order, so a strict "<" on the
+        # first two fields keeps the pe tie-break
+        best = best_crowded = best_cost = best_remote = None
         for pe in pool:
-            if op_estimate.get(pe, 0) >= capacity:
+            cost = op_estimate.get(pe, 0)
+            if cost >= capacity:
                 continue
-            remote_preds = [p for p in pred_pes if p != pe]
-            # prefer cells whose entry latches are not already spoken for
-            crowded = (remote_consumers.get(pe, 0) >= len(ports[pe]) - 1
-                       if remote_preds else False)
-            if len(pred_pes) > len(remote_preds):
+            r, c = pe
+            remote = local = False
+            for pr, pc in pred_pes:
+                dr = pr - r if pr > r else r - pr
+                dc = pc - c if pc > c else c - pc
+                if torus:
+                    if 2 * dr > rows:
+                        dr = rows - dr
+                    if 2 * dc > cols:
+                        dc = cols - dc
+                if dr or dc:
+                    remote = True
+                    cost += dr + dc
+                else:
+                    local = True
+            if local:
                 # co-placement only directly behind the accumulator owner
                 owners = {s[1] for s in ln.srcs
                           if s[0] == "node" and placement[s[1]] == pe}
                 if owners != {acc_owner_placed.get(pe)}:
                     continue
-            cost = (crowded,
-                    sum(_manhattan(p, pe, params) for p in pred_pes)
-                    + op_estimate.get(pe, 0), pe)
-            if best is None or cost < best[0]:
-                best = (cost, pe)
+            # prefer cells whose entry latches are not already spoken for
+            crowded = remote and remote_consumers.get(pe, 0) >= len(ports[pe]) - 1
+            if best is None or crowded < best_crowded or (
+                    crowded == best_crowded and cost < best_cost):
+                best, best_crowded, best_cost, best_remote = pe, crowded, cost, remote
         if best is None:
             raise Unmappable("PE capacity exhausted during placement", ln.id)
-        pe = best[1]
+        pe = best
         placement[ln.id] = pe
         op_estimate[pe] = op_estimate.get(pe, 0) + 1 + out_degree[ln.id]
-        if any(p != pe for p in pred_pes):
+        if best_remote:
             remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
         if ln.opcode is not Opcode.STORE:
             acc_owner_placed[pe] = ln.id
 
     # --- routing and step assignment ---------------------------------------
     sched = _Scheduler(params, capacity)
-    arrivals: dict[tuple[str, str], tuple] = {}   # (producer, consumer) -> source
+    # (producer, consumer) -> (operand select, entry latch or None, ready step)
+    arrivals: dict[tuple[str, str], tuple] = {}
     claimed_entries: dict[str, set] = {ln.id: set() for ln in lnodes}
     routes: dict[tuple, list] = {}
     node_step: dict[str, int] = {}
@@ -637,16 +660,6 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
                    for ln in lnodes}
     acc_owner: dict[tuple, str] = {}
 
-    def sel_of(source: tuple) -> tuple:
-        kind = source[0]
-        if kind == "imm":
-            return ("imm", source[1])
-        if kind == "acc":
-            return ("acc",)
-        if kind == "none":
-            return ("none",)
-        return ("dir", source[1])
-
     def schedule_chain(v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
         """Route and schedule one value chain v -> cid. All or nothing."""
         src_pe, dst_pe = placement[v], placement[cid]
@@ -655,26 +668,26 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
             return False
         first = path[0]
         if fused_op is not None:
-            fused_op.dst = ("dir", first[1])
+            fused_op.dst = _DIR_DST[first[1]]
             prev_step, prev_entry = node_step[v], first[3]
         else:
             send = MicroOp(src_pe, max(sched.free_at(src_pe), node_step[v] + 1),
-                           Opcode.ROUTE, ("acc",), ("none",), ("dir", first[1]),
+                           Opcode.ROUTE, SrcSel.ACC, SrcSel.NONE, _DIR_DST[first[1]],
                            node=f"{v}>")
             sched.emit(send)
             prev_step, prev_entry = send.step, first[3]
         for frm, drive, to, entry in path[1:]:
             s = max(sched.free_at(frm), prev_step + 1,
                     sched.read_floor(frm, prev_entry) + 1)
-            hop = MicroOp(frm, s, Opcode.ROUTE, ("dir", prev_entry), ("none",),
-                          ("dir", drive), node=f"{v}>{cid}")
+            hop = MicroOp(frm, s, Opcode.ROUTE, _SRC_DIR[prev_entry], SrcSel.NONE,
+                          _DIR_DST[drive], node=f"{v}>{cid}")
             sched.emit(hop)
             sched.consume(frm, prev_entry, s)
             prev_step, prev_entry = s, entry
         final_entry = path[-1][3]
         sched.arrive(dst_pe, final_entry)
         claimed_entries[cid].add(final_entry)
-        arrivals[(v, cid)] = ("dir", final_entry, prev_step)
+        arrivals[(v, cid)] = (_SRC_DIR[final_entry], final_entry, prev_step)
         routes[(v, cid)] = [src_pe] + [h[2] for h in path]
         chain_done.add((v, cid))
         return True
@@ -705,28 +718,25 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
         if owner is not None and not flush_chains(owner):
             return False
 
-        slot_src: list[tuple] = []
+        sels: list[SrcSel] = []
         floor = 0
-        reads: list[tuple] = []
+        reads: list[Direction] = []
         for src in ln.srcs:
             if src[0] == "none":
-                slot_src.append(("none",))
+                sels.append(SrcSel.NONE)
             elif src[0] == "imm":
-                slot_src.append(("imm", src[1]))
+                sels.append(SrcSel.IMM)
             else:
-                source = arrivals[(src[1], ln.id)]
-                slot_src.append(source)
-                floor = max(floor, source[2] + 1)
-                if source[0] == "dir":
-                    reads.append(source[1])
+                sel, entry, ready = arrivals[(src[1], ln.id)]
+                sels.append(sel)
+                floor = max(floor, ready + 1)
+                if entry is not None:
+                    reads.append(entry)
         step = max(sched.free_at(pe), floor)
         for entry in reads:
             step = max(step, sched.read_floor(pe, entry) + 1)
-        op = MicroOp(pe, step, ln.opcode,
-                     sel_of(slot_src[0]) if slot_src else ("none",),
-                     sel_of(slot_src[1]) if len(slot_src) > 1 else ("none",),
-                     ("none",), imm=ln.imm if ln.affine else _imm_of(slot_src),
-                     node=ln.id)
+        op = MicroOp(pe, step, ln.opcode, *sels[:2],
+                     imm=ln.imm if ln.affine else _imm_of(ln.srcs), node=ln.id)
         sched.emit(op)
         node_step[ln.id] = step
         for entry in set(reads):
@@ -737,13 +747,13 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
         if outs:
             local = [cid for cid in outs if placement[cid] == pe]
             for cid in local:
-                arrivals[(ln.id, cid)] = ("acc", None, step)
+                arrivals[(ln.id, cid)] = (SrcSel.ACC, None, step)
             if local or len(outs) > 1 \
                     or not schedule_chain(ln.id, outs[0], fused_op=op):
                 # accumulator form: the value parks in acc and each chain
                 # is routed lazily, when its consumer (or an accumulator
                 # flush) demands it; this keeps in-flight arrivals scarce
-                op.dst = ("acc",)
+                op.dst = DstSel.ACC
                 acc_owner[pe] = ln.id
         processed.add(ln.id)
         return True
@@ -780,8 +790,8 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     return mapping
 
 
-def _imm_of(slot_src: list) -> int:
-    for s in slot_src:
+def _imm_of(srcs: list) -> int:
+    for s in srcs:
         if s[0] == "imm":
             return s[1] & 0xFFFF
     return 0
@@ -810,32 +820,6 @@ def _check_legal(mapping: Mapping):
 # --- emission ---------------------------------------------------------------------
 
 
-_SRC_DIR = {Direction[name]: SrcSel[name] for name in
-            ("N", "S", "E", "W", "N2", "S2", "E2", "W2")}
-_DST_DIR = {Direction[name]: DstSel[name] for name in
-            ("N", "S", "E", "W", "N2", "S2", "E2", "W2")}
-
-
-def _src_sel(spec: tuple) -> SrcSel:
-    kind = spec[0]
-    if kind == "none":
-        return SrcSel.NONE
-    if kind == "imm":
-        return SrcSel.IMM
-    if kind == "acc":
-        return SrcSel.ACC
-    return _SRC_DIR[spec[1]]
-
-
-def _dst_sel(spec: tuple) -> DstSel:
-    kind = spec[0]
-    if kind == "none":
-        return DstSel.NONE
-    if kind == "acc":
-        return DstSel.ACC
-    return _DST_DIR[spec[1]]
-
-
 def emit_bitstream(mapping: Mapping) -> bytes:
     """Per-PE configuration words implementing the mapping, plus a HALT."""
     per_pe: dict[tuple, list[MicroOp]] = {}
@@ -845,16 +829,8 @@ def emit_bitstream(mapping: Mapping) -> bytes:
     for pe in sorted(per_pe):
         words = []
         for op in sorted(per_pe[pe], key=lambda o: o.step):
-            imm = op.imm & 0xFFFF
-            words.append(ConfigWord(
-                opcode=op.opcode,
-                src0=_src_sel(op.src0),
-                src1=_src_sel(op.src1),
-                dst=_dst_sel(op.dst),
-                imm16=imm,
-                iter_count=1,
-                shared_reg_idx=op.stride_sel,
-            ))
+            words.append(ConfigWord(op.opcode, op.src0, op.src1, op.dst, op.imm & 0xFFFF,
+                                    iter_count=1, shared_reg_idx=op.stride_sel))
         words.append(ConfigWord(opcode=Opcode.HALT))
         records.append((pe[0], pe[1], words))
     return pack_bitstream(records)

@@ -30,8 +30,8 @@ raises its done flag; walking past the last context word does the same.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .arch import ArchParams, ExecMode, PeType, SCMD_CONTEXT_FACTOR
 from .errors import (AddressOutOfRange, BitstreamTargetInvalid, CapacityExceeded,
@@ -101,6 +101,9 @@ class DstSel(IntEnum):
     NONE = 11
 
 
+# decode tables: each field's members, indexed by the field's value
+_OPCODES, _SRC_SELS, _DST_SELS = tuple(Opcode), tuple(SrcSel), tuple(DstSel)
+
 _DIR_BY_SEL = {s: Direction[s.name] for s in SrcSel if s.value <= 7}
 _DST_DIR = {d: Direction[d.name] for d in DstSel if d.value <= 7}
 _TWO_HOP_SRC = {s for s, d in _DIR_BY_SEL.items() if d.is_two_hop}
@@ -120,8 +123,9 @@ def to_signed32(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
 
 
-@dataclass(frozen=True)
-class ConfigWord:
+class ConfigWord(NamedTuple):
+    """One decoded configuration word; immutable and hashable."""
+
     opcode: Opcode = Opcode.NOP
     src0: SrcSel = SrcSel.N
     src1: SrcSel = SrcSel.N
@@ -161,21 +165,22 @@ def decode(value: int) -> ConfigWord:
     if value & 0xFFFF:
         raise DecodeError(f"reserved bits 15:0 are nonzero in {value:#018x}")
     opcode = (value >> 59) & 0x1F
-    if opcode > 15:
+    if opcode >= len(_OPCODES):
         raise DecodeError(f"opcode {opcode} undefined")
     src0 = (value >> 55) & 0xF
     src1 = (value >> 51) & 0xF
     dst = (value >> 47) & 0xF
-    for name, sel in (("src0", src0), ("src1", src1)):
-        if sel > SrcSel.NONE:
-            raise DecodeError(f"{name} select {sel} undefined")
-    if dst > DstSel.NONE:
+    if src0 >= len(_SRC_SELS):
+        raise DecodeError(f"src0 select {src0} undefined")
+    if src1 >= len(_SRC_SELS):
+        raise DecodeError(f"src1 select {src1} undefined")
+    if dst >= len(_DST_SELS):
         raise DecodeError(f"dst select {dst} undefined")
     return ConfigWord(
-        opcode=Opcode(opcode),
-        src0=SrcSel(src0),
-        src1=SrcSel(src1),
-        dst=DstSel(dst),
+        opcode=_OPCODES[opcode],
+        src0=_SRC_SELS[src0],
+        src1=_SRC_SELS[src1],
+        dst=_DST_SELS[dst],
         imm16=(value >> 31) & 0xFFFF,
         iter_count=(value >> 23) & 0xFF,
         shared_reg_idx=(value >> 19) & 0xF,
@@ -262,13 +267,11 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
         (header,) = _HEADER.unpack_from(blob, off)
         off += 4
         row, col, count = header >> 24, (header >> 16) & 0xFF, header & 0xFFFF
-        words = []
-        for _ in range(count):
-            if off + 8 > len(blob):
-                raise DecodeError(f"truncated record for PE ({row},{col})")
-            (value,) = _WORD.unpack_from(blob, off)
-            off += 8
-            words.append(decode(value))
+        present = min(count, (len(blob) - off) // 8)
+        words = [decode(value) for value in struct.unpack_from(f"<{present}Q", blob, off)]
+        off += 8 * present
+        if present < count:
+            raise DecodeError(f"truncated record for PE ({row},{col})")
         records.append((row, col, words))
     return records
 
@@ -278,11 +281,13 @@ def validate_bitstream(params: ArchParams,
     """Static legality of a bitstream against an architecture.
 
     Memory ops only on LSUs, the RTT destination only on the CPE, 2-hop
-    selects only under the 1-hop topology, capacity respected, all targets
-    inside the grid.
+    selects only under the 1-hop topology, shared-register selects the PE
+    reads or writes within the register count, capacity respected, all
+    targets inside the grid.
     """
     from .arch import TopologyKind
     cap = params.context_capacity()
+    n_sregs = params.shared_reg_count
     seen = set()
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
@@ -307,6 +312,13 @@ def validate_bitstream(params: ArchParams,
                 if w.dst in _TWO_HOP_DST:
                     raise BitstreamTargetInvalid(
                         f"{where}: 2-hop destination under {params.topology.value}")
+            # the index field is also a memory op's stride selector, so only a
+            # select the word reads, or a destination it writes, names a register
+            if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
+                    w.dst is DstSel.SREG
+                    and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
+                raise BitstreamTargetInvalid(
+                    f"{where}: shared register {w.shared_reg_idx} (count {n_sregs})")
 
 
 # --- runtime -----------------------------------------------------------------

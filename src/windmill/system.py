@@ -594,6 +594,13 @@ class SystemSim:
         return [self.results_buffer.get(base + i, 0) for i in range(length)]
 
 
+def four_step_script(load_len: int, result_addr: int, result_len: int) -> list[HostCommand]:
+    """The canonical host flow against RPU 0: load config 0, stream the
+    first ``load_len`` image words in, launch, copy the result region back."""
+    return [HostCommand(0x01, (0x1, 0)), HostCommand(0x02, (0x1, 0, 0, load_len, 1)),
+            HostCommand(0x03, (0x1,)), HostCommand(0x04, (0x1, result_addr, 0, result_len))]
+
+
 def run_protocol(system: SystemSim, records: list, image: list[int],
                  result_addr: int, result_len: int,
                  load_len: int | None = None) -> tuple[list[int], SimStats]:
@@ -606,12 +613,6 @@ def run_protocol(system: SystemSim, records: list, image: list[int],
     system.ext_memory.extend(image)
     system.register_config(0, records)
     n = load_len if load_len is not None else len(image)
-    script = [
-        HostCommand(0x01, (0x1, 0)),
-        HostCommand(0x02, (0x1, 0, 0, n, 1)),
-        HostCommand(0x03, (0x1,)),
-        HostCommand(0x04, (0x1, result_addr, 0, result_len)),
-    ]
-    system.submit_script(script)
+    system.submit_script(four_step_script(n, result_addr, result_len))
     stats = system.run()
     return system.results_words(result_len), stats

@@ -33,6 +33,19 @@ class TestValidation:
             validate(p)
         assert any("rows" in e for e in err.value.errors)
 
+    def test_grid_fits_the_bitstream_header(self):
+        """Row and column are 8-bit fields of a bitstream record header."""
+        def sized(rows, cols):
+            return replace(standard_preset(), rows=rows, cols=cols, cpe_enabled=False,
+                           pe_type_map=perimeter_lsu_map(rows, cols, None))
+
+        validate(sized(256, 2))
+        validate(sized(2, 256))
+        for rows, cols, name in ((257, 2, "rows"), (2, 300, "cols")):
+            with pytest.raises(ValidationError) as err:
+                validate(sized(rows, cols))
+            assert any(e.startswith(f"{name}:") and "256" in e for e in err.value.errors)
+
     def test_banks_power_of_two(self):
         p = replace(standard_preset(), sm_banks=12)
         with pytest.raises(ValidationError) as err:

@@ -164,6 +164,20 @@ class TestSim:
         assert r.returncode == 4
         assert stats.exists() and len(stats.read_text().splitlines()) == 2
 
+    def test_shared_register_index_rejected_before_the_run(self, std_arch, tmp_path):
+        """standard.arch has 4 shared registers: reading SREG 7 is an input
+        error (exit 2) found at registration, so no cycle runs and no stats
+        are written."""
+        from windmill.pe import ConfigWord, Opcode, SrcSel, DstSel, pack_bitstream
+        bs = tmp_path / "sreg7.bit"
+        word = ConfigWord(Opcode.ADD, SrcSel.SREG, SrcSel.IMM, DstSel.ACC, shared_reg_idx=7)
+        bs.write_bytes(pack_bitstream([(2, 2, [word])]))
+        stats = tmp_path / "stats.csv"
+        r = windmill("sim", "--arch", std_arch, "--bitstream", bs, "--stats", stats)
+        assert r.returncode == 2
+        assert "PE (2,2)" in r.stderr and "shared register 7" in r.stderr
+        assert not stats.exists()
+
     def test_runtime_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path):
         """A load from an address past the remote window maps fine and then
         faults in the simulator: exit 4, partial stats still written."""

@@ -4,8 +4,8 @@ import pytest
 
 from windmill.arch import SharedRegScope, TopologyKind
 from windmill.errors import IndexOutOfRange
-from windmill.interconnect import (Direction, SharedRegFile, exchange, neighbors,
-                                   scope_of)
+from windmill.interconnect import (Direction, SharedRegFile, exchange, neighbor_map,
+                                   neighbors, scope_of)
 
 
 def mesh_degree(r, c, rows, cols):
@@ -60,6 +60,18 @@ class TestNeighbors:
                     for c in range(cols):
                         for _, dest in neighbors(topo, (r, c), (rows, cols)):
                             assert dest != (r, c)
+
+    def test_neighbor_map_is_one_read_only_table_per_geometry(self):
+        ports = neighbor_map(TopologyKind.TORUS, (4, 5))
+        assert neighbor_map(TopologyKind.TORUS, (4, 5)) is ports
+        assert neighbor_map(TopologyKind.MESH2D, (4, 5)) is not ports
+        assert dict(ports[(0, 0)]) == dict(neighbors(TopologyKind.TORUS, (0, 0), (4, 5)))
+        with pytest.raises(TypeError):
+            ports[(9, 9)] = {}
+        with pytest.raises(TypeError):
+            ports[(0, 0)][Direction.N] = (1, 1)
+        with pytest.raises(TypeError):
+            del ports[(0, 0)][Direction.N]
 
 
 class TestExchange:

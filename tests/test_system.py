@@ -70,6 +70,23 @@ class TestRtt:
             system.register_config(0, [(1, 2, [W(opcode=Opcode.LOAD)])])
         assert 0 not in system.configs
 
+    def test_shared_register_index_checked_at_registration(self):
+        """A SREG select the word reads or writes must name an existing
+        register; a memory op's stride selector in the same field need not."""
+        from windmill.errors import BitstreamTargetInvalid
+        system = SystemSim(arch(rpus=4, shared_reg_count=4))
+        for word in (W(Opcode.ADD, SrcSel.SREG, SrcSel.IMM, DstSel.ACC, shared_reg_idx=7),
+                     W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.SREG, shared_reg_idx=4)):
+            with pytest.raises(BitstreamTargetInvalid, match=r"PE \(2,2\) word 0"):
+                system.register_config(0, [(2, 2, [word])])
+        assert 0 not in system.configs
+        system.register_config(1, [(2, 2, [W(Opcode.ADD, SrcSel.SREG, SrcSel.IMM, DstSel.ACC,
+                                              shared_reg_idx=3)])])
+        strided = W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.S, iter_count=4,
+                    shared_reg_idx=9)
+        system.register_config(2, [(0, 2, [strided])])
+        assert sorted(system.configs) == [1, 2]
+
     def test_config_validated_once_for_all_rpus(self, monkeypatch):
         """Registration validates once; loading and running never re-validate."""
         import windmill.system as system_mod
