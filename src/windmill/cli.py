@@ -9,6 +9,7 @@ wall-clock line in the text report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import logging
 import os
@@ -209,7 +210,9 @@ def cmd_report(args) -> int:
 # --- entry ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse fills a new namespace."""
     parser = argparse.ArgumentParser(prog="windmill",
                                      description="CGRA generator, mapper, simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,13 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sweep", action="append", metavar="KEY=V1,V2",
                    help="sweep a parameter over values (repeatable)")
     g.add_argument("--timestamps", action="store_true")
-    g.set_defaults(fn=cmd_generate)
 
     m = sub.add_parser("map", help="compile a dataflow graph to a bitstream")
     m.add_argument("--arch", required=True)
     m.add_argument("--dfg", required=True)
     m.add_argument("--out", required=True, help="bitstream output path")
-    m.set_defaults(fn=cmd_map)
 
     s = sub.add_parser("sim", help="run the host protocol over a bitstream")
     s.add_argument("--arch", required=True)
@@ -238,21 +239,20 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--result-addr", type=lambda v: int(v, 0), default=0)
     s.add_argument("--result-len", type=lambda v: int(v, 0), default=0)
     s.add_argument("--cycle-limit", type=lambda v: int(v, 0), default=1_000_000)
-    s.set_defaults(fn=cmd_sim)
 
     r = sub.add_parser("report", help="pretty-print a stats CSV")
     r.add_argument("--stats", required=True)
-    r.set_defaults(fn=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("WINDMILL_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call: a cmd_* replaced after the parser was built still runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except (WindmillError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),

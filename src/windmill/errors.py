@@ -102,6 +102,10 @@ class CycleLimitExceeded(WindmillError):
     """The launch deadlock guard tripped before all PEs went done."""
 
 
+class DeadlockDetected(CycleLimitExceeded):
+    """Every live PE of a running RPU waits on an event no PE can cause."""
+
+
 class SimulationError(WindmillError):
     """Internal machine-state inconsistency detected mid-run."""
 

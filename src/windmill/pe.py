@@ -395,11 +395,12 @@ def _destination(word: ConfigWord, ports: dict) -> tuple:
     return (_TO_RTT, word.imm16, None)
 
 
-def _predecode(word: ConfigWord, ports: dict) -> tuple:
+def _predecode(word: ConfigWord) -> tuple:
+    """A decoded word's port-independent fields, before and after its destination."""
     srcs = tuple(_source(sel, word) for sel in _required(word))
     pulls = tuple(arg for kind, arg in srcs if kind == _S_LATCH)
-    return (_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls,
-            *_destination(word, ports), word.iterations, word.next_step, word)
+    return ((_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls),
+            (word.iterations, word.next_step, word))
 
 
 class PE:
@@ -423,7 +424,6 @@ class PE:
         # input latches: entry direction -> value (present = occupied)
         self.latch: dict[Direction, int] = {}
         self.acc = 0
-        self.acc_valid = True
         # pipeline slots
         self.f_slot: tuple | None = None   # (decoded word, iter)
         self.d_slot: tuple | None = None   # (decoded word, iter)
@@ -440,12 +440,22 @@ class PE:
         which keeps the pre-decoded form in step."""
         return self._context
 
-    def load_context(self, words: list[ConfigWord], capacity: int):
+    def load_context(self, words: list[ConfigWord], capacity: int,
+                     decoded: dict | None = None):
+        """Load and pre-decode ``words``; ``decoded`` (word -> ``_predecode``
+        parts) may be shared across the PEs of one load."""
         if len(words) > capacity:
             raise CapacityExceeded(
                 f"PE {self.coord}: {len(words)} words > capacity {capacity}")
+        decoded = {} if decoded is None else decoded
+        code = []
+        for w in words:
+            parts = decoded.get(w)
+            if parts is None:
+                parts = decoded[w] = _predecode(w)
+            code.append(parts[0] + _destination(w, self.ports) + parts[1])
         self._context = list(words)
-        self._code = [_predecode(w, self.ports) for w in words]
+        self._code = code
         self.pc = 0
         self.iter_index = [0] * len(words)
         self.remaining = [dec[7] for dec in self._code]
@@ -457,30 +467,32 @@ class PE:
         self.remaining = [dec[7] for dec in self._code]
         self.latch.clear()
         self.acc = 0
-        self.acc_valid = True
         self.f_slot = self.d_slot = self.x_slot = self.w_slot = None
         self.done = not self._code
 
     # -- data flow --------------------------------------------------------
 
-    def tick(self, bus):
+    def tick(self, bus) -> bool:
+        """Advance one cycle; False exactly when it changed no slot, counter
+        or flag and staged no bus effect. A PE waiting on memory counts an
+        active cycle, so it always returns True."""
         if self.done:
-            return
+            return False
+        moved = False
         # write back: drive the outbound value, or stall on a full latch
         w = self.w_slot
         if w is not None:
             dec, value = w
             to = dec[4]
-            if to == _TO_LATCH:
-                if bus.latch_free(dec[5], dec[6]):
+            if to != _TO_LATCH or bus.latch_free(dec[5], dec[6]):
+                if to == _TO_LATCH:
                     bus.deliver(dec[5], dec[6], value)
-                    self.w_slot = None
-            else:
-                if to == _TO_SREG:
+                elif to == _TO_SREG:
                     bus.sreg_write(self.coord, dec[5], value)
                 elif to == _TO_RTT:
                     bus.rtt_action(self.coord, dec[5])
                 self.w_slot = None   # _TO_EDGE drops the value off the grid
+                moved = True
         # execute
         x = self.x_slot
         if x is not None:
@@ -489,28 +501,31 @@ class PE:
                 if resp is not None:
                     self._complete(x[1], resp[0] if x[1][0] == _K_LOAD else None)
                 self.active_cycles += 1
+                moved = True
             elif self.w_slot is None:
                 # "out": the result waited for the write-back slot to drain
                 self.w_slot = (x[1], x[2])
                 self.x_slot = None
-        elif self.d_slot is not None:
-            self._execute(bus)
+                moved = True
+        elif self.d_slot is not None and self._execute(bus):
+            moved = True
         # decode
         if self.d_slot is None and self.f_slot is not None:
             self.d_slot, self.f_slot = self.f_slot, None
+            moved = True
         # fetch
         if self.f_slot is not None:
-            return
+            return moved
         code = self._code
         pc = self.pc
         if pc >= len(code):
             if self.d_slot is None and self.x_slot is None and self.w_slot is None:
-                self.done = True
-            return
+                self.done = moved = True
+            return moved
         dec = code[pc]
         if dec[0] == _K_HALT and (self.d_slot is not None or self.x_slot is not None
                                   or self.w_slot is not None):
-            return  # let the pipeline drain before the freeze enters it
+            return moved  # let the pipeline drain before the freeze enters it
         iter_index, remaining = self.iter_index, self.remaining
         self.f_slot = (dec, iter_index[pc])
         iter_index[pc] += 1
@@ -522,44 +537,45 @@ class PE:
                 # re-entering a step on a loop back-edge re-arms its counter
                 remaining[pc] = code[pc][7]
                 iter_index[pc] = 0
+        return True
 
-    def _execute(self, bus):
-        """Fire the decoded word when every required operand is valid;
-        otherwise hold it, leaving the accumulator untouched."""
+    def _execute(self, bus) -> bool:
+        """Fire the decoded word and return True when every required operand
+        is valid; otherwise hold it, leaving the accumulator untouched."""
         dec, iter_idx = self.d_slot
         kind = dec[0]
         if kind == _K_HALT:
-            if self.w_slot is None:
-                # freeze: context stays loaded for a later relaunch
-                self.d_slot = None
-                self.f_slot = None
-                self.pc = len(self._code)
-                self.done = True
-            return
+            if self.w_slot is not None:
+                return False
+            # freeze: context stays loaded for a later relaunch
+            self.d_slot = self.f_slot = None
+            self.pc = len(self._code)
+            self.done = True
+            return True
         if kind == _K_PHI:
             result = self._merge(dec[2], bus)
             if result is _STALLED:
-                return
+                return False
         else:
             latch = self.latch
             vals = []
             for src, arg in dec[2]:
                 if src == _S_LATCH:
                     if arg not in latch:
-                        return
+                        return False
                     vals.append(latch[arg])
                 elif src == _S_CONST:
                     vals.append(arg)
                 else:
                     value, valid = self._operand(src, arg, bus)
                     if not valid:
-                        return
+                        return False
                     vals.append(value)
             if kind == _K_LOAD or kind == _K_STORE:
                 self._mem_request(dec, iter_idx, vals, bus)
                 self.d_slot = None
                 self.active_cycles += 1
-                return
+                return True
             for direction in dec[3]:
                 bus.consume_latch(self.coord, direction)
             if kind == _K_ALU:
@@ -573,6 +589,16 @@ class PE:
         self.d_slot = None
         self.active_cycles += 1
         self._complete(dec, result)
+        return True
+
+    def waiting_on(self, bus) -> str:
+        """What a sleeping PE waits for: a full latch, or operands it lacks."""
+        if self.w_slot is not None:
+            dest, entry = self.w_slot[0][5:7]
+            return f"PE {self.coord} blocked on ({dest}, {entry.name})"
+        lacks = [f"latch {arg.name}" if src == _S_LATCH else f"shared register {arg}"
+                 for src, arg in self.d_slot[0][2] if not self._operand(src, arg, bus)[1]]
+        return f"PE {self.coord} lacks {' and '.join(lacks)}"
 
     def _operand(self, src: int, arg, bus) -> tuple[int, bool]:
         """(value, valid) of one decoded source."""
@@ -581,7 +607,7 @@ class PE:
         if src == _S_CONST:
             return arg, True
         if src == _S_ACC:
-            return self.acc, self.acc_valid
+            return self.acc, True
         return bus.sreg_read(self.coord, arg)
 
     def _merge(self, srcs, bus):
@@ -615,7 +641,6 @@ class PE:
         value = result & MASK32
         if to == _TO_ACC:
             self.acc = value
-            self.acc_valid = True
         elif self.w_slot is None:
             self.w_slot = (dec, value)
         else:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arch import ArchParams, ExecMode, PeType, validate
-from .errors import (AddressOutOfRange, CycleLimitExceeded, ParseError,
+from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
                      ProtocolOrderViolation, SimulationError, UnknownOpcode)
 from .interconnect import SharedRegFile, neighbor_map
 from .memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
@@ -211,6 +211,7 @@ class Rpu:
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
+        self.asleep: set[PE] = set()   # live PEs whose last tick changed nothing
         self.launch_count = 0
         self.batches_enqueued = 0
         self.running_cycles = 0
@@ -238,13 +239,15 @@ class Rpu:
         """Load a registered config; SystemSim.register_config validated it."""
         cap = self.params.context_capacity()
         for pe in self.pes.values():
-            pe.load_context([], cap)
+            if pe.context:
+                pe.load_context([], cap)
+        decoded = {}
         for row, col, words in records:
             if self.params.exec_mode is ExecMode.SCMD:
                 for c in range(self.params.cols):
-                    self.pes[(row, c)].load_context(words, cap)
+                    self.pes[(row, c)].load_context(words, cap, decoded)
             else:
-                self.pes[(row, col)].load_context(words, cap)
+                self.pes[(row, col)].load_context(words, cap, decoded)
         self.status = RpuStatus.CONFIGURED
 
     def launch(self):
@@ -254,6 +257,7 @@ class Rpu:
         for pe in self.pes.values():
             pe.launch_reset()
         self.live = [pe for _, pe in sorted(self.pes.items()) if not pe.done]
+        self.asleep.clear()
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
         self.launch_count += 1
@@ -330,11 +334,16 @@ class Rpu:
                 or not self.dma.idle())
 
     def tick_pes(self):
-        """Tick the live PEs in coordinate order; drop those that finish."""
+        """Tick the awake live PEs in coordinate order; drop those that finish.
+        A PE whose tick changes nothing sleeps until an event wakes it."""
+        asleep = self.asleep
         finished = False
         for pe in self.live:
-            pe.tick(self)
-            if pe.done:
+            if pe in asleep:
+                continue
+            if not pe.tick(self):
+                asleep.add(pe)
+            elif pe.done:
                 finished = True
         if finished:
             self.live = [pe for pe in self.live if not pe.done]
@@ -342,17 +351,23 @@ class Rpu:
     def end_cycle(self, system):
         self.cycle_pea_halves = set()
         self.cycle_dma_half = None
+        # wakes: a delivery its receiver, a consume its driver (symmetric ports), a commit all
+        pes, asleep = self.pes, self.asleep
         for coord, direction in set(self._consumes):
-            del self.pes[coord].latch[direction]
+            pe = pes[coord]
+            del pe.latch[direction]
+            asleep.discard(pes[pe.ports[direction]])
         self._consumes.clear()
         for coord, direction, value in self._deliveries:
-            latch = self.pes[coord].latch
-            if direction in latch:
+            pe = pes[coord]
+            if direction in pe.latch:
                 raise SimulationError(f"latch overrun at {coord} {direction}")
-            latch[direction] = value
+            pe.latch[direction] = value
+            asleep.discard(pe)
         self._deliveries.clear()
         if self.sregs.pending:
             self.sregs.commit()
+            asleep.clear()
 
         blocked = set()
         if self.pai.pending:
@@ -391,6 +406,11 @@ class Rpu:
             if not self.live:
                 self.status = RpuStatus.DONE
                 self.dma.request_toggle()
+            elif len(asleep) == len(self.live):
+                # no PE waits on memory, and only a PE can wake another
+                raise DeadlockDetected(
+                    f"rpu {self.id}: deadlock after {self.running_cycles} cycles: "
+                    + "; ".join(pe.waiting_on(self) for pe in self.live))
             elif self.running_cycles > system.cycle_limit:
                 raise CycleLimitExceeded(
                     f"rpu {self.id}: no completion within {system.cycle_limit} cycles")

@@ -164,6 +164,20 @@ class TestSim:
         assert r.returncode == 4
         assert stats.exists() and len(stats.read_text().splitlines()) == 2
 
+    def test_deadlock_exit_4_names_the_waits(self, std_arch, tmp_path):
+        from windmill.pe import ConfigWord, Opcode, SrcSel, DstSel, pack_bitstream
+        bs = tmp_path / "mutual.bit"
+        bs.write_bytes(pack_bitstream([
+            (3, 3, [ConfigWord(Opcode.ADD, SrcSel.E, SrcSel.IMM, DstSel.E)]),
+            (3, 4, [ConfigWord(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.W)])]))
+        stats = tmp_path / "stats.csv"
+        r = windmill("sim", "--arch", std_arch, "--bitstream", bs, "--stats", stats)
+        assert r.returncode == 4
+        assert "deadlock" in r.stderr
+        assert "PE (3, 3) lacks latch E" in r.stderr and "PE (3, 4) lacks latch W" in r.stderr
+        header, row = stats.read_text().splitlines()
+        assert 0 < int(row.split(",")[0]) <= 20
+
     def test_shared_register_index_rejected_before_the_run(self, std_arch, tmp_path):
         """standard.arch has 4 shared registers: reading SREG 7 is an input
         error (exit 2) found at registration, so no cycle runs and no stats
@@ -206,6 +220,36 @@ class TestSim:
             gc.collect()
         assert rc == 0
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_in_process_calls_see_only_their_own_arguments(self, std_arch, tmp_path,
+                                                           monkeypatch, capsys):
+        """The parser is built once per process; map, sim, map in one
+        process each get a namespace of their own arguments and defaults."""
+        from windmill import cli
+        seen = []
+        for name in ("cmd_map", "cmd_sim"):
+            real = getattr(cli, name)
+
+            def record(args, real=real):
+                seen.append(vars(args).copy())
+                return real(args)
+
+            monkeypatch.setattr(cli, name, record)
+        bs = tmp_path / "v.bit"
+        map_argv = ["map", "--arch", str(std_arch), "--dfg",
+                    str(FIXTURES / "vecadd16.dfg"), "--out", str(bs)]
+        stats = tmp_path / "stats.csv"
+        assert cli.main(map_argv) == 0
+        assert cli.main(["sim", "--arch", str(std_arch), "--bitstream", str(bs),
+                         "--stats", str(stats), "--result-len", "16"]) == 0
+        assert cli.main(map_argv) == 0
+        capsys.readouterr()
+        assert seen[0] == seen[2] == {"command": "map", "arch": str(std_arch),
+                                      "dfg": str(FIXTURES / "vecadd16.dfg"), "out": str(bs)}
+        assert seen[1] == {"command": "sim", "arch": str(std_arch), "bitstream": str(bs),
+                           "data": None, "script": None, "out": None, "stats": str(stats),
+                           "result_addr": 0, "result_len": 16, "cycle_limit": 1_000_000}
+        assert cli._build_parser() is cli._build_parser()
 
     def test_matmul_fixture_matches_reference(self, tmp_path):
         from windmill.mapper import parse_dfg, reference_execute

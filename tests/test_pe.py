@@ -222,7 +222,7 @@ class TestPipeline:
         bus = FakeBus({(0, 0): pe})
         tick_n(pe, bus, 8)
         assert pe.done
-        assert pe.acc == 0 and pe.acc_valid
+        assert pe.acc == 0
         assert bus._deliveries == [] and bus.mem_requests == []
 
     def test_add_imm_completes_cycle_3(self):
@@ -323,10 +323,10 @@ class TestPipeline:
         bus = FakeBus({(0, 0): pe})
         tick_n(pe, bus, 3)
         pe.latch[Direction.N] = 1234
-        frozen = (dict(pe.latch), pe.acc, pe.acc_valid, pe.f_slot, pe.d_slot,
+        frozen = (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                   pe.x_slot, pe.w_slot)
         pe.load_context([ConfigWord()] * 2, 16)
-        assert (dict(pe.latch), pe.acc, pe.acc_valid, pe.f_slot, pe.d_slot,
+        assert (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                 pe.x_slot, pe.w_slot) == frozen
 
     def test_capacity_enforced(self):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from windmill.arch import ArchParams, ExecMode, perimeter_lsu_map, validate
-from windmill.errors import (CycleLimitExceeded, ProtocolOrderViolation,
+from windmill.errors import (CycleLimitExceeded, DeadlockDetected, ProtocolOrderViolation,
                              UnknownOpcode)
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
@@ -154,6 +154,45 @@ class TestProtocol:
         starving = [(1, 1, [W(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.ACC)])]
         with pytest.raises(CycleLimitExceeded):
             run_protocol(system, starving, [0] * 8, 0, 1)
+
+    def test_mutual_wait_is_a_deadlock(self):
+        """Two PEs each wait on the other's value: every live PE sleeps, so
+        the run stops within a few cycles and names both waits."""
+        system = SystemSim(arch())
+        east = [W(Opcode.ADD, SrcSel.E, SrcSel.IMM, DstSel.E, imm16=1)]
+        west = [W(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.W, imm16=1)]
+        system.register_config(0, [(3, 3, east), (3, 4, west)])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        with pytest.raises(DeadlockDetected) as exc:
+            system.run()
+        assert system.stats.total_cycles <= 20
+        assert "PE (3, 3) lacks latch E" in str(exc.value)
+        assert "PE (3, 4) lacks latch W" in str(exc.value)
+        assert isinstance(exc.value, CycleLimitExceeded)
+
+    def test_blocked_write_back_is_named_in_a_deadlock(self):
+        """A producer whose value the consumer never takes is blocked on the
+        consumer's latch; the consumer waits on a latch nothing drives."""
+        system = SystemSim(arch())
+        producer = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=1, iter_count=2)]
+        consumer = [W(Opcode.ADD, SrcSel.W, SrcSel.N, DstSel.ACC)]
+        system.register_config(0, [(3, 3, producer), (3, 4, consumer)])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        with pytest.raises(DeadlockDetected) as exc:
+            system.run()
+        assert "PE (3, 3) blocked on ((3, 4), W)" in str(exc.value)
+        assert "PE (3, 4) lacks latch N" in str(exc.value)
+
+    def test_livelock_still_hits_the_cycle_limit(self):
+        """A PE looping forever keeps progressing, so only the limit stops it."""
+        system = SystemSim(arch(), cycle_limit=200)
+        spin = [W(opcode=Opcode.NOP), W(opcode=Opcode.NOP, next_step=1)]
+        system.register_config(0, [(2, 2, spin)])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        with pytest.raises(CycleLimitExceeded) as exc:
+            system.run()
+        assert not isinstance(exc.value, DeadlockDetected)
+        assert system.rpus[0].running_cycles == 201
 
     def test_determinism_bit_identical(self):
         outs = []

@@ -1,0 +1,205 @@
+"""Event-driven PE scheduling: an asleep PE could not have progressed.
+
+An RPU ticks a live PE only while it is awake. A tick that changes nothing
+puts the PE to sleep; a delivery into its latch, the consumption of a latch
+it drives into, a shared-register commit or a launch wakes it. The oracle
+below checks, after every simulated cycle, that each asleep PE would still
+change nothing if ticked now: a copy of it is ticked against a read-only
+bus that sees the RPU's current latches, shared registers and responses.
+"""
+
+import copy
+import random
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from windmill.arch import TopologyKind, parse_arch_file, validate
+from windmill.interconnect import Direction
+from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
+from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
+from windmill.system import HostCommand, SystemSim, run_protocol
+
+from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
+from test_e2e import random_dfg
+from test_pe import FakeBus, make_pe
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TOPOLOGIES = (TopologyKind.MESH2D, TopologyKind.TORUS, TopologyKind.ONE_HOP)
+W = ConfigWord
+
+
+class ReadOnlyBus:
+    """An RPU's start-of-next-cycle view, read with ``.get`` only; every
+    effect method records its call instead of staging it."""
+
+    def __init__(self, rpu):
+        self.rpu = rpu
+        self.effects = []
+
+    def latch_free(self, coord, direction):
+        return direction not in self.rpu.pes[coord].latch
+
+    def sreg_read(self, coord, idx):
+        return self.rpu.sregs.read(coord, idx)
+
+    def mem_response(self, coord):
+        return self.rpu._responses_now.get(coord)
+
+    def __getattr__(self, name):
+        if name not in ("deliver", "consume_latch", "sreg_write", "mem_request",
+                        "rtt_action"):
+            raise AttributeError(name)
+        return lambda *args: self.effects.append((name, args))
+
+
+class SleepOracle:
+    """A ``trace_hook`` that checks every asleep PE after every cycle."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def __call__(self, system):
+        for rpu in system.rpus:
+            assert rpu.asleep <= set(rpu.live)
+            for pe in rpu.asleep:
+                # the port table and the decoded context are read-only
+                twin = copy.deepcopy(pe, {id(pe.ports): pe.ports, id(pe._code): pe._code,
+                                          id(pe._context): pe._context})
+                bus = ReadOnlyBus(rpu)
+                assert twin.tick(bus) is False, pe.coord
+                assert vars(twin) == vars(pe), pe.coord
+                assert bus.effects == [], pe.coord
+                self.checks += 1
+
+
+def run_checked(params, records, image, base, n):
+    system = SystemSim(params)
+    oracle = SleepOracle()
+    system.trace_hook = oracle
+    results, stats = run_protocol(system, records, image, base, n)
+    return results, stats, oracle.checks
+
+
+def arch(name, **overrides):
+    params = parse_arch_file((FIXTURES / name).read_text())
+    return validate(replace(params, **overrides))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+def test_kernels_keep_the_sleep_invariant(name):
+    text, _, base, n = ALL_KERNELS[name]()
+    params = arch("standard.arch", context_depth_mcmd=KERNEL_CONTEXT_DEPTH[name])
+    dfg = parse_dfg(text)
+    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+    rng = random.Random(f"wake-{name}")
+    image = [rng.getrandbits(32) for _ in range(base)] + [0] * n
+    results, _, checks = run_checked(params, records, image, base, n)
+    assert results == reference_execute(dfg, image)[base:base + n]
+    assert checks > 0
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_random_graphs_keep_the_sleep_invariant(k):
+    rng = random.Random(9000 + k)
+    text, _, base, n = random_dfg(rng, n_ops=rng.randint(14, 40))
+    params = arch("standard_deep.arch", topology=TOPOLOGIES[k % 3])
+    dfg = parse_dfg(text)
+    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+    image = [rng.getrandbits(32) for _ in range(base)] + [0] * n
+    results, _, checks = run_checked(params, records, image, base, n)
+    assert results == reference_execute(dfg, image)[base:base + n], text
+    assert checks > 0
+
+
+def run_config(records):
+    """Load config 0 into RPU 0 of an 8x8 array and launch it, under the oracle."""
+    system = SystemSim(arch("standard.arch"))
+    oracle = SleepOracle()
+    system.trace_hook = oracle
+    system.register_config(0, records)
+    system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+    system.run()
+    return system.rpus[0], oracle.checks
+
+
+def test_write_back_backpressure_keeps_the_sleep_invariant():
+    """A producer streams four values east into a consumer that starts
+    late: it sleeps blocked in write-back, and each consume wakes it."""
+    producer = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=5, iter_count=4),
+                W(opcode=Opcode.HALT)]
+    consumer = [W(opcode=Opcode.NOP, iter_count=12),
+                W(Opcode.ADD, SrcSel.W, SrcSel.ACC, DstSel.ACC, iter_count=4),
+                W(opcode=Opcode.HALT)]
+    rpu, checks = run_config([(2, 2, producer), (2, 3, consumer)])
+    assert rpu.pes[(2, 3)].acc == 20
+    assert checks > 0
+
+
+def test_shared_register_reader_keeps_the_sleep_invariant():
+    """The reader sleeps on an invalid shared register; the commit wakes it."""
+    writer = [W(opcode=Opcode.NOP, iter_count=6),
+              W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.SREG, imm16=77, shared_reg_idx=2),
+              W(opcode=Opcode.HALT)]
+    reader = [W(Opcode.ADD, SrcSel.SREG, SrcSel.IMM, DstSel.ACC, imm16=1, shared_reg_idx=2),
+              W(opcode=Opcode.HALT)]
+    rpu, checks = run_config([(1, 1, writer), (6, 6, reader)])
+    assert rpu.pes[(6, 6)].acc == 78
+    assert checks > 0
+
+
+def snapshot(pe, bus):
+    state = {k: list(v) if isinstance(v, list) else dict(v) if isinstance(v, dict) else v
+             for k, v in vars(pe).items()}
+    effects = (len(bus._deliveries), len(bus._consumes), dict(bus.sreg),
+               len(bus.rtt_actions))
+    return state, effects
+
+
+def test_tick_reports_exactly_the_cycles_that_change_something():
+    """Random programs under random operand arrivals and downstream drains:
+    ``tick`` returns False exactly when neither the PE nor the bus changed."""
+    rng = random.Random(4)
+    sels = (SrcSel.W, SrcSel.N, SrcSel.IMM, SrcSel.ACC, SrcSel.NONE, SrcSel.SREG)
+    dsts = (DstSel.E, DstSel.E, DstSel.ACC, DstSel.SREG, DstSel.NONE)
+    ops = (Opcode.ADD, Opcode.PHI, Opcode.ROUTE, Opcode.SEL, Opcode.NOP, Opcode.HALT)
+    outcomes = set()
+    for _ in range(300):
+        words = [W(rng.choice(ops), rng.choice(sels), rng.choice(sels), rng.choice(dsts),
+                   imm16=rng.randrange(8), iter_count=rng.randrange(3),
+                   next_step=rng.randrange(2))
+                 for _ in range(rng.randint(1, 4))]
+        sink = make_pe([], coord=(0, 1))
+        pe = make_pe(words, ports={Direction.E: (0, 1)})
+        bus = FakeBus({(0, 0): pe, (0, 1): sink})
+        for _ in range(30):
+            if pe.done:
+                break
+            for entry in (Direction.W, Direction.N):
+                if rng.random() < 0.2 and entry not in pe.latch:
+                    pe.latch[entry] = rng.randrange(4)
+            if rng.random() < 0.3:
+                sink.latch.pop(Direction.W, None)
+            if rng.random() < 0.1:
+                bus.sreg[0] = (rng.randrange(4), True)
+            before = snapshot(pe, bus)
+            moved = pe.tick(bus)
+            assert moved is (snapshot(pe, bus) != before), words
+            outcomes.add(moved)
+            bus.end_cycle()
+    assert outcomes == {True, False}
+
+
+def test_starving_pe_reports_no_progress_until_its_operand_lands():
+    pe = make_pe([W(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.ACC, imm16=3)])
+    bus = FakeBus({(0, 0): pe})
+    progress = []
+    for _ in range(6):
+        progress.append(pe.tick(bus))
+        bus.end_cycle()
+    # fetch, then decode; from then on the word waits on latch W
+    assert progress == [True, True, False, False, False, False]
+    pe.latch[Direction.W] = 4
+    assert pe.tick(bus) is True
+    assert pe.acc == 7
