@@ -131,6 +131,13 @@ def perimeter_lsu_map(rows: int, cols: int, cpe_at: tuple[int, int] | None = (1,
     return tuple(grid)
 
 
+def with_default_type_map(params: ArchParams) -> ArchParams:
+    """``params`` with the perimeter-LSU map for its size; the CPE sits at
+    (1, 1) when enabled."""
+    cpe_at = (1, 1) if params.cpe_enabled else None
+    return replace(params, pe_type_map=perimeter_lsu_map(params.rows, params.cols, cpe_at))
+
+
 def standard_preset() -> ArchParams:
     """The reference 8x8 instance: 28 perimeter LSUs around 35 GPEs and one
     CPE, a 2D mesh, and 16 banks of 256x32-bit shared memory."""
@@ -331,8 +338,7 @@ def parse_arch_file(text: str) -> ArchParams:
     params = ArchParams(pe_type_map=tuple(grid_rows), **kwargs)
     if not grid_rows:
         # no explicit map: default to the perimeter-LSU pattern
-        cpe_at = (1, 1) if params.cpe_enabled else None
-        params = replace(params, pe_type_map=perimeter_lsu_map(params.rows, params.cols, cpe_at))
+        params = with_default_type_map(params)
     return validate(params)
 
 

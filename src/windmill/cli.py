@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import arch as arch_mod
-from .arch import ExecMode, TopologyKind, parse_arch_file, perimeter_lsu_map
+from .arch import ExecMode, TopologyKind, parse_arch_file
 from .errors import (AddressOutOfRange, CycleLimitExceeded, ParseError, SimulationError,
                      Unmappable, WindmillError)
 from .mapper import emit_bitstream, map_dfg, parse_dfg
@@ -86,9 +86,7 @@ def _apply_sweep(params, assignment: dict):
     from dataclasses import replace
     params = replace(params, **assignment)
     if "rows" in assignment or "cols" in assignment:
-        cpe_at = (1, 1) if params.cpe_enabled else None
-        params = replace(params, pe_type_map=perimeter_lsu_map(params.rows, params.cols,
-                                                               cpe_at))
+        params = arch_mod.with_default_type_map(params)
     return arch_mod.validate(params)
 
 
@@ -210,6 +208,17 @@ def cmd_report(args) -> int:
 # --- entry ------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer literal in any base ``int(v, 0)`` reads, no
+    smaller than ``low``; argparse turns a rejection into exit 2."""
+    def integer(text: str) -> int:
+        value = int(text, 0)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
+        return value
+    return integer
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process; each parse fills a new namespace."""
@@ -236,9 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--script", help="host command script; default is the 4-step flow")
     s.add_argument("--out", help="results binary path")
     s.add_argument("--stats", help="stats CSV path")
-    s.add_argument("--result-addr", type=lambda v: int(v, 0), default=0)
-    s.add_argument("--result-len", type=lambda v: int(v, 0), default=0)
-    s.add_argument("--cycle-limit", type=lambda v: int(v, 0), default=1_000_000)
+    s.add_argument("--result-addr", type=_int_at_least(0), default=0)
+    s.add_argument("--result-len", type=_int_at_least(0), default=0)
+    s.add_argument("--cycle-limit", type=_int_at_least(1), default=1_000_000)
 
     r = sub.add_parser("report", help="pretty-print a stats CSV")
     r.add_argument("--stats", required=True)

@@ -1,12 +1,8 @@
-"""Grid topologies, per-cycle value exchange, and scoped shared registers.
+"""Grid topologies and scoped shared registers.
 
 Three topologies connect the PE grid: the plain 2D mesh, the torus (mesh
 with wraparound), and the 1-hop network (mesh plus straight-line distance-2
 links). Every link has one cycle of latency, including the distance-2 links.
-
-``exchange`` is the pure per-cycle contract: each PE drives at most one
-(direction, value) output; the map of inputs for the next cycle is exactly
-those outputs relabeled onto the receiving PE's entry port.
 """
 
 from __future__ import annotations
@@ -94,26 +90,6 @@ def neighbor_map(topology: TopologyKind, dims: Coord) -> Mapping[Coord, Mapping[
         (r, c): MappingProxyType(dict(neighbors(topology, (r, c), dims)))
         for r in range(rows) for c in range(cols)
     })
-
-
-def exchange(outputs: dict[Coord, tuple[Direction, int]],
-             topology: TopologyKind, dims: Coord) -> dict[tuple[Coord, Direction], int]:
-    """Relabel cycle-t outputs into cycle-t+1 inputs.
-
-    ``outputs`` maps a producing coordinate to the single (direction, value)
-    it drives this cycle. The result maps (receiving coordinate, entry
-    direction) to the delivered value; the entry direction is the opposite
-    of the drive direction. Values are conserved: one input per output.
-    """
-    inputs: dict[tuple[Coord, Direction], int] = {}
-    for coord in sorted(outputs):
-        direction, value = outputs[coord]
-        ports = dict(neighbors(topology, coord, dims))
-        dest = ports.get(direction)
-        if dest is None:
-            continue  # driving off the grid edge: the value is lost
-        inputs[(dest, direction.opposite)] = value
-    return inputs
 
 
 # --- shared registers --------------------------------------------------------

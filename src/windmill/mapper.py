@@ -73,14 +73,10 @@ class DfgNode:
 
 @dataclass
 class Dfg:
-    nodes: dict[str, DfgNode] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
+    nodes: dict[str, DfgNode] = field(default_factory=dict)   # in file order
     outputs: list[tuple[str, int]] = field(default_factory=list)
     # declarations in file order: ("node", id) | ("out", output index)
     decls: list[tuple[str, object]] = field(default_factory=list)
-
-    def producers(self, node_id: str) -> tuple:
-        return self.nodes[node_id].operands
 
 
 def parse_dfg(text: str) -> Dfg:
@@ -137,7 +133,6 @@ def _add_node(dfg: Dfg, node: DfgNode, lineno: int):
     if node.id in dfg.nodes:
         raise ParseError(f"duplicate node id {node.id!r}", lineno)
     dfg.nodes[node.id] = node
-    dfg.order.append(node.id)
     dfg.decls.append(("node", node.id))
 
 
@@ -158,100 +153,53 @@ def _validate(dfg: Dfg):
     _check_cycles(dfg)
 
 
-def _kahn(dfg: Dfg) -> list[str]:
-    """Topological node order; ties resolve to the lowest declaration index
-    so dependent nodes schedule as soon as their operands are done."""
-    seq = {nid: i for i, nid in enumerate(dfg.order)}
-    indeg = {nid: 0 for nid in dfg.order}
-    consumers: dict[str, list[str]] = {nid: [] for nid in dfg.order}
-    for node in dfg.nodes.values():
-        for ref in node.operands:
-            indeg[node.id] += 1
-            consumers[ref].append(node.id)
-    ready = [seq[nid] for nid in dfg.order if indeg[nid] == 0]
+def _toposort(deps: dict, rank: dict | None = None) -> list:
+    """Kahn's algorithm over ``deps`` (unit -> the units it waits on, repeats
+    allowed). Among ready units the lowest ``rank`` goes first; ranks must be
+    distinct and default to each unit's position in ``deps``. Units on or
+    behind a cycle are left out of the result."""
+    if rank is None:
+        rank = {u: i for i, u in enumerate(deps)}
+    indeg = {u: len(ds) for u, ds in deps.items()}
+    consumers = {u: [] for u in deps}
+    for u, ds in deps.items():
+        for d in ds:
+            consumers[d].append(u)
+    ready = [(rank[u], u) for u, n in indeg.items() if n == 0]
     heapq.heapify(ready)
     out = []
     while ready:
-        nid = dfg.order[heapq.heappop(ready)]
-        out.append(nid)
-        for c in consumers[nid]:
+        u = heapq.heappop(ready)[1]
+        out.append(u)
+        for c in consumers[u]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(ready, seq[c])
-    return out
-
-
-def _topo_units(dfg: Dfg) -> list[tuple[str, object]]:
-    """Nodes and out directives in a demand-driven dependency order.
-
-    A ready unit with operands always precedes a ready source (input or
-    constant): every produced value is consumed as soon as possible, which
-    keeps the number of in-flight route arrivals bounded by the fanout
-    frontier instead of the whole input set. Ties break on file position.
-    """
-    pos = {decl: i for i, decl in enumerate(dfg.decls)}
-    indeg = {}
-    consumers: dict[str, list] = {nid: [] for nid in dfg.order}
-    for decl in dfg.decls:
-        kind, key = decl
-        if kind == "node":
-            deps = dfg.nodes[key].operands
-        else:
-            deps = (dfg.outputs[key][0],)
-        # constants are folded or materialized on demand; they never gate
-        deps = [r for r in deps if dfg.nodes[r].op != "const"]
-        indeg[decl] = len(deps)
-        for ref in deps:
-            consumers[ref].append(decl)
-
-    def key_of(decl):
-        return (0 if indeg_init[decl] else 1, pos[decl])
-
-    indeg_init = dict(indeg)
-    ready = [key_of(d) for d in dfg.decls if indeg[d] == 0]
-    heapq.heapify(ready)
-    by_key = {key_of(d): d for d in dfg.decls}
-    out = []
-    while ready:
-        decl = by_key[heapq.heappop(ready)]
-        out.append(decl)
-        if decl[0] == "node":
-            for c in consumers[decl[1]]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, key_of(c))
-    if len(out) != len(dfg.decls):
-        raise CyclicGraph("graph contains loops; no full evaluation order exists")
+                heapq.heappush(ready, (rank[c], c))
     return out
 
 
 def _check_cycles(dfg: Dfg):
     """Cycles are structurally legal only when every one passes through a
     merge (phi) node; anything else is an error."""
-    done = set(_kahn(dfg))
-    leftover = [nid for nid in dfg.order if nid not in done]
+    done = set(_toposort({nid: node.operands for nid, node in dfg.nodes.items()}))
+    leftover = [nid for nid in dfg.nodes if nid not in done]
     if not leftover:
         return
     if all(dfg.nodes[n].op != "phi" for n in leftover):
         raise CyclicGraph(f"cycle through {leftover[:8]}")
-    reduced = Dfg()
+    # drop the merge nodes: whatever still cycles is not closed by one
     keep = {nid for nid in leftover if dfg.nodes[nid].op != "phi"}
-    for nid in dfg.order:
-        if nid not in keep:
-            continue
-        node = dfg.nodes[nid]
-        ops = tuple(r for r in node.operands if r in keep)
-        reduced.nodes[nid] = DfgNode(nid, node.op, ops)
-        reduced.order.append(nid)
-    if len(_kahn(reduced)) != len(reduced.order):
+    reduced = {nid: [r for r in dfg.nodes[nid].operands if r in keep] for nid in keep}
+    if len(_toposort(reduced)) != len(keep):
         raise CyclicGraph(f"cycle not closed by a merge node: {leftover[:8]}")
 
 
 def topo_order(dfg: Dfg) -> list[str]:
-    """Complete topological order; merge-closed loops are structurally valid
-    but have no such order, so they are rejected here."""
-    out = _kahn(dfg)
-    if len(out) != len(dfg.order):
+    """Complete topological order, ties to the earliest declaration;
+    merge-closed loops are structurally valid but have no such order, so
+    they are rejected here."""
+    out = _toposort({nid: node.operands for nid, node in dfg.nodes.items()})
+    if len(out) != len(dfg.nodes):
         raise CyclicGraph("graph contains loops; no full evaluation order exists")
     return out
 
@@ -314,18 +262,28 @@ class _LNode:
     srcs: list            # ("node", id) | ("imm", value) | ("none",)
     imm: int = 0          # affine address for in/out memory ops
     affine: bool = False
-    seq: int = 0
 
 
 def _lower(dfg: Dfg) -> list[_LNode]:
     """Rewrite the DFG into machine-level nodes: directives become affine
     memory ops, ternary selects expand, constants fold or materialize."""
-    try:
-        units = _topo_units(dfg)
-    except CyclicGraph as exc:
-        raise Unmappable(f"not mappable: {exc}") from exc
-    consts = {nid: to_signed32(dfg.nodes[nid].value)
-              for nid in dfg.order if dfg.nodes[nid].op == "const"}
+    # nodes and out directives in a demand-driven dependency order: a ready
+    # unit with operands precedes a ready source (input or constant), so
+    # every value is consumed as soon as possible, which keeps in-flight
+    # route arrivals bounded by the fanout frontier rather than the whole
+    # input set. Ties break on file position. Constants are folded or
+    # materialized on demand; they never gate.
+    deps = {}
+    for kind, key in dfg.decls:
+        refs = dfg.nodes[key].operands if kind == "node" else (dfg.outputs[key][0],)
+        deps[(kind, key)] = [("node", r) for r in refs if dfg.nodes[r].op != "const"]
+    units = _toposort(deps, {u: (0 if ds else 1, i)
+                             for i, (u, ds) in enumerate(deps.items())})
+    if len(units) != len(deps):
+        raise Unmappable("not mappable: graph contains loops; "
+                         "no full evaluation order exists")
+    consts = {nid: to_signed32(node.value)
+              for nid, node in dfg.nodes.items() if node.op == "const"}
     lnodes: list[_LNode] = []
     synth = 0
     materialized: dict[str, str] = {}
@@ -419,9 +377,6 @@ def _lower(dfg: Dfg) -> list[_LNode]:
             raise Unmappable("merge nodes are not supported by the mapper yet", nid)
         else:
             lnodes.append(_LNode(nid, _OPS[node.op], binary_srcs(node.operands)))
-
-    for i, ln in enumerate(lnodes):
-        ln.seq = i
     return lnodes
 
 
@@ -568,7 +523,6 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
         raise Unmappable("the mapper emits per-PE contexts; row-shared "
                          "configuration streams are not supported yet")
     lnodes = _lower(dfg)
-    by_id = {ln.id: ln for ln in lnodes}
     capacity = params.context_capacity() - 1  # one word reserved for HALT
     half_words = params.sm_words // 2
     for ln in lnodes:
@@ -581,12 +535,11 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     if not gpes and any(ln.opcode not in (Opcode.LOAD, Opcode.STORE) for ln in lnodes):
         raise Unmappable("no general-purpose PEs in this array")
 
-    consumers: dict[str, list[tuple[str, int]]] = {ln.id: [] for ln in lnodes}
+    # each node's distinct consumers, in lowering order
+    consumers: dict[str, list[str]] = {ln.id: [] for ln in lnodes}
     for ln in lnodes:
-        for slot, src in enumerate(ln.srcs):
-            if src[0] == "node":
-                consumers[src[1]].append((ln.id, slot))
-    out_degree = {nid: len({c for c, _ in cs}) for nid, cs in consumers.items()}
+        for ref in {src[1] for src in ln.srcs if src[0] == "node"}:
+            consumers[ref].append(ln.id)
 
     # --- placement ---------------------------------------------------------
     placement: dict[str, tuple] = {}
@@ -640,7 +593,7 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
             raise Unmappable("PE capacity exhausted during placement", ln.id)
         pe = best
         placement[ln.id] = pe
-        op_estimate[pe] = op_estimate.get(pe, 0) + 1 + out_degree[ln.id]
+        op_estimate[pe] = op_estimate.get(pe, 0) + 1 + len(consumers[ln.id])
         if best_remote:
             remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
         if ln.opcode is not Opcode.STORE:
@@ -654,10 +607,6 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     routes: dict[tuple, list] = {}
     node_step: dict[str, int] = {}
     chain_done: set[tuple[str, str]] = set()
-    remote_outs = {ln.id: [cid for cid in sorted({c for c, _ in consumers[ln.id]},
-                                                 key=lambda c: by_id[c].seq)
-                           if placement[cid] != placement[ln.id]]
-                   for ln in lnodes}
     acc_owner: dict[tuple, str] = {}
 
     def schedule_chain(v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
@@ -694,10 +643,10 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
 
     def flush_chains(v: str) -> bool:
         """Schedule every not-yet-routed chain out of v's accumulator."""
-        for cid in remote_outs[v]:
-            if (v, cid) not in chain_done:
-                if not schedule_chain(v, cid):
-                    return False
+        for cid in consumers[v]:
+            if placement[cid] != placement[v] and (v, cid) not in chain_done \
+                    and not schedule_chain(v, cid):
+                return False
         return True
 
     processed: set[str] = set()
@@ -742,8 +691,7 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
         for entry in set(reads):
             sched.consume(pe, entry, step)
 
-        outs = sorted({cid for cid, _ in consumers[ln.id]},
-                      key=lambda cid: by_id[cid].seq)
+        outs = consumers[ln.id]
         if outs:
             local = [cid for cid in outs if placement[cid] == pe]
             for cid in local:

@@ -33,7 +33,7 @@ import struct
 from enum import IntEnum
 from typing import NamedTuple
 
-from .arch import ArchParams, ExecMode, PeType, SCMD_CONTEXT_FACTOR
+from .arch import ArchParams, ExecMode, PeType
 from .errors import (AddressOutOfRange, BitstreamTargetInvalid, CapacityExceeded,
                      DecodeError, EncodeError)
 from .interconnect import Direction
@@ -189,10 +189,9 @@ def decode(value: int) -> ConfigWord:
 
 
 def context_capacity(exec_mode: ExecMode, context_depth_mcmd: int) -> int:
-    """Words of context memory per PE; SCMD row sharing frees 8x the depth."""
-    if exec_mode is ExecMode.SCMD:
-        return SCMD_CONTEXT_FACTOR * context_depth_mcmd
-    return context_depth_mcmd
+    """Words of context memory per PE: ``ArchParams.context_capacity``."""
+    return ArchParams(exec_mode=exec_mode,
+                      context_depth_mcmd=context_depth_mcmd).context_capacity()
 
 
 # One function per binary ALU opcode. Each masks its result (and, where the

@@ -100,12 +100,15 @@ def default_rtt() -> Rtt:
 
 
 def parse_script(text: str) -> list[HostCommand]:
-    """Host command script: one `OPCODE arg...` line per command, hex."""
+    """Host command script: one `OPCODE arg...` line per command, unsigned hex."""
     commands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        # int() would take a sign, and a negative operand indexes from the end
+        if any(t[0] in "+-" for t in line.split()):
+            raise ParseError(f"signed token in {line!r}", lineno)
         try:
             tokens = [int(t, 16) for t in line.split()]
         except ValueError:

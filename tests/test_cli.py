@@ -35,6 +35,15 @@ def std_arch(tmp_path):
     return p
 
 
+@pytest.fixture()
+def halt_bit(tmp_path):
+    """A bitstream whose one PE halts at once."""
+    from windmill.pe import ConfigWord, Opcode, pack_bitstream
+    p = tmp_path / "halt.bit"
+    p.write_bytes(pack_bitstream([(1, 2, [ConfigWord(opcode=Opcode.HALT)])]))
+    return p
+
+
 class TestGenerate:
     def test_standard_report(self, std_arch, tmp_path):
         out = tmp_path / "report.csv"
@@ -250,6 +259,33 @@ class TestSim:
                            "data": None, "script": None, "out": None, "stats": str(stats),
                            "result_addr": 0, "result_len": 16, "cycle_limit": 1_000_000}
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--result-addr", "-1"), ("--result-len", "-3"),
+        ("--cycle-limit", "0"), ("--cycle-limit", "-1"), ("--cycle-limit", "x")])
+    def test_out_of_range_numeric_option_exit_2(self, std_arch, halt_bit, tmp_path,
+                                               capsys, option, value):
+        from windmill.cli import main
+        out = tmp_path / "out.bin"
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--arch", str(std_arch), "--bitstream", str(halt_bit),
+                  "--out", str(out), option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_signed_script_operand_exit_2(self, std_arch, halt_bit, tmp_path, capsys):
+        from windmill.cli import main
+        data = tmp_path / "in.bin"
+        write_image(data, list(range(100)))
+        script = tmp_path / "signed.script"
+        script.write_text("01 1 0\n02 1 -5 0 5 1\n03 1\n04 1 0 0 5\n")
+        out = tmp_path / "out.bin"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(halt_bit),
+                     "--data", str(data), "--script", str(script),
+                     "--out", str(out), "--result-len", "5"]) == 2
+        assert "signed token" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_matmul_fixture_matches_reference(self, tmp_path):
         from windmill.mapper import parse_dfg, reference_execute

@@ -1,11 +1,14 @@
-"""Topology adjacency, the exchange contract, and scoped shared registers."""
+"""Topology adjacency, per-cycle value exchange, and scoped shared registers."""
 
 import pytest
 
-from windmill.arch import SharedRegScope, TopologyKind
+from windmill.arch import PeType, SharedRegScope, TopologyKind
 from windmill.errors import IndexOutOfRange
-from windmill.interconnect import (Direction, SharedRegFile, exchange, neighbor_map,
-                                   neighbors, scope_of)
+from windmill.interconnect import (Direction, SharedRegFile, neighbor_map, neighbors,
+                                   scope_of)
+from windmill.pe import PE, ConfigWord, DstSel, Opcode, SrcSel
+
+from test_pe import FakeBus
 
 
 def mesh_degree(r, c, rows, cols):
@@ -74,31 +77,66 @@ class TestNeighbors:
             del ports[(0, 0)][Direction.N]
 
 
+def drive(topology, dims, sends):
+    """Run real PEs wired by ``neighbor_map`` against test_pe's FakeBus.
+
+    ``sends`` maps a coordinate to the (direction, value) its one word
+    drives; every other PE has no context. Returns what was delivered,
+    as (receiving coordinate, entry latch) -> value, and the PEs.
+    """
+    ports = neighbor_map(topology, dims)
+    pes = {coord: PE(coord, PeType.GPE, ports[coord]) for coord in ports}
+    for coord, (direction, value) in sends.items():
+        word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel[direction.name],
+                          imm16=value)
+        pes[coord].load_context([word], 16)
+    for pe in pes.values():
+        pe.launch_reset()
+    bus = FakeBus(pes)
+    delivered = {}
+    for _ in range(8):
+        for pe in pes.values():
+            pe.tick(bus)
+        for coord, entry, value in bus._deliveries:
+            assert (coord, entry) not in delivered
+            delivered[(coord, entry)] = value
+        bus.end_cycle()
+    assert all(pe.done for pe in pes.values())
+    return delivered, pes
+
+
 class TestExchange:
+    """Per-cycle value exchange as the machine runs it: a PE's write back
+    drives one value per link into the receiver's entry latch, the
+    opposite of the drive direction."""
+
     def test_no_outputs_no_inputs(self):
-        assert exchange({}, TopologyKind.MESH2D, (8, 8)) == {}
+        delivered, _ = drive(TopologyKind.MESH2D, (8, 8), {})
+        assert delivered == {}
 
     def test_east_drive_reads_west(self):
-        inputs = exchange({(2, 2): (Direction.E, 7)}, TopologyKind.MESH2D, (8, 8))
-        assert inputs[((2, 3), Direction.W)] == 7
+        delivered, pes = drive(TopologyKind.MESH2D, (8, 8), {(2, 2): (Direction.E, 7)})
+        assert delivered == {((2, 3), Direction.W): 7}
+        assert pes[(2, 3)].latch == {Direction.W: 7}
 
     def test_value_conservation(self):
-        outputs = {(r, c): (Direction.S, r * 8 + c) for r in range(7) for c in range(8)}
-        inputs = exchange(outputs, TopologyKind.MESH2D, (8, 8))
-        assert sorted(inputs.values()) == sorted(v for _, v in outputs.values())
+        sends = {(r, c): (Direction.S, r * 8 + c) for r in range(7) for c in range(8)}
+        delivered, _ = drive(TopologyKind.MESH2D, (8, 8), sends)
+        assert sorted(delivered.values()) == sorted(v for _, v in sends.values())
 
     def test_torus_permutation_route(self):
         """Everyone drives east on a torus: a full permutation, wrapped."""
-        outputs = {(r, c): (Direction.E, (r, c)) for r in range(4) for c in range(4)}
-        inputs = exchange(outputs, TopologyKind.TORUS, (4, 4))
-        assert len(inputs) == 16
+        sends = {(r, c): (Direction.E, 4 * r + c) for r in range(4) for c in range(4)}
+        delivered, _ = drive(TopologyKind.TORUS, (4, 4), sends)
+        assert len(delivered) == 16
         for r in range(4):
             for c in range(4):
-                assert inputs[((r, (c + 1) % 4), Direction.W)] == (r, c)
+                assert delivered[((r, (c + 1) % 4), Direction.W)] == 4 * r + c
 
     def test_edge_drive_is_lost_on_mesh(self):
-        inputs = exchange({(0, 0): (Direction.N, 9)}, TopologyKind.MESH2D, (4, 4))
-        assert inputs == {}
+        delivered, pes = drive(TopologyKind.MESH2D, (4, 4), {(0, 0): (Direction.N, 9)})
+        assert delivered == {}
+        assert pes[(0, 0)].done and pes[(0, 0)].active_cycles == 1
 
 
 class TestSharedRegs:

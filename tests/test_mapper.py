@@ -64,6 +64,19 @@ class TestParse:
         dfg = parse_dfg(text)
         assert dfg.nodes["p"].op == "phi"
 
+    @pytest.mark.parametrize("text, leftover", [
+        # a plain cycle declared next to a merge-closed loop
+        ("start const 0\np phi start q\none const 1\nq add p one\n"
+         "x add y y\ny add x x\n", ["p", "q", "x", "y"]),
+        # a plain cycle feeding a merge-closed loop
+        ("x add y y\ny add x x\np phi x q\none const 1\nq add p one\n",
+         ["x", "y", "p", "q"]),
+    ])
+    def test_cycle_beside_a_merge_loop_rejected(self, text, leftover):
+        with pytest.raises(CyclicGraph) as err:
+            parse_dfg(text)
+        assert str(err.value) == f"cycle not closed by a merge node: {leftover}"
+
     def test_unbound_operand(self):
         with pytest.raises(UnboundOperand):
             parse_dfg("z add x y\n")
@@ -117,6 +130,11 @@ class TestReferenceExecute:
         assert reference_execute(dfg, [0, 11, 22, 0])[3] == 22
         assert reference_execute(dfg, [9, 11, 22, 0])[3] == 11
         assert reference_execute(dfg, [0x80000000, 11, 22, 0])[3] == 11
+
+    @pytest.mark.parametrize("first, second, want", [("y", "x", 5), ("x", "y", 7)])
+    def test_stores_to_one_address_apply_in_declaration_order(self, first, second, want):
+        text = f"in x 0\nin y 1\na const 3\ns1 store a {first}\ns2 store a {second}\n"
+        assert reference_execute(parse_dfg(text), [5, 7, 0, 0])[3] == want
 
     def test_wrapping_matches_alu(self):
         text = "in a 0\nin b 1\nm mul a b\nout m 2\n"

@@ -63,6 +63,15 @@ class TestRtt:
             parse_script("01 1\n03 banana\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("line", ["02 1 -5 0 5 1", "02 1 +5 0 5 1", "-1 1"])
+    def test_script_rejects_signed_tokens(self, line):
+        """int(t, 16) takes a sign; a negative ext address would index the
+        image from its end, so operands are unsigned."""
+        from windmill.errors import ParseError
+        with pytest.raises(ParseError, match="signed token") as err:
+            parse_script(f"01 1 0\n{line}\n")
+        assert err.value.line == 2
+
     def test_bitstream_target_checked_at_registration(self):
         from windmill.errors import BitstreamTargetInvalid
         system = SystemSim(arch(rpus=4))
