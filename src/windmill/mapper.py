@@ -95,6 +95,7 @@ def parse_dfg(text: str) -> Dfg:
         elif head == "out":
             if len(tokens) != 3:
                 raise ParseError("out directive needs: out <id> <addr>", lineno)
+            _check_ident(tokens[1], lineno)
             addr = _num(tokens[2], lineno)
             if addr in out_addrs:
                 raise ParseError(f"duplicate out address {addr}", lineno)
@@ -129,7 +130,14 @@ def _num(token: str, lineno: int) -> int:
         raise ParseError(f"expected a number, got {token!r}", lineno)
 
 
+def _check_ident(token: str, lineno: int):
+    # [A-Za-z_][A-Za-z0-9_]*, which keeps lowering's own ``$out<k>`` names free
+    if not (token.isascii() and token.isidentifier()):
+        raise ParseError(f"bad identifier {token!r}: want [A-Za-z_][A-Za-z0-9_]*", lineno)
+
+
 def _add_node(dfg: Dfg, node: DfgNode, lineno: int):
+    _check_ident(node.id, lineno)
     if node.id in dfg.nodes:
         raise ParseError(f"duplicate node id {node.id!r}", lineno)
     dfg.nodes[node.id] = node

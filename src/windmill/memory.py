@@ -81,9 +81,9 @@ class PaiArbiter:
     pending request; it stays pending until granted.
     """
 
-    def __init__(self, n_banks: int, order: list):
+    def __init__(self, n_banks: int, order: tuple):
         self.n_banks = n_banks
-        self.order = list(order)
+        self.order = order
         self._pos = {req: i for i, req in enumerate(self.order)}
         self.rr_pointer = [len(self.order) - 1] * n_banks  # so index 0 wins first
         self.pending: dict[object, Request] = {}
@@ -157,10 +157,6 @@ class DmaController:
         self.stall_cycles = 0
 
     @property
-    def busy(self) -> bool:
-        return self.active is not None
-
-    @property
     def array_half(self) -> int:
         return 1 - self.half
 
@@ -172,7 +168,7 @@ class DmaController:
 
     def request_toggle(self):
         """Finish signal from the array; deferred while a batch is in flight."""
-        if self.busy:
+        if self.active is not None:
             self._toggle_pending = True
         else:
             self._apply_toggle()
@@ -217,3 +213,13 @@ class DmaController:
             if self._toggle_pending:
                 self._apply_toggle()
         return bank
+
+    def stream(self, sram: BankedSram, n: int):
+        """What ``n`` unblocked ``step`` calls write, short of the batch end."""
+        batch = self.active
+        base = self._active_half * self.half_words
+        for i in range(batch.progress, batch.progress + n):
+            ext_idx = batch.ext_addr + i
+            sram.write((batch.sm_addr + i) % self.half_words + base,
+                       self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
+        batch.progress += n

@@ -33,7 +33,7 @@ import struct
 from enum import IntEnum
 from typing import NamedTuple
 
-from .arch import ArchParams, ExecMode, PeType
+from .arch import ArchParams, ExecMode, PeType, TopologyKind
 from .errors import (AddressOutOfRange, BitstreamTargetInvalid, CapacityExceeded,
                      DecodeError, EncodeError)
 from .interconnect import Direction
@@ -282,12 +282,13 @@ def validate_bitstream(params: ArchParams,
     Memory ops only on LSUs, the RTT destination only on the CPE, 2-hop
     selects only under the 1-hop topology, shared-register selects the PE
     reads or writes within the register count, capacity respected, all
-    targets inside the grid.
+    targets inside the grid. Each (word, PE type) pair is checked once.
     """
-    from .arch import TopologyKind
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
+    one_hop = params.topology is TopologyKind.ONE_HOP
     seen = set()
+    legal: dict[PeType, set] = {t: set() for t in PeType}   # PE type -> checked words
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
             raise BitstreamTargetInvalid(f"record targets ({row},{col}) outside grid")
@@ -298,26 +299,28 @@ def validate_bitstream(params: ArchParams,
             raise CapacityExceeded(
                 f"PE ({row},{col}): {len(words)} words > capacity {cap}")
         pe_type = params.pe_type(row, col)
+        checked = legal[pe_type]
         for i, w in enumerate(words):
-            where = f"PE ({row},{col}) word {i}"
+            if w in checked:
+                continue
+            problem = None
             if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
-                raise BitstreamTargetInvalid(f"{where}: {w.opcode.name} on a {pe_type.name}")
-            if w.dst is DstSel.RTT and pe_type is not PeType.CPE:
-                raise BitstreamTargetInvalid(f"{where}: RTT destination on a {pe_type.name}")
-            if params.topology is not TopologyKind.ONE_HOP:
-                if w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC:
-                    raise BitstreamTargetInvalid(
-                        f"{where}: 2-hop source under {params.topology.value}")
-                if w.dst in _TWO_HOP_DST:
-                    raise BitstreamTargetInvalid(
-                        f"{where}: 2-hop destination under {params.topology.value}")
+                problem = f"{w.opcode.name} on a {pe_type.name}"
+            elif w.dst is DstSel.RTT and pe_type is not PeType.CPE:
+                problem = f"RTT destination on a {pe_type.name}"
+            elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
+                problem = f"2-hop source under {params.topology.value}"
+            elif not one_hop and w.dst in _TWO_HOP_DST:
+                problem = f"2-hop destination under {params.topology.value}"
             # the index field is also a memory op's stride selector, so only a
             # select the word reads, or a destination it writes, names a register
-            if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
+            elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
                     w.dst is DstSel.SREG
                     and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
-                raise BitstreamTargetInvalid(
-                    f"{where}: shared register {w.shared_reg_idx} (count {n_sregs})")
+                problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
+            if problem is not None:
+                raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
+            checked.add(w)
 
 
 # --- runtime -----------------------------------------------------------------

@@ -29,6 +29,7 @@ host commands only for the initial setup.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .arch import ArchParams, ExecMode, PeType, validate
@@ -192,22 +193,19 @@ class Rpu:
 
     Also the bus facade the PEs tick against: latch, shared-register and
     memory accesses all go through this object using start-of-cycle
-    snapshots, with effects applied together at the end of the cycle.
+    snapshots, with effects applied together at the end of the cycle. The
+    PEs are built at the first ``load_config``: ring reads need none.
     """
 
-    def __init__(self, rpu_id: int, params: ArchParams, ext_memory: list[int]):
+    def __init__(self, rpu_id: int, params: ArchParams, ext_memory: list[int],
+                 pai_order: tuple):
         self.id = rpu_id
         self.params = params
         dims = (params.rows, params.cols)
-        ports = neighbor_map(params.topology, dims)
         self.pes: dict[tuple[int, int], PE] = {}
-        for r, c in params.coords():
-            self.pes[(r, c)] = PE((r, c), params.pe_type(r, c), ports[(r, c)])
         self.sram = BankedSram(params.sm_banks, params.bank_depth, params.bank_width)
         self.half_words = self.sram.words // 2
-        lsu_order = [coord for coord in sorted(self.pes) if
-                     self.pes[coord].pe_type is PeType.LSU]
-        self.pai = PaiArbiter(params.sm_banks, lsu_order + [("ring",)])
+        self.pai = PaiArbiter(params.sm_banks, pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
         self.sregs = SharedRegFile(params.shared_reg_mode, dims, params.shared_reg_count)
         self.queue: list[Action] = []
@@ -222,8 +220,8 @@ class Rpu:
         # staged cycle effects
         self._consumes: list = []
         self._deliveries: list = []
-        self._responses_now: dict = {}
-        self._delayed: list = []          # (delay, coord, payload)
+        self._responses_now: dict = {}    # LSU coord -> response, read this cycle
+        self._responses_next: dict = {}   # ... and next cycle
         self._cpe_actions: list[int] = []
         # ring: outgoing read requests and the LSU awaiting a remote value
         self.ring_out: list = []
@@ -234,12 +232,12 @@ class Rpu:
 
     # -- configuration actions -------------------------------------------
 
-    @property
-    def array_half(self) -> int:
-        return self.dma.array_half
-
     def load_config(self, records: list[tuple[int, int, list[ConfigWord]]]):
         """Load a registered config; SystemSim.register_config validated it."""
+        if not self.pes:
+            p = self.params
+            ports = neighbor_map(p.topology, (p.rows, p.cols))
+            self.pes = {rc: PE(rc, p.pe_type(*rc), ports[rc]) for rc in p.coords()}
         cap = self.params.context_capacity()
         for pe in self.pes.values():
             if pe.context:
@@ -308,7 +306,7 @@ class Rpu:
         if addr >= self.half_words:
             raise AddressOutOfRange(
                 f"PE address {addr} outside the half space ({self.half_words} words)")
-        phys = addr + self.array_half * self.half_words
+        phys = addr + self.dma.array_half * self.half_words
         self.pai.post(Request(coord, op, phys, data))
 
     def mem_response(self, coord):
@@ -320,21 +318,6 @@ class Rpu:
         self._cpe_actions.append(imm16)
 
     # -- cycle advance ------------------------------------------------------
-
-    def has_work(self):
-        """Whether ``end_cycle`` can change anything; SystemSim.tick skips it
-        otherwise, and ticks PEs only while some are live.
-
-        True for live PEs or a running phase (whose cycles are counted and
-        whose finish signal is raised after its last PE is done), for staged
-        latch, shared-register or response effects, for a pending arbiter
-        request (a never-launched RPU still serves its neighbor's ring reads),
-        and for a busy DMA (a configured RPU still streams its staging data).
-        """
-        return (self.live or self.status == RpuStatus.RUNNING
-                or self._consumes or self._deliveries or self.sregs.pending
-                or self.pai.pending or self._delayed or self._responses_now
-                or not self.dma.idle())
 
     def tick_pes(self):
         """Tick the awake live PEs in coordinate order; drop those that finish.
@@ -372,6 +355,8 @@ class Rpu:
             self.sregs.commit()
             asleep.clear()
 
+        # a grant's response is read the next cycle, a ring response's one later
+        responses, self._responses_next = self._responses_next, {}
         blocked = set()
         if self.pai.pending:
             for g in self.pai.arbitrate(self.sram):
@@ -382,10 +367,10 @@ class Rpu:
                     if g.requester == ("ring",):
                         system.ring_response(self.id, value)
                     else:
-                        self._delayed.append((1, g.requester, (value,)))
+                        responses[g.requester] = (value,)
                 else:
                     self.sram.write(g.addr, g.data)
-                    self._delayed.append((1, g.requester, (None,)))
+                    responses[g.requester] = (None,)
 
         dma_bank = self.dma.step(self.sram, blocked)
         if dma_bank is not None:
@@ -395,14 +380,7 @@ class Rpu:
             raise SimulationError(
                 f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
 
-        self._responses_now = {}
-        still = []
-        for delay, coord, payload in self._delayed:
-            if delay <= 1:
-                self._responses_now[coord] = payload
-            else:
-                still.append((delay - 1, coord, payload))
-        self._delayed = still
+        self._responses_now = responses
 
         if self.status == RpuStatus.RUNNING:
             self.running_cycles += 1
@@ -420,13 +398,21 @@ class Rpu:
 
     def quiescent(self) -> bool:
         return (self.status != RpuStatus.RUNNING and not self.queue
-                and self.dma.idle() and not self._delayed and not self._responses_now
+                and self.dma.idle() and not self._responses_next and not self._responses_now
                 and not self.pai.pending and not self.ring_out
                 and self.ring_wait is None and not self._cpe_actions)
 
+    def head_waits(self) -> bool:
+        """A launch waits for its phase's data, a store for a deferred toggle."""
+        head = self.queue[0]
+        if head.kind == "launch":
+            return self.dma.completed < min(self.batches_enqueued, self.launch_count + 1)
+        return head.kind == "store_results" and self.dma._toggle_pending
+
 
 class SystemSim:
-    """All RPUs, the host bridge, external memory, and the tick loop."""
+    """All RPUs, the host bridge, external memory, and the tick loop. A cycle
+    visits only the RPUs a command or a ring transfer made busy, by id."""
 
     def __init__(self, params: ArchParams, data_image: list[int] | None = None,
                  rtt: Rtt | None = None, cycle_limit: int = DEFAULT_CYCLE_LIMIT):
@@ -434,7 +420,11 @@ class SystemSim:
         self.ext_memory = list(data_image or [])
         self.rtt = rtt or default_rtt()
         self.cycle_limit = cycle_limit
-        self.rpus = [Rpu(i, params, self.ext_memory) for i in range(params.rpu_count)]
+        # the arbiter order every RPU shares: LSUs in raster order, then the ring port
+        pai_order = (*(c for c in params.coords() if params.pe_type(*c) is PeType.LSU),
+                     ("ring",))
+        self.rpus = [Rpu(i, params, self.ext_memory, pai_order) for i in range(params.rpu_count)]
+        self._active: list[Rpu] = []
         self.configs: dict[int, list] = {}
         self.script: list[HostCommand] = []
         self._script_pos = 0
@@ -472,14 +462,19 @@ class SystemSim:
     def _step_ring(self):
         if len(self.rpus) < 2:
             return
-        for rpu in self.rpus:
+        for rpu in tuple(self._active):   # a post activates the neighbor
             if rpu.ring_out and rpu.ring_wait is None:
                 neighbor = self.clockwise(rpu.id)
                 if ("ring",) not in neighbor.pai.pending:
                     coord, rel = rpu.ring_out.pop(0)
                     rpu.ring_wait = coord
-                    phys = rel + neighbor.array_half * neighbor.half_words
+                    phys = rel + neighbor.dma.array_half * neighbor.half_words
                     neighbor.pai.post(Request(("ring",), "read", phys))
+                    self._activate(neighbor)
+
+    def _activate(self, rpu: Rpu):
+        if rpu not in self._active:
+            insort(self._active, rpu, key=lambda r: r.id)
 
     # -- command dispatch -----------------------------------------------------
 
@@ -502,6 +497,7 @@ class SystemSim:
         action = _action_from_vector(vec)
         for rpu in self._targets(vec.rpu_mask):
             rpu.queue.append(action)
+            self._activate(rpu)
 
     def _targets(self, mask: int) -> list[Rpu]:
         return [r for r in self.rpus if mask & (1 << r.id)]
@@ -527,7 +523,7 @@ class SystemSim:
         for imm16 in rpu._cpe_actions:
             rpu.queue.append(self._decode_cpe_action(rpu, imm16))
         rpu._cpe_actions.clear()
-        if not rpu.queue or rpu.status == RpuStatus.RUNNING:
+        if not rpu.queue or rpu.status == RpuStatus.RUNNING or rpu.head_waits():
             return
         head = rpu.queue[0]
         if head.kind == "load_config":
@@ -540,13 +536,8 @@ class SystemSim:
                                           staging=head.staging))
             rpu.batches_enqueued += 1
         elif head.kind == "launch":
-            need = min(rpu.batches_enqueued, rpu.launch_count + 1)
-            if rpu.dma.completed < need:
-                return  # wait for this phase's data
             rpu.launch()
         elif head.kind == "store_results":
-            if rpu.dma._toggle_pending:
-                return  # results half settles once the in-flight batch ends
             words = rpu.store_results(head.sm_addr, head.length)
             for i, w in enumerate(words):
                 self.results_buffer[head.ext_addr + i] = w
@@ -557,41 +548,63 @@ class SystemSim:
 
     def tick(self):
         self._dispatch_one_command()
-        for rpu in self.rpus:
+        active = self._active
+        for rpu in active:
             if rpu.queue or rpu._cpe_actions:
                 self._controller_step(rpu)
         # forward ring requests enqueued on previous cycles (1 transit cycle)
         self._step_ring()
-        for rpu in self.rpus:
+        for rpu in active:
             if rpu.live:
                 rpu.tick_pes()
-        for rpu in self.rpus:
-            if rpu.has_work():
-                rpu.end_cycle(self)
-            else:
-                # skipped: neither the array nor the DMA touched a half
-                rpu.cycle_pea_halves = set()
-                rpu.cycle_dma_half = None
+        for rpu in active:
+            rpu.end_cycle(self)
         for origin_id, coord, value in self._ring_staging:
             # one transit cycle back; the staging boundary adds the other
-            self.rpus[origin_id]._delayed.append((1, coord, (value,)))
+            self.rpus[origin_id]._responses_next[coord] = (value,)
+            self._activate(self.rpus[origin_id])
         self._ring_staging.clear()
         self.stats.total_cycles += 1
         if self.trace_hook is not None:
             self.trace_hook(self)
+        for rpu in [r for r in active if r.quiescent()]:
+            active.remove(rpu)   # and from the next cycle on touches no half
+            rpu.cycle_pea_halves, rpu.cycle_dma_half = set(), None
 
     def quiescent(self) -> bool:
-        return (self._script_pos >= len(self.script)
-                and all(r.quiescent() for r in self.rpus))
+        return self._script_pos >= len(self.script) and not self._active
 
     def run(self, max_cycles: int | None = None):
         guard = max_cycles or (self.cycle_limit * 16)
         while not self.quiescent():
             if self.stats.total_cycles >= guard:
                 raise CycleLimitExceeded(f"system made no progress in {guard} cycles")
-            self.tick()
+            skip = self._dma_only_cycles(guard)
+            if skip:
+                for rpu in self._active:
+                    rpu.dma.stream(rpu.sram, skip)
+                self.stats.total_cycles += skip
+            else:
+                self.tick()
         self._finalize_stats()
         return self.stats
+
+    def _dma_only_cycles(self, guard: int) -> int:
+        """Coming cycles that only stream one DMA word per busy RPU, short of
+        the guard and of the last word of a batch, which ``tick`` writes.
+        None under a ``trace_hook``, which observes every cycle."""
+        if self.trace_hook is not None or self._script_pos < len(self.script):
+            return 0
+        skip = guard - self.stats.total_cycles
+        for rpu in self._active:
+            batch = rpu.dma.active
+            if (batch is None or rpu.status == RpuStatus.RUNNING or rpu.pai.pending
+                    or rpu.ring_out or rpu.ring_wait is not None or rpu._responses_next
+                    or rpu._responses_now or rpu._cpe_actions
+                    or (rpu.queue and not rpu.head_waits())):
+                return 0
+            skip = min(skip, batch.length - batch.progress - 1)
+        return skip
 
     def _finalize_stats(self):
         st = self.stats
@@ -607,11 +620,11 @@ class SystemSim:
                                    key=lambda kv: str(kv[0]))
             if coord != ("ring",)
         }
-        st.pe_active = {(r.id, coord): r.pes[coord].active_cycles
-                        for r in self.rpus for coord in sorted(r.pes)}
+        # a PE never built (its RPU never configured) was never active
+        st.pe_active = {(r.id, coord): r.pes[coord].active_cycles if r.pes else 0
+                        for r in self.rpus for coord in self.params.coords()}
         st.pe_active_cycles = sum(st.pe_active.values())
-        n_pes = sum(len(r.pes) for r in self.rpus)
-        st.pe_idle_cycles = st.total_cycles * n_pes - st.pe_active_cycles
+        st.pe_idle_cycles = st.total_cycles * len(st.pe_active) - st.pe_active_cycles
 
     def results_words(self, length: int, base: int = 0) -> list[int]:
         return [self.results_buffer.get(base + i, 0) for i in range(length)]

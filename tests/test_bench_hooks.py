@@ -1,0 +1,59 @@
+"""The benchmark's per-layer tracer must still find every entry point it wraps.
+
+``bench/tracing.py`` patches module functions by name and methods through
+``owner.__dict__[attr]``, so a method moved to a base class or renamed would
+break ``bench/run.py --trace 1``. The tracer is loaded from its file without
+writing anything next to it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from windmill.system import SystemSim, run_protocol
+
+from test_sim_golden import pingpong_config, standard_arch
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracing):
+    for stem, (modname, path) in tracing.TARGETS.items():
+        module = importlib.import_module(modname)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            assert callable(vars(getattr(module, cls_name)).get(attr)), stem
+        else:
+            assert callable(getattr(module, path, None)), stem
+
+
+def test_traced_run_records_the_system_layers(tracing):
+    tracer = tracing.Tracer()
+    run = SystemSim.__dict__["run"]
+    tracer.install()
+    try:
+        tracer.active = True
+        tracer.phase = "jobs"
+        system = SystemSim(standard_arch())
+        run_protocol(system, pingpong_config(), list(range(16)), 0, 1, load_len=8)
+    finally:
+        tracer.uninstall()
+    assert SystemSim.__dict__["run"] is run
+    counts = {stem: agg[0] for (phase, stem), agg in tracer.spans.items()}
+    for stem in ("system.init", "system.register_config", "system.run", "system.tick",
+                 "system.tick_pes", "system.end_cycle", "pe.validate", "pe.tick",
+                 "memory.arbitrate", "memory.dma_step"):
+        assert counts.get(stem, 0) > 0, stem
+    assert tracer.counts[("jobs", "configured_pe_cycles")] > 0

@@ -129,6 +129,17 @@ class TestMap:
                      "--out", tmp_path / "x.bit")
         assert r.returncode == 2
 
+    def test_reserved_looking_id_exit_2(self, std_arch, tmp_path):
+        """``$out0`` is outside the identifier grammar (and is a name the
+        mapper gives its own nodes): a parse error naming the line."""
+        dfg = tmp_path / "dollar.dfg"
+        dfg.write_text("in a 0\nin b 1\nout a 2\n$out0 sub a b\nq mul $out0 b\nout q 3\n")
+        out = tmp_path / "x.bit"
+        r = windmill("map", "--arch", std_arch, "--dfg", dfg, "--out", out)
+        assert r.returncode == 2
+        assert "line 4: bad identifier '$out0'" in r.stderr
+        assert not out.exists()
+
 
 class TestSim:
     def run_vecadd(self, std_arch, tmp_path, tag=""):

@@ -93,6 +93,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_dfg("# nothing here\n")
 
+    @pytest.mark.parametrize("text, line", [
+        # lowering names its own nodes $out<k>; a user id must not collide
+        ("in a 0\nin b 1\nout a 2\n$out0 sub a b\nq mul $out0 b\nout q 3\n", 4),
+        ("in a 0\nx.1 add a a\n", 2),
+        ("in 9a 0\n", 1),
+        ("x const 1\nout x-y 0\n", 2),
+    ])
+    def test_identifier_grammar(self, text, line):
+        with pytest.raises(ParseError, match="bad identifier") as exc:
+            parse_dfg(text)
+        assert exc.value.line == line
+
 
 class TestReferenceExecute:
     def test_vecadd_trivial(self):

@@ -378,3 +378,23 @@ class TestBitstream:
     def test_target_outside_grid_rejected(self):
         with pytest.raises(BitstreamTargetInvalid):
             validate_bitstream(standard_preset(), [(9, 0, [])])
+
+    # each distinct (word, PE type) pair is checked once per call; the error
+    # still names the first offending PE and word
+    LOAD3 = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=3)
+    TO_RTT = ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, DstSel.RTT, imm16=0x3000)
+
+    @pytest.mark.parametrize("records, message", [
+        # the same illegal word on two GPEs
+        ([(2, 3, [ConfigWord(), LOAD3]), (2, 2, [LOAD3])], "PE (2,3) word 1: LOAD on a GPE"),
+        # legal on an LSU first, then on a GPE
+        ([(0, 0, [ConfigWord(), LOAD3]), (2, 2, [ConfigWord(opcode=Opcode.HALT), LOAD3])],
+         "PE (2,2) word 1: LOAD on a GPE"),
+        # legal on the CPE first, then on a GPE
+        ([(1, 1, [TO_RTT]), (3, 3, [ConfigWord(), ConfigWord(), TO_RTT])],
+         "PE (3,3) word 2: RTT destination on a GPE"),
+    ])
+    def test_first_offending_pe_and_word_named(self, records, message):
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_preset(), records)
+        assert str(exc.value) == message
