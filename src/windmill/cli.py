@@ -33,8 +33,8 @@ EXIT_INPUT = 2
 EXIT_UNMAPPABLE = 3
 EXIT_RUNTIME = 4
 
-# error class -> exit code; any other toolkit error, or a missing input
-# file, is an input error
+# error class -> exit code; any other toolkit error, or a file that cannot
+# be read or written, is an input error
 _EXIT_CODES = ((Unmappable, EXIT_UNMAPPABLE),
                ((CycleLimitExceeded, SimulationError), EXIT_RUNTIME))
 
@@ -78,7 +78,10 @@ def _sweep_values(spec: str):
     out = []
     for v in values.split(","):
         v = v.strip()
-        out.append(cast(int(v, 0)) if cast is int else cast(v.lower()))
+        try:
+            out.append(cast(int(v, 0)) if cast is int else cast(v.lower()))
+        except ValueError:
+            raise ParseError(f"--sweep {key}: bad value {v!r}") from None
     return key, out
 
 
@@ -262,7 +265,7 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (WindmillError, FileNotFoundError) as exc:
+    except (WindmillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
                     EXIT_INPUT)

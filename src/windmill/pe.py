@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from enum import IntEnum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arch import ArchParams, ExecMode, PeType, TopologyKind
@@ -228,7 +229,7 @@ def lsu_addr(word: ConfigWord, iter_idx: int, src1_value: int | None) -> int:
     Affine (src1 = NONE): base from imm16 plus the selected stride times the
     iteration index. Non-affine: the src1 operand value is the address.
     """
-    if word.src1 is SrcSel.NONE:
+    if word.src1 == SrcSel.NONE:
         addr = (word.imm16 & 0xFFFF) + STRIDES[word.shared_reg_idx] * iter_idx
     else:
         addr = src1_value & MASK32
@@ -306,7 +307,7 @@ def validate_bitstream(params: ArchParams,
             problem = None
             if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
                 problem = f"{w.opcode.name} on a {pe_type.name}"
-            elif w.dst is DstSel.RTT and pe_type is not PeType.CPE:
+            elif w.dst == DstSel.RTT and pe_type is not PeType.CPE:
                 problem = f"RTT destination on a {pe_type.name}"
             elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
                 problem = f"2-hop source under {params.topology.value}"
@@ -315,7 +316,7 @@ def validate_bitstream(params: ArchParams,
             # the index field is also a memory op's stride selector, so only a
             # select the word reads, or a destination it writes, names a register
             elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
-                    w.dst is DstSel.SREG
+                    w.dst == DstSel.SREG
                     and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
                 problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
             if problem is not None:
@@ -325,8 +326,9 @@ def validate_bitstream(params: ArchParams,
 
 # --- runtime -----------------------------------------------------------------
 #
-# load_context pre-decodes every ConfigWord into a flat tuple, so the
-# per-cycle path does no Enum hashing or property lookup:
+# _predecode turns a ConfigWord into a flat tuple, memoised process-wide, so the
+# per-cycle path does no Enum hashing or property lookup. The tuple depends
+# on the word's value alone, not on the PE that holds it:
 #
 #     (kind, alu, srcs, pulls, to, to_arg, entry, iterations, next_step, word)
 #
@@ -336,8 +338,9 @@ def validate_bitstream(params: ArchParams,
 #             the entry latch Direction, a constant, or a shared-register index
 # pulls       the latch directions among srcs, consumed when the word fires
 # to          one of the _TO_* codes; to_arg is the shared-register index, the
-#             RTT payload or the receiving PE's coordinate, and entry is the
-#             latch the value lands in there
+#             RTT payload or the drive Direction, and entry is the latch the
+#             value lands in at the receiver, which write-back finds in the
+#             PE's port table (no neighbor: the value drops off the grid)
 # word        the ConfigWord itself, for the memory-address path
 
 _K_NOP, _K_ALU, _K_PHI, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(8)
@@ -347,9 +350,7 @@ _KIND = {Opcode.NOP: _K_NOP, Opcode.PHI: _K_PHI, Opcode.ROUTE: _K_ROUTE,
 
 _S_LATCH, _S_CONST, _S_ACC, _S_SREG = range(4)
 
-# _TO_EDGE: a directional destination with no neighbor; the value still
-# passes the write-back stage and is then dropped
-_TO_NONE, _TO_ACC, _TO_LATCH, _TO_EDGE, _TO_SREG, _TO_RTT = range(6)
+_TO_NONE, _TO_ACC, _TO_LATCH, _TO_SREG, _TO_RTT = range(5)
 
 
 def _required(word: ConfigWord) -> tuple:
@@ -357,52 +358,52 @@ def _required(word: ConfigWord) -> tuple:
     op = word.opcode
     if op in (Opcode.NOP, Opcode.HALT):
         return ()
-    if op is Opcode.ROUTE:
+    if op == Opcode.ROUTE:
         return (word.src0,)
-    if op is Opcode.LOAD:
-        return () if word.src1 is SrcSel.NONE else (word.src1,)
-    if op is Opcode.STORE:
-        return (word.src0,) if word.src1 is SrcSel.NONE else (word.src0, word.src1)
+    if op == Opcode.LOAD:
+        return () if word.src1 == SrcSel.NONE else (word.src1,)
+    if op == Opcode.STORE:
+        return (word.src0,) if word.src1 == SrcSel.NONE else (word.src0, word.src1)
     return (word.src0, word.src1)
 
 
 # decoded sources that do not depend on the word's other fields
 _FIXED_SOURCE = {SrcSel.NONE: (_S_CONST, 0), SrcSel.ACC: (_S_ACC, None),
                  **{s: (_S_LATCH, d) for s, d in _DIR_BY_SEL.items()}}
-# directional destination -> (drive direction, entry latch at the receiver)
-_DST_LINK = {s: (d, d.opposite) for s, d in _DST_DIR.items()}
+# decoded destinations that do not depend on the word's other fields; a
+# directional one is (drive direction, entry latch at the receiver)
+_FIXED_DESTINATION = {DstSel.NONE: (_TO_NONE, None, None), DstSel.ACC: (_TO_ACC, None, None),
+                      **{s: (_TO_LATCH, d, d.opposite) for s, d in _DST_DIR.items()}}
 
 
 def _source(sel: SrcSel, word: ConfigWord) -> tuple:
     fixed = _FIXED_SOURCE.get(sel)
     if fixed is not None:
         return fixed
-    if sel is SrcSel.IMM:
+    if sel == SrcSel.IMM:
         return (_S_CONST, sign_extend16(word.imm16) & MASK32)
     return (_S_SREG, word.shared_reg_idx)
 
 
-def _destination(word: ConfigWord, ports: dict) -> tuple:
-    dst = word.dst
-    link = _DST_LINK.get(dst)
-    if link is not None:
-        dest = ports.get(link[0])
-        return (_TO_EDGE, None, None) if dest is None else (_TO_LATCH, dest, link[1])
-    if dst is DstSel.NONE:
-        return (_TO_NONE, None, None)
-    if dst is DstSel.ACC:
-        return (_TO_ACC, None, None)
-    if dst is DstSel.SREG:
+def _destination(word: ConfigWord) -> tuple:
+    fixed = _FIXED_DESTINATION.get(word.dst)
+    if fixed is not None:
+        return fixed
+    if word.dst == DstSel.SREG:
         return (_TO_SREG, word.shared_reg_idx, None)
     return (_TO_RTT, word.imm16, None)
 
 
+# bounded: a compile-and-run loop brings new words with every graph; 1024
+# holds the words configs keep reusing at ~0.5 MB
+@lru_cache(maxsize=1024)
 def _predecode(word: ConfigWord) -> tuple:
-    """A decoded word's port-independent fields, before and after its destination."""
+    """The runtime tuple of ``word``, shared by every PE and config that
+    holds an equal word."""
     srcs = tuple(_source(sel, word) for sel in _required(word))
     pulls = tuple(arg for kind, arg in srcs if kind == _S_LATCH)
-    return ((_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls),
-            (word.iterations, word.next_step, word))
+    return (_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls, *_destination(word),
+            word.iterations, word.next_step, word)
 
 
 class PE:
@@ -442,22 +443,13 @@ class PE:
         which keeps the pre-decoded form in step."""
         return self._context
 
-    def load_context(self, words: list[ConfigWord], capacity: int,
-                     decoded: dict | None = None):
-        """Load and pre-decode ``words``; ``decoded`` (word -> ``_predecode``
-        parts) may be shared across the PEs of one load."""
+    def load_context(self, words: list[ConfigWord], capacity: int):
+        """Load ``words`` and their pre-decoded form."""
         if len(words) > capacity:
             raise CapacityExceeded(
                 f"PE {self.coord}: {len(words)} words > capacity {capacity}")
-        decoded = {} if decoded is None else decoded
-        code = []
-        for w in words:
-            parts = decoded.get(w)
-            if parts is None:
-                parts = decoded[w] = _predecode(w)
-            code.append(parts[0] + _destination(w, self.ports) + parts[1])
         self._context = list(words)
-        self._code = code
+        self._code = list(map(_predecode, words))
         self.pc = 0
         self.iter_index = [0] * len(words)
         self.remaining = [dec[7] for dec in self._code]
@@ -486,14 +478,15 @@ class PE:
         if w is not None:
             dec, value = w
             to = dec[4]
-            if to != _TO_LATCH or bus.latch_free(dec[5], dec[6]):
-                if to == _TO_LATCH:
-                    bus.deliver(dec[5], dec[6], value)
+            dest = self.ports.get(dec[5]) if to == _TO_LATCH else None
+            if dest is None or bus.latch_free(dest, dec[6]):
+                if dest is not None:
+                    bus.deliver(dest, dec[6], value)
                 elif to == _TO_SREG:
                     bus.sreg_write(self.coord, dec[5], value)
                 elif to == _TO_RTT:
                     bus.rtt_action(self.coord, dec[5])
-                self.w_slot = None   # _TO_EDGE drops the value off the grid
+                self.w_slot = None   # a latch value with no neighbor drops off the grid
                 moved = True
         # execute
         x = self.x_slot
@@ -596,8 +589,8 @@ class PE:
     def waiting_on(self, bus) -> str:
         """What a sleeping PE waits for: a full latch, or operands it lacks."""
         if self.w_slot is not None:
-            dest, entry = self.w_slot[0][5:7]
-            return f"PE {self.coord} blocked on ({dest}, {entry.name})"
+            direction, entry = self.w_slot[0][5:7]
+            return f"PE {self.coord} blocked on ({self.ports[direction]}, {entry.name})"
         lacks = [f"latch {arg.name}" if src == _S_LATCH else f"shared register {arg}"
                  for src, arg in self.d_slot[0][2] if not self._operand(src, arg, bus)[1]]
         return f"PE {self.coord} lacks {' and '.join(lacks)}"
@@ -625,7 +618,7 @@ class PE:
     def _mem_request(self, dec, iter_idx: int, vals: list, bus):
         """Post a memory op to the scratchpad; execute waits for the reply."""
         word = dec[9]
-        addr = lsu_addr(word, iter_idx, vals[-1] if word.src1 is not SrcSel.NONE else None)
+        addr = lsu_addr(word, iter_idx, vals[-1] if word.src1 != SrcSel.NONE else None)
         store = dec[0] == _K_STORE
         for direction in dec[3]:
             bus.consume_latch(self.coord, direction)

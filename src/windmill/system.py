@@ -242,13 +242,12 @@ class Rpu:
         for pe in self.pes.values():
             if pe.context:
                 pe.load_context([], cap)
-        decoded = {}
         for row, col, words in records:
             if self.params.exec_mode is ExecMode.SCMD:
                 for c in range(self.params.cols):
-                    self.pes[(row, c)].load_context(words, cap, decoded)
+                    self.pes[(row, c)].load_context(words, cap)
             else:
-                self.pes[(row, col)].load_context(words, cap, decoded)
+                self.pes[(row, col)].load_context(words, cap)
         self.status = RpuStatus.CONFIGURED
 
     def launch(self):

@@ -87,6 +87,16 @@ class TestGenerate:
         assert lines[1].startswith("4,4,")
         assert lines[4].startswith("8,8,")
 
+    @pytest.mark.parametrize("spec, value", [
+        ("rows=abc", "'abc'"), ("rows=", "''"), ("cols=4,x", "'x'"),
+        ("topology=bogus", "'bogus'")])
+    def test_bad_sweep_value_exit_2(self, std_arch, capsys, spec, value):
+        from windmill.cli import main
+        assert main(["generate", "--arch", str(std_arch), "--sweep", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sweep {spec.partition('=')[0]}: bad value {value}\n"
+
     def test_log_env_controls_verbosity(self, std_arch):
         quiet = windmill("generate", "--arch", std_arch)
         loud = windmill("generate", "--arch", std_arch,
@@ -197,6 +207,15 @@ class TestSim:
         assert "PE (3, 3) lacks latch E" in r.stderr and "PE (3, 4) lacks latch W" in r.stderr
         header, row = stats.read_text().splitlines()
         assert 0 < int(row.split(",")[0]) <= 20
+
+    def test_directory_as_input_file_exit_2(self, std_arch, tmp_path, capsys):
+        """An input path that cannot be read, here a directory, is an input
+        error reported on one line, not a traceback."""
+        from windmill.cli import main
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_shared_register_index_rejected_before_the_run(self, std_arch, tmp_path):
         """standard.arch has 4 shared registers: reading SREG 7 is an input

@@ -11,8 +11,9 @@ from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeErr
                              EncodeError)
 from windmill.interconnect import Direction
 from windmill.pe import (PE, BINARY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
-                         alu_eval, context_capacity, decode, encode, lsu_addr,
-                         pack_bitstream, unpack_bitstream, validate_bitstream)
+                         _predecode, _required, alu_eval, context_capacity, decode,
+                         encode, lsu_addr, pack_bitstream, unpack_bitstream,
+                         validate_bitstream)
 
 # --- encode / decode -----------------------------------------------------------
 
@@ -146,6 +147,51 @@ class TestLsuAddr:
     def test_non_affine_from_operand(self):
         word = ConfigWord(Opcode.LOAD, src1=SrcSel.W)
         assert lsu_addr(word, 0, 42) == 42
+
+    def test_plain_int_twin_is_affine_too(self):
+        word = ConfigWord(Opcode.LOAD, src1=SrcSel.NONE, imm16=8, shared_reg_idx=2)
+        assert lsu_addr(int_twin(word), 3, None) == 14
+
+
+# --- decode and validate by value -----------------------------------------------
+
+
+def int_twin(word):
+    """``word`` with every field a plain int: equal and hash-equal to it."""
+    return ConfigWord(*map(int, word))
+
+
+class TestByValue:
+    """Equal words decode and validate alike, so one memo serves every config."""
+
+    @given(VALID_WORDS)
+    def test_plain_int_twin_decodes_alike(self, word):
+        twin = int_twin(word)
+        assert twin == word and hash(twin) == hash(word)
+        assert _predecode.__wrapped__(twin) == _predecode.__wrapped__(word)
+
+    def test_route_twin(self):
+        twin = ConfigWord(12, 3, 0, 2)
+        word = ConfigWord(Opcode.ROUTE, SrcSel.W, SrcSel.N, DstSel.E)
+        assert twin == word
+        assert _required(twin) == _required(word) == (SrcSel.W,)
+        _predecode.cache_clear()
+        assert _predecode(twin) is _predecode(word)
+        assert _predecode.cache_info().misses == 1
+
+    @pytest.mark.parametrize("dst", [DstSel.RTT, int(DstSel.RTT)])
+    def test_rtt_destination_on_a_gpe_rejected(self, dst):
+        word = ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, dst, imm16=0x3000)
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_preset(), [(2, 2, [word])])
+        assert str(exc.value) == "PE (2,2) word 0: RTT destination on a GPE"
+
+    @pytest.mark.parametrize("dst", [DstSel.SREG, int(DstSel.SREG)])
+    def test_sreg_destination_index_checked(self, dst):
+        word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, dst, shared_reg_idx=7)
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_preset(), [(2, 2, [word])])
+        assert str(exc.value) == "PE (2,2) word 0: shared register 7 (count 4)"
 
 
 # --- pipeline harness --------------------------------------------------------------
