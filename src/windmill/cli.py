@@ -46,7 +46,10 @@ _SWEEP_FIELDS = {
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _read_image(path: str) -> list[int]:

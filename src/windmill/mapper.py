@@ -42,6 +42,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from operator import add
 
 from .arch import ArchParams, PeType, TopologyKind
 from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
@@ -431,6 +433,46 @@ class Mapping:
         return {op.pe for op in self.micro_ops}
 
 
+@lru_cache(maxsize=8)
+def _route_tables(topology: TopologyKind, dims: tuple):
+    """Per geometry: each cell's (drive, to, entry, (to, entry)) links in
+    route's tie-break order, the last field being the link's key in
+    ``pending``; and ``hops_to(dst)[cell]``, the fewest links from cell to
+    dst on the free grid, by BFS from dst over the reversed port table."""
+    ports = neighbor_map(topology, dims)
+    links = {coord: tuple((d, to, d.opposite, (to, d.opposite))
+                          for d, to in sorted(out.items(), key=lambda x: x[0].name))
+             for coord, out in ports.items()}
+    into = {coord: [] for coord in ports}
+    for coord, out in ports.items():
+        for to in out.values():
+            into[to].append(coord)
+
+    @cache   # at most one entry per cell
+    def hops_to(dst):
+        dist, frontier = {dst: 0}, [dst]
+        for cell in frontier:
+            for coord in into[cell]:
+                if coord not in dist:
+                    dist[coord] = dist[cell] + 1
+                    frontier.append(coord)
+        return dist
+    return links, hops_to
+
+
+@lru_cache(maxsize=8)
+def _distances(torus: bool, dims: tuple, pool: tuple):
+    """``row(p)[j]``: the Manhattan distance from cell p to ``pool[j]``; on
+    the torus a span longer than half the grid wraps."""
+    wrap_rows, wrap_cols = dims if torus else (2 * dims[0], 2 * dims[1])   # 2x: never wraps
+
+    @cache   # at most one entry per cell
+    def row(p):
+        spans = ((abs(p[0] - r), abs(p[1] - c)) for r, c in pool)
+        return tuple(min(dr, wrap_rows - dr) + min(dc, wrap_cols - dc) for dr, dc in spans)
+    return row
+
+
 class _Scheduler:
     """Placement-complete routing and step assignment.
 
@@ -447,12 +489,7 @@ class _Scheduler:
     def __init__(self, params: ArchParams, capacity: int):
         self.params = params
         self.capacity = capacity
-        ports = neighbor_map(params.topology, (params.rows, params.cols))
-        # per cell, its (drive, to, entry, (to, entry)) links in route's
-        # tie-break order; the last field is the link's key in ``pending``
-        self.links = {coord: tuple((d, to, d.opposite, (to, d.opposite))
-                                   for d, to in sorted(out.items(), key=lambda x: x[0].name))
-                      for coord, out in ports.items()}
+        self.links, self.hops_to = _route_tables(params.topology, (params.rows, params.cols))
         self.next_free: dict[tuple, int] = {}
         self.last_consume: dict[tuple, int] = {}
         self.pending: set = set()          # (coord, entry dir) with an unconsumed arrival
@@ -484,44 +521,60 @@ class _Scheduler:
         entry must avoid the consumer's already-claimed operand ports;
         transit cells at context capacity are impassable. Among shortest
         paths, the one through the least-occupied cells wins.
+
+        A push whose hops plus free-grid distance to dst exceed ``bound``,
+        first src's distance, is pruned; until dst is reached, ``bound`` rises
+        to the least pruned length. Shortest paths keep every push, in order,
+        so the path is the one an unpruned search finds.
         """
         if src == dst:
             return None
         links, pending, op_count, capacity = (self.links, self.pending, self.op_count,
                                               self.capacity)
+        to_dst = self.hops_to(dst)
         heappush, heappop = heapq.heappush, heapq.heappop
-        # heap entries are (hops, occ, i, cell); back[i] = (i of the entry
-        # whose cell was left, that cell, link taken), unwound on success
-        back = [None]
-        pq = [(0, 0, 0, src)]
-        seen = set()
-        while pq:
-            hops, occ, i, coord = heappop(pq)
-            if coord == dst:
-                path = []
-                while i:
-                    i, frm, link = back[i]
-                    path.append((frm, link[0], link[1], link[2]))
-                path.reverse()
-                return path
-            if coord in seen:
-                continue
-            seen.add(coord)
-            for link in links[coord]:
-                to = link[1]
-                if to in seen or link[3] in pending:
+        bound = to_dst[src]
+        while True:
+            # heap entries are (hops, occ, i, cell); back[i] = (i of the entry
+            # whose cell was left, that cell, link taken), unwound on success
+            back = [None]
+            pq = [(0, 0, 0, src)]
+            seen = set()
+            pruned = []   # hops + distance of each pruned push
+            while pq:
+                hops, occ, i, coord = heappop(pq)
+                if coord == dst:
+                    path = []
+                    while i:
+                        i, frm, link = back[i]
+                        path.append((frm, link[0], link[1], link[2]))
+                    path.reverse()
+                    return path
+                if coord in seen:
                     continue
-                if to == dst:
-                    if link[2] in forbidden_final:
+                seen.add(coord)
+                hops += 1
+                for link in links[coord]:
+                    to = link[1]
+                    if to in seen or link[3] in pending:
                         continue
-                    extra = 0
-                else:
-                    extra = op_count.get(to, 0)
-                    if extra >= capacity:
-                        continue  # no room for another transit hop
-                back.append((i, coord, link))
-                heappush(pq, (hops + 1, occ + extra, len(back) - 1, to))
-        return None
+                    if to == dst:
+                        if link[2] in forbidden_final:
+                            continue
+                        extra = 0
+                    else:
+                        extra = op_count.get(to, 0)
+                        if extra >= capacity:
+                            continue  # no room for another transit hop
+                    length = hops + to_dst[to]
+                    if length > bound:
+                        pruned.append(length)
+                        continue
+                    back.append((i, coord, link))
+                    heappush(pq, (hops, occ + extra, len(back) - 1, to))
+            if not pruned:
+                return None
+            bound = min(pruned)
 
 
 def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
@@ -550,60 +603,54 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
             consumers[ref].append(ln.id)
 
     # --- placement ---------------------------------------------------------
+    # a pool cell's key: op estimate + summed distance to placed predecessors,
+    # + ``crowded`` if remote while its entry latches are spoken for; a full
+    # cell, or co-location not directly behind the accumulator owner, is
+    # ``blocked``. min() keeps the first least key: coordinate order breaks ties
     placement: dict[str, tuple] = {}
     acc_owner_placed: dict[tuple, str] = {}
-    op_estimate: dict[tuple, int] = {}
     remote_consumers: dict[tuple, int] = {}
     ports = neighbor_map(params.topology, (params.rows, params.cols))
-    torus = params.topology is TopologyKind.TORUS
-    rows, cols = params.rows, params.cols
+    crowded = capacity + 2 * (params.rows + params.cols)   # above any distance + estimate
+    blocked = 2 * crowded
+    alu_pool, mem_pool = (
+        (cells, {pe: j for j, pe in enumerate(cells)},
+         [0 if capacity > 0 else blocked] * len(cells),
+         [0] * len(cells),   # validated grids give every cell two ports or more
+         _distances(params.topology is TopologyKind.TORUS, (params.rows, params.cols),
+                    tuple(cells)))
+        for cells in (gpes, lsus))
 
     for ln in lnodes:
-        pool = lsus if ln.opcode in (Opcode.LOAD, Opcode.STORE) else gpes
-        if not pool:
+        cells, index, estimate, crowding, dist = (
+            mem_pool if ln.opcode in (Opcode.LOAD, Opcode.STORE) else alu_pool)
+        if not cells:
             raise Unmappable("no PE of the required type available", ln.id)
         pred_pes = [placement[s[1]] for s in ln.srcs if s[0] == "node"]
-        # key (crowded, Manhattan distance to the predecessors + estimated
-        # ops, pe); the pool is in coordinate order, so a strict "<" on the
-        # first two fields keeps the pe tie-break
-        best = best_crowded = best_cost = best_remote = None
-        for pe in pool:
-            cost = op_estimate.get(pe, 0)
-            if cost >= capacity:
-                continue
-            r, c = pe
-            remote = local = False
-            for pr, pc in pred_pes:
-                dr = pr - r if pr > r else r - pr
-                dc = pc - c if pc > c else c - pc
-                if torus:
-                    if 2 * dr > rows:
-                        dr = rows - dr
-                    if 2 * dc > cols:
-                        dc = cols - dc
-                if dr or dc:
-                    remote = True
-                    cost += dr + dc
-                else:
-                    local = True
-            if local:
-                # co-placement only directly behind the accumulator owner
-                owners = {s[1] for s in ln.srcs
-                          if s[0] == "node" and placement[s[1]] == pe}
+        key = spread = estimate
+        if pred_pes:
+            spread = dist(pred_pes[0])
+            for pe in pred_pes[1:]:
+                spread = list(map(add, spread, dist(pe)))
+            key = list(map(add, map(add, estimate, spread), crowding))
+            for pe in set(pred_pes) & index.keys():
+                j = index[pe]
+                owners = {s[1] for s in ln.srcs if s[0] == "node" and placement[s[1]] == pe}
                 if owners != {acc_owner_placed.get(pe)}:
-                    continue
-            # prefer cells whose entry latches are not already spoken for
-            crowded = remote and remote_consumers.get(pe, 0) >= len(ports[pe]) - 1
-            if best is None or crowded < best_crowded or (
-                    crowded == best_crowded and cost < best_cost):
-                best, best_crowded, best_cost, best_remote = pe, crowded, cost, remote
-        if best is None:
+                    key[j] = blocked
+                elif not spread[j]:
+                    key[j] -= crowding[j]
+        j = min(range(len(cells)), key=key.__getitem__)
+        if key[j] >= blocked:
             raise Unmappable("PE capacity exhausted during placement", ln.id)
-        pe = best
+        pe = cells[j]
         placement[ln.id] = pe
-        op_estimate[pe] = op_estimate.get(pe, 0) + 1 + len(consumers[ln.id])
-        if best_remote:
+        n = estimate[j] + 1 + len(consumers[ln.id])
+        estimate[j] = n if n < capacity else blocked
+        if pred_pes and spread[j]:
             remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
+            if remote_consumers[pe] >= len(ports[pe]) - 1:
+                crowding[j] = crowded
         if ln.opcode is not Opcode.STORE:
             acc_owner_placed[pe] = ln.id
 

@@ -104,6 +104,9 @@ class DstSel(IntEnum):
 
 # decode tables: each field's members, indexed by the field's value
 _OPCODES, _SRC_SELS, _DST_SELS = tuple(Opcode), tuple(SrcSel), tuple(DstSel)
+# per ConfigWord field, in order: its enum's member count, or 1 << its bit width
+_FIELD_BOUNDS = (len(_OPCODES), len(_SRC_SELS), len(_SRC_SELS), len(_DST_SELS),
+                 1 << 16, 1 << 8, 1 << 4, 1 << 3)
 
 _DIR_BY_SEL = {s: Direction[s.name] for s in SrcSel if s.value <= 7}
 _DST_DIR = {d: Direction[d.name] for d in DstSel if d.value <= 7}
@@ -141,24 +144,29 @@ class ConfigWord(NamedTuple):
         return max(1, self.iter_count)
 
 
+# bounded like ``_predecode``; validate_bitstream finds here, for free, the
+# words that encode checked when the mapper packed them
+@lru_cache(maxsize=1024)
+def _undefined_field(word: ConfigWord) -> str | None:
+    """The first field of ``word`` outside its enum or bit width, if any."""
+    for name, value, bound in zip(ConfigWord._fields, word, _FIELD_BOUNDS):
+        if not 0 <= value < bound:
+            return f"{name}={value} is outside 0..{bound - 1}"
+    return None
+
+
+@lru_cache(maxsize=1024)
 def encode(word: ConfigWord) -> int:
-    """Pack a ConfigWord into its 64-bit value."""
-    for name, value, width in (("imm16", word.imm16, 16),
-                               ("iter_count", word.iter_count, 8),
-                               ("shared_reg_idx", word.shared_reg_idx, 4),
-                               ("next_step", word.next_step, 3)):
-        if not 0 <= value < (1 << width):
-            raise EncodeError(f"{name}={value} does not fit in {width} bits")
-    return ((word.opcode & 0x1F) << 59
-            | (word.src0 & 0xF) << 55
-            | (word.src1 & 0xF) << 51
-            | (word.dst & 0xF) << 47
-            | (word.imm16 & 0xFFFF) << 31
-            | (word.iter_count & 0xFF) << 23
-            | (word.shared_reg_idx & 0xF) << 19
-            | (word.next_step & 0x7) << 16)
+    """Pack a ConfigWord into its 64-bit value; rejects undefined fields."""
+    problem = _undefined_field(word)
+    if problem is not None:
+        raise EncodeError(problem)
+    return (word.opcode << 59 | word.src0 << 55 | word.src1 << 51 | word.dst << 47
+            | word.imm16 << 31 | word.iter_count << 23 | word.shared_reg_idx << 19
+            | word.next_step << 16)
 
 
+@lru_cache(maxsize=1024)
 def decode(value: int) -> ConfigWord:
     """Unpack a 64-bit value; rejects reserved bits and illegal encodings."""
     if not 0 <= value < (1 << 64):
@@ -280,10 +288,11 @@ def validate_bitstream(params: ArchParams,
                        records: list[tuple[int, int, list[ConfigWord]]]):
     """Static legality of a bitstream against an architecture.
 
-    Memory ops only on LSUs, the RTT destination only on the CPE, 2-hop
-    selects only under the 1-hop topology, shared-register selects the PE
-    reads or writes within the register count, capacity respected, all
-    targets inside the grid. Each (word, PE type) pair is checked once.
+    Every field a defined value, memory ops only on LSUs, the RTT
+    destination only on the CPE, 2-hop selects only under the 1-hop
+    topology, shared-register selects the PE reads or writes within the
+    register count, capacity respected, all targets inside the grid. Each
+    (word, PE type) pair is checked once.
     """
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
@@ -304,21 +313,22 @@ def validate_bitstream(params: ArchParams,
         for i, w in enumerate(words):
             if w in checked:
                 continue
-            problem = None
-            if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
-                problem = f"{w.opcode.name} on a {pe_type.name}"
-            elif w.dst == DstSel.RTT and pe_type is not PeType.CPE:
-                problem = f"RTT destination on a {pe_type.name}"
-            elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
-                problem = f"2-hop source under {params.topology.value}"
-            elif not one_hop and w.dst in _TWO_HOP_DST:
-                problem = f"2-hop destination under {params.topology.value}"
-            # the index field is also a memory op's stride selector, so only a
-            # select the word reads, or a destination it writes, names a register
-            elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
-                    w.dst == DstSel.SREG
-                    and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
-                problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
+            problem = _undefined_field(w)
+            if problem is None:
+                if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
+                    problem = f"{_OPCODES[w.opcode].name} on a {pe_type.name}"
+                elif w.dst == DstSel.RTT and pe_type is not PeType.CPE:
+                    problem = f"RTT destination on a {pe_type.name}"
+                elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
+                    problem = f"2-hop source under {params.topology.value}"
+                elif not one_hop and w.dst in _TWO_HOP_DST:
+                    problem = f"2-hop destination under {params.topology.value}"
+                # the index field is also a memory op's stride selector, so only a
+                # select the word reads, or a destination it writes, names a register
+                elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
+                        w.dst == DstSel.SREG
+                        and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
+                    problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
             if problem is not None:
                 raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
             checked.add(w)

@@ -358,3 +358,23 @@ class TestReport:
         r = windmill("report", "--stats", stats)
         assert r.returncode == 0
         assert r.stdout.split() == ["total_cycles", "42", "host_commands", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--arch", "STD", "--dfg", "BAD", "--out", "OUT"],
+    ["map", "--arch", "BAD", "--dfg", str(FIXTURES / "vecadd16.dfg"), "--out", "OUT"],
+    ["sim", "--arch", "STD", "--bitstream", "HALT", "--script", "BAD"],
+    ["report", "--stats", "BAD"],
+], ids=["dfg", "arch", "script", "report-stats"])
+def test_non_utf8_text_input_exit_2(std_arch, halt_bit, tmp_path, capsys, argv):
+    """A text input holding a byte that is not UTF-8 is an input error that
+    names the file, not a decode traceback."""
+    from windmill.cli import main
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"in a 0\n\xff\n")
+    paths = {"STD": std_arch, "BAD": bad, "HALT": halt_bit, "OUT": tmp_path / "out.bit"}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{bad}: not UTF-8 text" in err
+    assert not (tmp_path / "out.bit").exists()

@@ -5,8 +5,10 @@ the emitted bitstream, the schedule length, the number of ROUTE ops and the
 number of PEs used. The cases are every ``tests/kernels.py`` kernel on
 ``fixtures/standard.arch`` and seeded random DAGs from
 ``test_e2e.random_dfg`` on ``fixtures/standard_deep.arch``, rotated over the
-three topologies. A change to any value is a change to the mapper's output
-and must be intended, explained, and re-recorded.
+three topologies. Congested cases put seeded random DAGs on 4x4 to 6x6
+perimeter-LSU grids at context depth 8 and 16; an unmappable one pins the
+``Unmappable`` message and blocking node. A change to any value is a change
+to the mapper's output and must be intended, explained, and re-recorded.
 """
 
 import hashlib
@@ -17,14 +19,16 @@ from pathlib import Path
 import pytest
 
 from windmill.arch import TopologyKind, parse_arch_file, validate
+from windmill.errors import Unmappable
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
-from test_e2e import random_dfg
+from test_e2e import make_arch, random_dfg
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOPOLOGIES = (TopologyKind.MESH2D, TopologyKind.TORUS, TopologyKind.ONE_HOP)
 RANDOM_CASES = 30
+CONGESTED_CASES = 48
 
 
 def arch(name, **overrides):
@@ -38,6 +42,21 @@ def summary(text, params):
     blob = emit_bitstream(mapping)
     return (hashlib.sha256(blob).hexdigest(), mapping.schedule_length,
             mapping.route_op_count(), len(mapping.pes_used()))
+
+
+def congested_summary(text, params):
+    """``summary``, or (message, node) of the ``Unmappable`` it raises."""
+    try:
+        return summary(text, params)
+    except Unmappable as exc:
+        return str(exc), exc.node
+
+
+def congested_case(k):
+    size, topology, depth = 4 + k % 3, TOPOLOGIES[k // 3 % 3], (8, 16)[k // 9 % 2]
+    rng = random.Random(9000 + k)
+    text, *_ = random_dfg(rng, n_ops=rng.randint(10, 40))
+    return text, make_arch(size, size, topology, depth)
 
 
 def random_case(k):
@@ -87,6 +106,57 @@ RANDOM_GOLDEN = {
     29: ('2feee953b88613f0208b47a09f56c573a8ccab6ba5d260b2b4a43797616c971f', 32, 104, 43),
 }
 
+CONGESTED_GOLDEN = {
+    0: ('PE capacity exhausted during placement (blocking node: n8)', 'n8'),
+    1: ('ccd50a95cb1968fcc40dfe0706bcae9494c16675841da5b1bd409c9a7b21939c', 25, 48, 21),
+    2: ('PE (1, 2) needs 10 context words, capacity 7 (blocking node: $n5.19>)', '$n5.19>'),
+    3: ('PE capacity exhausted during placement (blocking node: n12)', 'n12'),
+    4: ('PE (1, 2) needs 9 context words, capacity 7 (blocking node: n23)', 'n23'),
+    5: ('PE (1, 4) needs 8 context words, capacity 7 (blocking node: n1>)', 'n1>'),
+    6: ('PE capacity exhausted during placement (blocking node: n13)', 'n13'),
+    7: ('PE capacity exhausted during placement (blocking node: $n12.16)', '$n12.16'),
+    8: ('PE (2, 1) needs 8 context words, capacity 7 (blocking node: n16>)', 'n16>'),
+    9: ('9f1b261108381430026eb345cc085bdcd2d66f001e5dcde72273437c2136fb88', 30, 59, 16),
+    10: ('bce79bf4ba75929a9c31c088c93171fa28c6a74b3c47d11d63b6aa3c918f1639', 54, 82, 23),
+    11: ('e3338871122bdc607a93023adcf3925463742da1195aaec3f567d06e246c90d5', 49, 111, 28),
+    12: ('PE capacity exhausted during placement (blocking node: $n18.15)', '$n18.15'),
+    13: ('PE capacity exhausted during placement (blocking node: n26)', 'n26'),
+    14: ('8b1f837514831fc2b7f56d36c58ab7490155660380db52e2c511f6b5472e64ab', 20, 78, 30),
+    15: ('PE capacity exhausted during placement (blocking node: n14)', 'n14'),
+    16: ('f4f53689ceff645aa09185792a0b9cb8e709eb3a8ab69f367e2b921c99a1dfe9', 21, 48, 21),
+    17: ('eb346f4f301a76a27916b37a2b0becd84b2702e1249dc46d65420755fcbd6f55', 37, 106, 30),
+    18: ('PE capacity exhausted during placement (blocking node: $c0.2)', '$c0.2'),
+    19: ('PE capacity exhausted during placement (blocking node: n26)', 'n26'),
+    20: ('PE capacity exhausted during placement (blocking node: $n34.23)', '$n34.23'),
+    21: ('PE (2, 2) needs 8 context words, capacity 7 (blocking node: n4>)', 'n4>'),
+    22: ('fc3f136b9b17c6fc2560162e43e96ee91a57423329164685dbd9775dbe8b6e90', 32, 47, 24),
+    23: ('PE capacity exhausted during placement (blocking node: msk24)', 'msk24'),
+    24: ('232ce53db3764554b628bc85e376aee5455fe710616f4bf04f24135686ae048a', 11, 22, 15),
+    25: ('PE (2, 4) needs 8 context words, capacity 7 (blocking node: i6>)', 'i6>'),
+    26: ('PE capacity exhausted during placement (blocking node: $c1.15)', '$c1.15'),
+    27: ('115eab6f5ad819f85d760ee3102130cd146d8e7dde98c49df0505de136c78254', 33, 59, 16),
+    28: ('7f64cb299f971398ebe8c380e0eecf4b9ce6b0acd153ad3517583367b575f4bc', 35, 100, 24),
+    29: ('1e40b38f165e7c90e5745a6f28ee6ad600fb417f51585734b6836eabfc4e7366', 49, 102, 32),
+    30: ('6e46c9760d07389c96c70b86e80f2f1461566a55618c21ea4a794a708e88923d', 32, 63, 16),
+    31: ('1cb27f1a96baef618bb1faea4c65a99578f6f7536a5597f1c0fb49c5219f3554', 61, 90, 25),
+    32: ('PE (2, 1) needs 17 context words, capacity 15 (blocking node: n26)', 'n26'),
+    33: ('PE capacity exhausted during placement (blocking node: $n10.18)', '$n10.18'),
+    34: ('8675be5e0b456cda911270cf722eaf694259036803d0017fed6fd660b4440d2a', 13, 33, 24),
+    35: ('fba6ca6af1f4b07dcdf5d16adf501fe5fcc2e3dba3dc45c6ee787b751d8c5040', 24, 53, 27),
+    36: ('PE capacity exhausted during placement (blocking node: n17)', 'n17'),
+    37: ('PE capacity exhausted during placement (blocking node: n1)', 'n1'),
+    38: ('3293adef27b0b3281be62777b158146cdea9fb7c25621d3b165cab4c0bfe2838', 24, 42, 29),
+    39: ('PE capacity exhausted during placement (blocking node: $n7.3)', '$n7.3'),
+    40: ('PE capacity exhausted during placement (blocking node: n12)', 'n12'),
+    41: ('routing congestion never cleared (blocking node: $out2)', '$out2'),
+    42: ('PE capacity exhausted during placement (blocking node: n14)', 'n14'),
+    43: ('PE capacity exhausted during placement (blocking node: $n3.22)', '$n3.22'),
+    44: ('PE (1, 1) needs 8 context words, capacity 7 (blocking node: n26)', 'n26'),
+    45: ('PE capacity exhausted during placement (blocking node: $n32.11)', '$n32.11'),
+    46: ('def0e4f180112916d5797c5aff8ca37c986b871603a19ab683fe49c020c3fdac', 54, 149, 24),
+    47: ('e4a06ddc473c0903e7423b232d760618553af578ae98b94db105669271c597b0', 41, 91, 29),
+}
+
 
 @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
 def test_kernel_mapping_pinned(name):
@@ -98,3 +168,8 @@ def test_kernel_mapping_pinned(name):
 @pytest.mark.parametrize("k", range(RANDOM_CASES))
 def test_random_mapping_pinned(k):
     assert summary(*random_case(k)) == RANDOM_GOLDEN[k]
+
+
+@pytest.mark.parametrize("k", range(CONGESTED_CASES))
+def test_congested_mapping_pinned(k):
+    assert congested_summary(*congested_case(k)) == CONGESTED_GOLDEN[k]

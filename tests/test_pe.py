@@ -11,9 +11,10 @@ from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeErr
                              EncodeError)
 from windmill.interconnect import Direction
 from windmill.pe import (PE, BINARY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
-                         _predecode, _required, alu_eval, context_capacity, decode,
-                         encode, lsu_addr, pack_bitstream, unpack_bitstream,
-                         validate_bitstream)
+                         _predecode, _required, _undefined_field, alu_eval,
+                         context_capacity, decode, encode, lsu_addr, pack_bitstream,
+                         unpack_bitstream, validate_bitstream)
+from windmill.system import SystemSim
 
 # --- encode / decode -----------------------------------------------------------
 
@@ -28,6 +29,9 @@ VALID_WORDS = st.builds(
     shared_reg_idx=st.integers(0, 0xF),
     next_step=st.integers(0, 0x7),
 )
+
+# each ConfigWord field's bound: enum member count, else 1 << bit width
+FIELD_BOUNDS = (16, 12, 12, 12, 1 << 16, 1 << 8, 1 << 4, 1 << 3)
 
 
 class TestEncoding:
@@ -77,6 +81,49 @@ class TestEncoding:
     def test_field_overflow_rejected(self):
         with pytest.raises(EncodeError):
             encode(ConfigWord(imm16=1 << 16))
+
+    @pytest.mark.parametrize("word, message", [
+        (ConfigWord(opcode=99), "opcode=99 is outside 0..15"),
+        (ConfigWord(Opcode.ADD, SrcSel.IMM, 77), "src1=77 is outside 0..11"),
+        (ConfigWord(dst=12), "dst=12 is outside 0..11"),
+    ])
+    def test_undefined_enum_value_rejected(self, word, message):
+        """An out-of-enum value raises; masking it would write another member."""
+        with pytest.raises(EncodeError, match=message):
+            encode(word)
+
+    @given(st.tuples(*[st.integers(-2, bound + 2) for bound in FIELD_BOUNDS]))
+    def test_accepted_words_roundtrip(self, fields):
+        """Any int fields: encode accepts exactly the defined words, and
+        decoding what it packs gives the word back."""
+        word = ConfigWord(*fields)
+        if all(0 <= v < bound for v, bound in zip(fields, FIELD_BOUNDS)):
+            assert decode(encode(word)) == word
+        else:
+            with pytest.raises(EncodeError):
+                encode(word)
+
+
+class TestCodecMemo:
+    def test_memos_are_bounded(self):
+        assert encode.cache_info().maxsize is not None
+        assert decode.cache_info().maxsize is not None
+        assert _undefined_field.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("call, bad, error", [
+        (encode, ConfigWord(opcode=99), EncodeError),
+        (decode, 16 << 59, DecodeError),
+        (decode, 1, DecodeError),
+    ])
+    def test_errors_are_not_cached(self, call, bad, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                call(bad)
+
+    def test_memoised_words_are_equal_values(self):
+        word = ConfigWord(Opcode.ADD, SrcSel.N, SrcSel.IMM, DstSel.ACC, imm16=5)
+        assert encode(word) == encode(ConfigWord(*map(int, word))) == 0x084C000280000000
+        assert decode(encode(word)) is decode(0x084C000280000000)
 
 
 class TestCapacity:
@@ -185,6 +232,25 @@ class TestByValue:
         with pytest.raises(BitstreamTargetInvalid) as exc:
             validate_bitstream(standard_preset(), [(2, 2, [word])])
         assert str(exc.value) == "PE (2,2) word 0: RTT destination on a GPE"
+
+    @pytest.mark.parametrize("word, problem", [
+        (ConfigWord(opcode=99), "opcode=99 is outside 0..15"),
+        (ConfigWord(Opcode.ADD, SrcSel.IMM, 77, DstSel.ACC), "src1=77 is outside 0..11"),
+    ])
+    def test_undefined_field_rejected_at_registration(self, word, problem):
+        """A hand-built word with an undefined value is refused before any
+        cycle runs, naming the PE and word; its plain-int twin of a defined
+        word still registers."""
+        system = SystemSim(standard_preset())
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            system.register_config(0, [(2, 2, [ConfigWord(), word])])
+        assert str(exc.value) == f"PE (2,2) word 1: {problem}"
+        system.register_config(0, [(2, 2, [int_twin(ConfigWord(Opcode.ADD, SrcSel.IMM))])])
+
+    def test_int_twin_memory_op_on_a_gpe_named(self):
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_preset(), [(2, 2, [int_twin(ConfigWord(Opcode.LOAD))])])
+        assert str(exc.value) == "PE (2,2) word 0: LOAD on a GPE"
 
     @pytest.mark.parametrize("dst", [DstSel.SREG, int(DstSel.SREG)])
     def test_sreg_destination_index_checked(self, dst):
