@@ -215,16 +215,10 @@ class ResourceReport:
 
 
 def link_count(topology: TopologyKind, rows: int, cols: int) -> int:
-    """Directed link count for one grid under the given topology."""
-    mesh = 2 * (rows * (cols - 1) + cols * (rows - 1))
-    if topology is TopologyKind.MESH2D:
-        return mesh
-    if topology is TopologyKind.TORUS:
-        # every cell drives 4 outgoing wraparound-or-local links
-        return 4 * rows * cols
-    # 1-hop: mesh plus in-grid straight-line distance-2 links
-    dist2 = 2 * (rows * max(cols - 2, 0) + cols * max(rows - 2, 0))
-    return mesh + dist2
+    """Directed link count for one grid under the given topology: the
+    ports of its neighbor map."""
+    from .interconnect import neighbor_map   # interconnect imports this module
+    return sum(map(len, neighbor_map(topology, (rows, cols)).values()))
 
 
 def derive_counts(params: ArchParams) -> ResourceReport:

@@ -22,9 +22,9 @@ from .arch import ExecMode, TopologyKind, parse_arch_file
 from .errors import (AddressOutOfRange, CycleLimitExceeded, ParseError, SimulationError,
                      Unmappable, WindmillError)
 from .mapper import emit_bitstream, map_dfg, parse_dfg
-from .pe import unpack_bitstream
+from .pe import MEMORY_OPS, unpack_bitstream
 from .plugins import build_system, elaborate_arch, report_from_build
-from .system import four_step_script, parse_script
+from .system import DEFAULT_CYCLE_LIMIT, four_step_script, parse_script
 
 log = logging.getLogger("windmill")
 
@@ -152,7 +152,7 @@ def cmd_map(args) -> int:
     print(f"mapped {len(mapping.placement)} ops: schedule length "
           f"{mapping.schedule_length}, {mapping.route_op_count()} route ops, "
           f"{len(mapping.pes_used())} PEs, {len(blob)} bitstream bytes")
-    lsus = sorted(set(mapping.lsu_bindings.values()))
+    lsus = {op.pe for op in mapping.micro_ops if op.opcode in MEMORY_OPS}
     print(f"lsus used: {len(lsus)}")
     return EXIT_OK
 
@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stats", help="stats CSV path")
     s.add_argument("--result-addr", type=_int_at_least(0), default=0)
     s.add_argument("--result-len", type=_int_at_least(0), default=0)
-    s.add_argument("--cycle-limit", type=_int_at_least(1), default=1_000_000)
+    s.add_argument("--cycle-limit", type=_int_at_least(1), default=DEFAULT_CYCLE_LIMIT)
 
     r = sub.add_parser("report", help="pretty-print a stats CSV")
     r.add_argument("--stats", required=True)

@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from operator import add
 
-from .arch import ArchParams, PeType, TopologyKind
+from .arch import ArchParams, ExecMode, PeType, TopologyKind
 from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
 from .interconnect import Direction, neighbor_map
-from .pe import (_DIR_BY_SEL, _DST_DIR, ConfigWord, DstSel, MASK32, Opcode, SrcSel,
-                 alu_eval, pack_bitstream, to_signed32)
+from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, MASK32, Opcode,
+                 SrcSel, alu_eval, pack_bitstream, to_signed32)
 
 _OPS = {
     "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
@@ -93,12 +93,12 @@ def parse_dfg(text: str) -> Dfg:
         if head == "in":
             if len(tokens) != 3:
                 raise ParseError("in directive needs: in <id> <addr>", lineno)
-            _add_node(dfg, DfgNode(tokens[1], "in", addr=_num(tokens[2], lineno)), lineno)
+            _add_node(dfg, DfgNode(tokens[1], "in", addr=_addr(tokens[2], lineno)), lineno)
         elif head == "out":
             if len(tokens) != 3:
                 raise ParseError("out directive needs: out <id> <addr>", lineno)
             _check_ident(tokens[1], lineno)
-            addr = _num(tokens[2], lineno)
+            addr = _addr(tokens[2], lineno)
             if addr in out_addrs:
                 raise ParseError(f"duplicate out address {addr}", lineno)
             out_addrs.add(addr)
@@ -130,6 +130,14 @@ def _num(token: str, lineno: int) -> int:
         return int(token, 0)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", lineno)
+
+
+def _addr(token: str, lineno: int) -> int:
+    # a negative address would index the image from its end
+    addr = _num(token, lineno)
+    if addr < 0:
+        raise ParseError(f"negative address {addr}", lineno)
+    return addr
 
 
 def _check_ident(token: str, lineno: int):
@@ -419,7 +427,6 @@ class Mapping:
     placement: dict[str, tuple] = field(default_factory=dict)
     schedule: dict[str, int] = field(default_factory=dict)
     routes: dict[tuple, list] = field(default_factory=dict)
-    lsu_bindings: dict[str, tuple] = field(default_factory=dict)
     micro_ops: list[MicroOp] = field(default_factory=list)
 
     @property
@@ -579,7 +586,6 @@ class _Scheduler:
 
 def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     """Compile a validated DFG onto the array described by ``params``."""
-    from .arch import ExecMode
     if params.exec_mode is ExecMode.SCMD:
         raise Unmappable("the mapper emits per-PE contexts; row-shared "
                          "configuration streams are not supported yet")
@@ -593,7 +599,7 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
 
     gpes = [c for c in sorted(params.coords()) if params.pe_type(*c) is PeType.GPE]
     lsus = [c for c in sorted(params.coords()) if params.pe_type(*c) is PeType.LSU]
-    if not gpes and any(ln.opcode not in (Opcode.LOAD, Opcode.STORE) for ln in lnodes):
+    if not gpes and any(ln.opcode not in MEMORY_OPS for ln in lnodes):
         raise Unmappable("no general-purpose PEs in this array")
 
     # each node's distinct consumers, in lowering order
@@ -623,7 +629,7 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
 
     for ln in lnodes:
         cells, index, estimate, crowding, dist = (
-            mem_pool if ln.opcode in (Opcode.LOAD, Opcode.STORE) else alu_pool)
+            mem_pool if ln.opcode in MEMORY_OPS else alu_pool)
         if not cells:
             raise Unmappable("no PE of the required type available", ln.id)
         pred_pes = [placement[s[1]] for s in ln.srcs if s[0] == "node"]
@@ -787,8 +793,6 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     for ln in lnodes:
         mapping.placement[ln.id] = placement[ln.id]
         mapping.schedule[ln.id] = node_step[ln.id]
-        if ln.opcode in (Opcode.LOAD, Opcode.STORE):
-            mapping.lsu_bindings[ln.id] = placement[ln.id]
     _check_legal(mapping)
     return mapping
 
@@ -810,7 +814,7 @@ def _check_legal(mapping: Mapping):
         if key in seen:
             raise Unmappable(f"two ops share {key}", op.node)
         seen.add(key)
-        if op.opcode in (Opcode.LOAD, Opcode.STORE):
+        if op.opcode in MEMORY_OPS:
             if params.pe_type(*op.pe) is not PeType.LSU:
                 raise Unmappable(f"memory op on non-LSU {op.pe}", op.node)
     ports = neighbor_map(params.topology, (params.rows, params.cols))

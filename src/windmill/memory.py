@@ -197,16 +197,11 @@ class DmaController:
             if self.active is None:
                 return None
         batch = self.active
-        addr = (batch.sm_addr + batch.progress) % self.half_words \
-            + self._active_half * self.half_words
-        bank = sram.bank_of(addr)
+        bank = sram.bank_of(self._addr(batch.progress))
         if bank in blocked_banks:
             self.stall_cycles += 1
             return None
-        ext_idx = batch.ext_addr + batch.progress
-        value = self.ext[ext_idx] if ext_idx < len(self.ext) else 0
-        sram.write(addr, value)
-        batch.progress += 1
+        self.stream(sram, 1)
         if batch.progress >= batch.length:
             self.active = None
             self.completed += 1
@@ -217,9 +212,11 @@ class DmaController:
     def stream(self, sram: BankedSram, n: int):
         """What ``n`` unblocked ``step`` calls write, short of the batch end."""
         batch = self.active
-        base = self._active_half * self.half_words
         for i in range(batch.progress, batch.progress + n):
             ext_idx = batch.ext_addr + i
-            sram.write((batch.sm_addr + i) % self.half_words + base,
-                       self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
+            sram.write(self._addr(i), self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
         batch.progress += n
+
+    def _addr(self, i: int) -> int:
+        """Physical scratchpad address of word ``i`` of the active batch."""
+        return (self.active.sm_addr + i) % self.half_words + self._active_half * self.half_words

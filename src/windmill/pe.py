@@ -102,12 +102,6 @@ class DstSel(IntEnum):
     NONE = 11
 
 
-# decode tables: each field's members, indexed by the field's value
-_OPCODES, _SRC_SELS, _DST_SELS = tuple(Opcode), tuple(SrcSel), tuple(DstSel)
-# per ConfigWord field, in order: its enum's member count, or 1 << its bit width
-_FIELD_BOUNDS = (len(_OPCODES), len(_SRC_SELS), len(_SRC_SELS), len(_DST_SELS),
-                 1 << 16, 1 << 8, 1 << 4, 1 << 3)
-
 _DIR_BY_SEL = {s: Direction[s.name] for s in SrcSel if s.value <= 7}
 _DST_DIR = {d: Direction[d.name] for d in DstSel if d.value <= 7}
 _TWO_HOP_SRC = {s for s, d in _DIR_BY_SEL.items() if d.is_two_hop}
@@ -144,6 +138,15 @@ class ConfigWord(NamedTuple):
         return max(1, self.iter_count)
 
 
+# the word layout, per ConfigWord field in order: (lowest bit, mask, values),
+# where values[v] is what the field value v decodes to: the enum's members, or
+# range(1 << width) for a plain integer field
+_LAYOUT = ((59, 0x1F, tuple(Opcode)), (55, 0xF, tuple(SrcSel)), (51, 0xF, tuple(SrcSel)),
+           (47, 0xF, tuple(DstSel)), (31, 0xFFFF, range(1 << 16)),
+           (23, 0xFF, range(1 << 8)), (19, 0xF, range(1 << 4)), (16, 0x7, range(1 << 3)))
+_FIELD_BOUNDS = tuple(len(values) for _, _, values in _LAYOUT)
+
+
 # bounded like ``_predecode``; validate_bitstream finds here, for free, the
 # words that encode checked when the mapper packed them
 @lru_cache(maxsize=1024)
@@ -161,9 +164,7 @@ def encode(word: ConfigWord) -> int:
     problem = _undefined_field(word)
     if problem is not None:
         raise EncodeError(problem)
-    return (word.opcode << 59 | word.src0 << 55 | word.src1 << 51 | word.dst << 47
-            | word.imm16 << 31 | word.iter_count << 23 | word.shared_reg_idx << 19
-            | word.next_step << 16)
+    return sum(value << low for value, (low, _, _) in zip(word, _LAYOUT))
 
 
 @lru_cache(maxsize=1024)
@@ -173,28 +174,11 @@ def decode(value: int) -> ConfigWord:
         raise DecodeError(f"value {value:#x} is not a 64-bit word")
     if value & 0xFFFF:
         raise DecodeError(f"reserved bits 15:0 are nonzero in {value:#018x}")
-    opcode = (value >> 59) & 0x1F
-    if opcode >= len(_OPCODES):
-        raise DecodeError(f"opcode {opcode} undefined")
-    src0 = (value >> 55) & 0xF
-    src1 = (value >> 51) & 0xF
-    dst = (value >> 47) & 0xF
-    if src0 >= len(_SRC_SELS):
-        raise DecodeError(f"src0 select {src0} undefined")
-    if src1 >= len(_SRC_SELS):
-        raise DecodeError(f"src1 select {src1} undefined")
-    if dst >= len(_DST_SELS):
-        raise DecodeError(f"dst select {dst} undefined")
-    return ConfigWord(
-        opcode=_OPCODES[opcode],
-        src0=_SRC_SELS[src0],
-        src1=_SRC_SELS[src1],
-        dst=_DST_SELS[dst],
-        imm16=(value >> 31) & 0xFFFF,
-        iter_count=(value >> 23) & 0xFF,
-        shared_reg_idx=(value >> 19) & 0xF,
-        next_step=(value >> 16) & 0x7,
-    )
+    try:
+        return ConfigWord(*[values[(value >> low) & mask] for low, mask, values in _LAYOUT])
+    except IndexError:
+        raw = ConfigWord(*[(value >> low) & mask for low, mask, _ in _LAYOUT])
+        raise DecodeError(_undefined_field(raw)) from None
 
 
 def context_capacity(exec_mode: ExecMode, context_depth_mcmd: int) -> int:
@@ -284,12 +268,19 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
     return records
 
 
+# opcodes that never reach their destination select
+_NO_RESULT = (Opcode.NOP, Opcode.STORE, Opcode.HALT)
+# RTT payload nibbles a controller may emit: host opcodes 01-04 (all but load_manifest)
+_CONTROLLER_ACTIONS = range(1, 5)
+
+
 def validate_bitstream(params: ArchParams,
                        records: list[tuple[int, int, list[ConfigWord]]]):
     """Static legality of a bitstream against an architecture.
 
     Every field a defined value, memory ops only on LSUs, the RTT
-    destination only on the CPE, 2-hop selects only under the 1-hop
+    destination only on the CPE and only with a defined action nibble in
+    the words that emit, 2-hop selects only under the 1-hop
     topology, shared-register selects the PE reads or writes within the
     register count, capacity respected, all targets inside the grid. Each
     (word, PE type) pair is checked once.
@@ -316,9 +307,12 @@ def validate_bitstream(params: ArchParams,
             problem = _undefined_field(w)
             if problem is None:
                 if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
-                    problem = f"{_OPCODES[w.opcode].name} on a {pe_type.name}"
+                    problem = f"{Opcode(w.opcode).name} on a {pe_type.name}"
                 elif w.dst == DstSel.RTT and pe_type is not PeType.CPE:
                     problem = f"RTT destination on a {pe_type.name}"
+                elif (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
+                      and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
+                    problem = f"controller action nibble {w.imm16 >> 12:#x} undefined"
                 elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
                     problem = f"2-hop source under {params.topology.value}"
                 elif not one_hop and w.dst in _TWO_HOP_DST:
@@ -326,8 +320,7 @@ def validate_bitstream(params: ArchParams,
                 # the index field is also a memory op's stride selector, so only a
                 # select the word reads, or a destination it writes, names a register
                 elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
-                        w.dst == DstSel.SREG
-                        and w.opcode not in (Opcode.NOP, Opcode.STORE, Opcode.HALT))):
+                        w.dst == DstSel.SREG and w.opcode not in _NO_RESULT)):
                     problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
             if problem is not None:
                 raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")

@@ -19,7 +19,7 @@ from .arch import ArchParams, PeType, derive_counts, validate
 from .elab import BuildContext, Plugin, ServiceKey, ServiceKind, elaborate
 from .errors import ValidationError
 from .interconnect import neighbor_map
-from .system import SystemSim, default_rtt
+from .system import DEFAULT_CYCLE_LIMIT, SystemSim, default_rtt
 
 TOPOLOGY = ServiceKey("topology", ServiceKind.SIGNAL_BUNDLE)
 SHARED_MEMORY = ServiceKey("shared-memory", ServiceKind.SIGNAL_BUNDLE)
@@ -156,10 +156,7 @@ def _params_from_artifacts(ctx: BuildContext) -> ArchParams:
     return validate(replace(params, pe_type_map=grid, cpe_enabled=has_cpe))
 
 
-def build_system(ctx: BuildContext, data_image=None, cycle_limit=None) -> SystemSim:
+def build_system(ctx: BuildContext, data_image=None,
+                 cycle_limit=DEFAULT_CYCLE_LIMIT) -> SystemSim:
     """Instantiate the simulator exactly as elaborated."""
-    params = _params_from_artifacts(ctx)
-    kwargs = {}
-    if cycle_limit is not None:
-        kwargs["cycle_limit"] = cycle_limit
-    return SystemSim(params, data_image, **kwargs)
+    return SystemSim(_params_from_artifacts(ctx), data_image, cycle_limit)

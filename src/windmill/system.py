@@ -22,9 +22,10 @@ finish signal flips the ping-pong half ownership so a queued DMA batch can
 stream the next phase's data behind the next compute phase.
 
 A controller PE drives the same action queue without the host: its RTT
-destination writes ``(opcode << 12) | operand`` words where the operand
-names a config or a manifest descriptor, so a multi-phase workload needs
-host commands only for the initial setup.
+destination writes ``(opcode << 12) | operand`` words, where the opcode is
+host opcode 01-04, decoded through the same table, and the operand names a
+config or a manifest descriptor, so a multi-phase workload needs host
+commands only for the initial setup.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class RttEntry:
 
     opcode: int          # 8-bit command opcode
     action: str          # load_config | load_data | launch | store_results | load_manifest
-    defaults: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,15 @@ class HostCommand:
 
 @dataclass(frozen=True)
 class ControlVector:
+    """A decoded command; queued as is on each target RPU."""
+
     action: str
     rpu_mask: int
     args: tuple
+
+
+# operands a transfer command cannot do without, named in its error
+_REQUIRED_OPERANDS = {"load_data": "ext, sm, length", "store_results": "sm, ext, length"}
 
 
 class Rtt:
@@ -85,14 +91,16 @@ class Rtt:
             raise UnknownOpcode(f"host opcode {cmd.opcode:#04x} not in RTT")
         if not cmd.args:
             raise UnknownOpcode(f"command {cmd.opcode:#04x} missing the RPU mask")
-        mask = cmd.args[0]
-        args = tuple(cmd.args[1:]) or entry.defaults
-        return ControlVector(entry.action, mask, args)
+        mask, *args = cmd.args
+        required = _REQUIRED_OPERANDS.get(entry.action)
+        if required is not None and len(args) < 3:
+            raise UnknownOpcode(f"{entry.action} needs {required} operands")
+        return ControlVector(entry.action, mask, tuple(args))
 
 
 def default_rtt() -> Rtt:
     return Rtt([
-        RttEntry(0x01, "load_config", (0,)),
+        RttEntry(0x01, "load_config"),
         RttEntry(0x02, "load_data"),
         RttEntry(0x03, "launch"),
         RttEntry(0x04, "store_results"),
@@ -116,38 +124,6 @@ def parse_script(text: str) -> list[HostCommand]:
             raise ParseError(f"non-hex token in {line!r}", lineno)
         commands.append(HostCommand(tokens[0], tuple(tokens[1:])))
     return commands
-
-
-@dataclass
-class Action:
-    """One decoded control-vector instance queued on an RPU."""
-
-    kind: str
-    config_id: int = 0
-    ext_addr: int = 0
-    sm_addr: int = 0
-    length: int = 0
-    staging: bool = False
-    manifest_idx: int | None = None
-
-
-def _action_from_vector(vec: ControlVector) -> Action:
-    a = vec.args
-    if vec.action == "load_config":
-        return Action("load_config", config_id=a[0] if a else 0)
-    if vec.action == "load_data":
-        if len(a) < 3:
-            raise UnknownOpcode("load_data needs ext, sm, length operands")
-        staging = bool(a[3]) if len(a) > 3 else True
-        return Action("load_data", ext_addr=a[0], sm_addr=a[1], length=a[2],
-                      staging=staging)
-    if vec.action == "launch":
-        return Action("launch")
-    if vec.action == "store_results":
-        if len(a) < 3:
-            raise UnknownOpcode("store_results needs sm, ext, length operands")
-        return Action("store_results", sm_addr=a[0], ext_addr=a[1], length=a[2])
-    raise UnknownOpcode(f"unhandled action {vec.action!r}")
 
 
 # --- statistics ---------------------------------------------------------------
@@ -208,7 +184,7 @@ class Rpu:
         self.pai = PaiArbiter(params.sm_banks, pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
         self.sregs = SharedRegFile(params.shared_reg_mode, dims, params.shared_reg_count)
-        self.queue: list[Action] = []
+        self.queue: list[ControlVector] = []
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
@@ -395,18 +371,24 @@ class Rpu:
                 raise CycleLimitExceeded(
                     f"rpu {self.id}: no completion within {system.cycle_limit} cycles")
 
+    def only_dma_pending(self) -> bool:
+        """Nothing but the DMA can move: not running; no arbiter request,
+        memory response, ring transfer or controller action; and any queued
+        head waits on the DMA."""
+        return (self.status != RpuStatus.RUNNING and not self.pai.pending
+                and not self._responses_now and not self._responses_next
+                and not self.ring_out and self.ring_wait is None and not self._cpe_actions
+                and (not self.queue or self.head_waits()))
+
     def quiescent(self) -> bool:
-        return (self.status != RpuStatus.RUNNING and not self.queue
-                and self.dma.idle() and not self._responses_next and not self._responses_now
-                and not self.pai.pending and not self.ring_out
-                and self.ring_wait is None and not self._cpe_actions)
+        return not self.queue and self.dma.idle() and self.only_dma_pending()
 
     def head_waits(self) -> bool:
         """A launch waits for its phase's data, a store for a deferred toggle."""
-        head = self.queue[0]
-        if head.kind == "launch":
+        head = self.queue[0].action
+        if head == "launch":
             return self.dma.completed < min(self.batches_enqueued, self.launch_count + 1)
-        return head.kind == "store_results" and self.dma._toggle_pending
+        return head == "store_results" and self.dma._toggle_pending
 
 
 class SystemSim:
@@ -414,10 +396,10 @@ class SystemSim:
     visits only the RPUs a command or a ring transfer made busy, by id."""
 
     def __init__(self, params: ArchParams, data_image: list[int] | None = None,
-                 rtt: Rtt | None = None, cycle_limit: int = DEFAULT_CYCLE_LIMIT):
+                 cycle_limit: int = DEFAULT_CYCLE_LIMIT):
         self.params = validate(params)
         self.ext_memory = list(data_image or [])
-        self.rtt = rtt or default_rtt()
+        self.rtt = default_rtt()
         self.cycle_limit = cycle_limit
         # the arbiter order every RPU shares: LSUs in raster order, then the ring port
         pai_order = (*(c for c in params.coords() if params.pe_type(*c) is PeType.LSU),
@@ -485,63 +467,57 @@ class SystemSim:
         self.stats.host_commands += 1
         vec = self.rtt.decode(cmd)
         if vec.action == "load_manifest":
-            a = list(vec.args)
-            n = a[0] if a else 0
-            if len(a) < 1 + 4 * n:
+            a = vec.args
+            if not a or len(a) < 1 + 4 * a[0]:
                 raise UnknownOpcode("load_manifest operand stream too short")
-            entries = [tuple(a[1 + 4 * i: 5 + 4 * i]) for i in range(n)]
+            entries = [tuple(a[1 + 4 * i: 5 + 4 * i]) for i in range(a[0])]
             for rpu in self._targets(vec.rpu_mask):
                 rpu.manifest = entries
             return
-        action = _action_from_vector(vec)
         for rpu in self._targets(vec.rpu_mask):
-            rpu.queue.append(action)
+            rpu.queue.append(vec)
             self._activate(rpu)
 
     def _targets(self, mask: int) -> list[Rpu]:
         return [r for r in self.rpus if mask & (1 << r.id)]
 
-    def _decode_cpe_action(self, rpu: Rpu, imm16: int) -> Action:
-        opcode = (imm16 >> 12) & 0xF
-        operand = imm16 & 0xFFF
-        if opcode == 0x1:
-            return Action("load_config", config_id=operand)
-        if opcode == 0x3:
-            return Action("launch")
-        if opcode in (0x2, 0x4):
-            if operand >= len(rpu.manifest):
-                raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
-            a, b, c, d = rpu.manifest[operand]
-            if opcode == 0x2:
-                return Action("load_data", ext_addr=a, sm_addr=b, length=c,
-                              staging=bool(d))
-            return Action("store_results", sm_addr=a, ext_addr=b, length=c)
-        raise UnknownOpcode(f"controller action nibble {opcode:#x} undefined")
-
     def _controller_step(self, rpu: Rpu):
+        # an RTT payload's nibble is host opcode 01-04 (static validation rejects
+        # the rest), its operand a config id, unused, or a manifest descriptor
         for imm16 in rpu._cpe_actions:
-            rpu.queue.append(self._decode_cpe_action(rpu, imm16))
+            nibble, operand = imm16 >> 12, imm16 & 0xFFF
+            if nibble == 0x1:
+                operands = (operand,)
+            elif nibble == 0x3:
+                operands = ()
+            elif operand < len(rpu.manifest):
+                operands = rpu.manifest[operand]
+            else:
+                raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
+            rpu.queue.append(self.rtt.decode(HostCommand(nibble, (1 << rpu.id, *operands))))
         rpu._cpe_actions.clear()
         if not rpu.queue or rpu.status == RpuStatus.RUNNING or rpu.head_waits():
             return
         head = rpu.queue[0]
-        if head.kind == "load_config":
-            records = self.configs.get(head.config_id)
+        args = head.args
+        if head.action == "load_config":
+            config_id = args[0] if args else 0
+            records = self.configs.get(config_id)
             if records is None:
-                raise UnknownOpcode(f"config {head.config_id} never registered")
+                raise UnknownOpcode(f"config {config_id} never registered")
             rpu.load_config(records)
-        elif head.kind == "load_data":
-            rpu.dma.enqueue(TransferBatch(head.ext_addr, head.sm_addr, head.length,
-                                          staging=head.staging))
+        elif head.action == "load_data":
+            ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
+            rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging)))
             rpu.batches_enqueued += 1
-        elif head.kind == "launch":
+        elif head.action == "launch":
             rpu.launch()
-        elif head.kind == "store_results":
-            words = rpu.store_results(head.sm_addr, head.length)
-            for i, w in enumerate(words):
-                self.results_buffer[head.ext_addr + i] = w
+        elif head.action == "store_results":
+            sm, ext, length = args[:3]
+            for i, w in enumerate(rpu.store_results(sm, length)):
+                self.results_buffer[ext + i] = w
         rpu.queue.pop(0)
-        rpu.action_log.append(head.kind)
+        rpu.action_log.append(head.action)
 
     # -- main loop -------------------------------------------------------------
 
@@ -597,10 +573,7 @@ class SystemSim:
         skip = guard - self.stats.total_cycles
         for rpu in self._active:
             batch = rpu.dma.active
-            if (batch is None or rpu.status == RpuStatus.RUNNING or rpu.pai.pending
-                    or rpu.ring_out or rpu.ring_wait is not None or rpu._responses_next
-                    or rpu._responses_now or rpu._cpe_actions
-                    or (rpu.queue and not rpu.head_waits())):
+            if batch is None or not rpu.only_dma_pending():
                 return 0
             skip = min(skip, batch.length - batch.progress - 1)
         return skip

@@ -10,6 +10,7 @@ from windmill.arch import (ArchParams, ExecMode, PeType, SharedRegScope,
                            TopologyKind, derive_counts, link_count, parse_arch_file,
                            perimeter_lsu_map, serialize, standard_preset, validate)
 from windmill.errors import ParseError, ValidationError
+from windmill.interconnect import neighbor_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,6 +85,25 @@ class TestDerivedCounts:
     def test_mesh_4x4_link_count(self):
         # 2 * (4*3) horizontal + 2 * (4*3) vertical directed links
         assert link_count(TopologyKind.MESH2D, 4, 4) == 48
+
+    @staticmethod
+    def closed_form_links(topology, rows, cols):
+        """Reference: in-grid orthogonal links, plus every cell's four under
+        the torus, plus in-grid straight distance-2 links under 1-hop."""
+        mesh = 2 * (rows * (cols - 1) + cols * (rows - 1))
+        if topology is TopologyKind.MESH2D:
+            return mesh
+        if topology is TopologyKind.TORUS:
+            return 4 * rows * cols
+        return mesh + 2 * (rows * max(cols - 2, 0) + cols * max(rows - 2, 0))
+
+    @pytest.mark.parametrize("topology", list(TopologyKind))
+    def test_link_count_matches_closed_form(self, topology):
+        grids = [(r, c) for r in range(2, 13) for c in range(2, 13)] + [(256, 256)]
+        for rows, cols in grids:
+            assert (link_count(topology, rows, cols)
+                    == self.closed_form_links(topology, rows, cols)), (rows, cols)
+        neighbor_map.cache_clear()   # a 256x256 table holds ~50 MB
 
     def test_torus_regular_degree(self):
         from windmill.interconnect import neighbors

@@ -139,6 +139,13 @@ class TestMap:
                      "--out", tmp_path / "x.bit")
         assert r.returncode == 2
 
+    def test_negative_address_exit_2(self, std_arch, tmp_path):
+        dfg = tmp_path / "neg.dfg"
+        dfg.write_text("in a 0\nin b 1\nc add a b\nout c -1\n")
+        r = windmill("map", "--arch", std_arch, "--dfg", dfg, "--out", tmp_path / "x.bit")
+        assert r.returncode == 2
+        assert "line 4: negative address -1" in r.stderr
+
     def test_reserved_looking_id_exit_2(self, std_arch, tmp_path):
         """``$out0`` is outside the identifier grammar (and is a name the
         mapper gives its own nodes): a parse error naming the line."""

@@ -105,6 +105,17 @@ class TestParse:
             parse_dfg(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        # reference_execute would write the image's last word
+        ("in a 0\nin b 1\nc add a b\nout c -1\n", 4),
+        ("in a -2\nout a 0\n", 1),
+        ("in a 0\nout a -0x10\n", 2),
+    ])
+    def test_negative_address_rejected(self, text, line):
+        with pytest.raises(ParseError, match="negative address") as exc:
+            parse_dfg(text)
+        assert exc.value.line == line
+
 
 class TestReferenceExecute:
     def test_vecadd_trivial(self):

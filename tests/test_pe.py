@@ -10,7 +10,7 @@ from windmill.arch import ExecMode, PeType, standard_preset
 from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeError,
                              EncodeError)
 from windmill.interconnect import Direction
-from windmill.pe import (PE, BINARY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
+from windmill.pe import (PE, BINARY_OPS, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
                          _predecode, _required, _undefined_field, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
                          unpack_bitstream, validate_bitstream)
@@ -77,6 +77,17 @@ class TestEncoding:
     def test_bad_select_rejected(self):
         with pytest.raises(DecodeError):
             decode(13 << 55)
+
+    @pytest.mark.parametrize("value, message", [
+        (16 << 59, "opcode=16 is outside 0..15"),
+        ((1 << 59) | (12 << 55), "src0=12 is outside 0..11"),
+        (15 << 51, "src1=15 is outside 0..11"),
+        ((31 << 59) | (13 << 47), "opcode=31 is outside 0..15"),
+        (13 << 47, "dst=13 is outside 0..11"),
+    ])
+    def test_undefined_encoding_names_the_first_bad_field(self, value, message):
+        with pytest.raises(DecodeError, match=f"^{message}$"):
+            decode(value)
 
     def test_field_overflow_rejected(self):
         with pytest.raises(EncodeError):
@@ -232,6 +243,20 @@ class TestByValue:
         with pytest.raises(BitstreamTargetInvalid) as exc:
             validate_bitstream(standard_preset(), [(2, 2, [word])])
         assert str(exc.value) == "PE (2,2) word 0: RTT destination on a GPE"
+
+    @pytest.mark.parametrize("opcode", [op for op in Opcode if op not in MEMORY_OPS])
+    @pytest.mark.parametrize("nibble", [0x0, 0x5, 0xF])
+    def test_undefined_controller_action_rejected(self, opcode, nibble):
+        """Words that emit carry an RTT payload whose nibble is a host opcode
+        01-04; NOP and HALT never emit, so their payload is free."""
+        word = ConfigWord(opcode, SrcSel.IMM, SrcSel.IMM, DstSel.RTT, imm16=nibble << 12 | 7)
+        good = word._replace(imm16=0x4007)
+        if opcode in (Opcode.NOP, Opcode.HALT):
+            validate_bitstream(standard_preset(), [(1, 1, [word])])   # the CPE
+            return
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_preset(), [(1, 1, [good, word])])
+        assert str(exc.value) == f"PE (1,1) word 1: controller action nibble {nibble:#x} undefined"
 
     @pytest.mark.parametrize("word, problem", [
         (ConfigWord(opcode=99), "opcode=99 is outside 0..15"),

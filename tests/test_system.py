@@ -130,6 +130,40 @@ class TestProtocol:
         assert system.rpus[0].action_log == ["load_config", "load_data", "launch",
                                              "store_results"]
 
+    def test_load_config_without_id_loads_config_0(self):
+        system = SystemSim(arch())
+        system.register_config(0, [(2, 2, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC,
+                                              imm16=7), W(opcode=Opcode.HALT)])])
+        system.register_config(1, [(2, 2, [W(opcode=Opcode.HALT)])])
+        system.submit_script(parse_script("01 1\n03 1\n"))
+        system.run()
+        assert system.rpus[0].pes[(2, 2)].acc == 7
+
+    @pytest.mark.parametrize("line, message", [
+        ("02 1 0 0", "load_data needs ext, sm, length operands"),
+        ("04 1 0 0", "store_results needs sm, ext, length operands"),
+    ])
+    def test_short_transfer_command_rejected(self, line, message):
+        system = SystemSim(arch())
+        system.submit_script(parse_script(line))
+        with pytest.raises(UnknownOpcode, match=message):
+            system.run()
+
+    def test_empty_manifest_replaces_the_old_one(self):
+        system = SystemSim(arch())
+        system.submit_script(parse_script("05 1 1 0 0 4 1\n"))
+        system.run()
+        assert system.rpus[0].manifest == [(0, 0, 4, 1)]
+        system.submit_script(parse_script("05 1 0\n"))
+        system.run()
+        assert system.rpus[0].manifest == []
+
+    def test_manifest_without_count_rejected(self):
+        system = SystemSim(arch())
+        system.submit_script(parse_script("05 1\n"))
+        with pytest.raises(UnknownOpcode, match="load_manifest operand stream too short"):
+            system.run()
+
     def test_launch_before_config_is_violation(self):
         system = SystemSim(arch())
         system.submit_script([HostCommand(0x03, (0x1,))])
@@ -399,6 +433,31 @@ class TestCpe:
         assert rpu.pes[(2, 2)].acc == 9
         assert rpu.pes[(3, 3)].context == [] and rpu.pes[(3, 3)].acc == 0
         assert rpu.pes[(1, 1)].context == []
+
+    def run_controller(self, cpe_words, manifest, image=()):
+        """Stage ``image`` into RPU 0, load ``manifest`` and let the
+        controller run ``cpe_words`` as config 0."""
+        system = SystemSim(arch(cpe=True), list(image))
+        system.register_config(0, [(1, 1, cpe_words + [W(opcode=Opcode.HALT)])])
+        flat = [len(manifest)] + [x for entry in manifest for x in entry]
+        system.submit_script([HostCommand(0x05, (0x1, *flat)),
+                              HostCommand(0x02, (0x1, 0, 0, len(image), 1)),
+                              HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        system.run()
+        return system
+
+    def test_descriptor_past_manifest_rejected(self):
+        with pytest.raises(UnknownOpcode, match="controller descriptor 1 not in manifest"):
+            self.run_controller([cfg_word(0x2, 1)], [(0, 0, 4, 1)])
+
+    def test_controller_store_results_uses_descriptor_ext_address(self):
+        """Descriptor (sm, ext, len, -): the words at sm of the finished
+        phase's half land at ext in the results buffer."""
+        image = [10 + i for i in range(8)]
+        system = self.run_controller([cfg_word(0x4, 0)], [(2, 0x40, 3, 0)], image)
+        assert system.rpus[0].action_log[-1] == "store_results"
+        assert system.results_words(3, base=0x40) == [12, 13, 14]
+        assert 0 not in system.results_buffer
 
     def test_empty_sequence_stays_configured(self):
         params = arch(cpe=True)
