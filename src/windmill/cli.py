@@ -19,8 +19,7 @@ import time
 
 from . import arch as arch_mod
 from .arch import ExecMode, TopologyKind, parse_arch_file
-from .errors import (AddressOutOfRange, CycleLimitExceeded, ParseError, SimulationError,
-                     Unmappable, WindmillError)
+from .errors import ParseError, Unmappable, WindmillError
 from .mapper import emit_bitstream, map_dfg, parse_dfg
 from .pe import MEMORY_OPS, unpack_bitstream
 from .plugins import build_system, elaborate_arch, report_from_build
@@ -33,10 +32,6 @@ EXIT_INPUT = 2
 EXIT_UNMAPPABLE = 3
 EXIT_RUNTIME = 4
 
-# error class -> exit code; any other toolkit error, or a file that cannot
-# be read or written, is an input error
-_EXIT_CODES = ((Unmappable, EXIT_UNMAPPABLE),
-               ((CycleLimitExceeded, SimulationError), EXIT_RUNTIME))
 
 _SWEEP_FIELDS = {
     "rows": int, "cols": int, "sm_banks": int, "bank_depth": int,
@@ -174,8 +169,9 @@ def cmd_sim(args) -> int:
     partial = None
     try:
         stats = system.run()
-    except (CycleLimitExceeded, SimulationError, AddressOutOfRange) as exc:
-        # a machine fault mid-run: report it and still write the partial stats
+    except WindmillError as exc:
+        # any fault once the run has started is a run-time fault: report it
+        # and still write the partial stats
         system._finalize_stats()
         partial = exc
         stats = system.stats
@@ -269,9 +265,10 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (WindmillError, OSError) as exc:
+        # a run-time fault is cmd_sim's to report; any other toolkit error, or
+        # a file that cannot be read or written, is an input error
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
-                    EXIT_INPUT)
+        return EXIT_UNMAPPABLE if isinstance(exc, Unmappable) else EXIT_INPUT
 
 
 if __name__ == "__main__":

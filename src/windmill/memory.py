@@ -33,7 +33,10 @@ class BankedSram:
 
     def _check(self, addr: int):
         if not 0 <= addr < self.words:
-            raise AddressOutOfRange(f"address {addr} outside {self.words} words")
+            raise self._out_of_range(addr)
+
+    def _out_of_range(self, addr: int) -> AddressOutOfRange:
+        return AddressOutOfRange(f"address {addr} outside {self.words} words")
 
     def bank_of(self, addr: int) -> int:
         self._check(addr)
@@ -44,8 +47,9 @@ class BankedSram:
         return addr // self.banks
 
     def read(self, addr: int) -> int:
-        self._check(addr)
-        return self.data[addr]
+        if 0 <= addr < self.words:
+            return self.data[addr]
+        raise self._out_of_range(addr)
 
     def write(self, addr: int, value: int):
         self._check(addr)
@@ -53,10 +57,12 @@ class BankedSram:
 
     def half_of(self, addr: int) -> int:
         """Ping-pong half: top bit of the row address."""
-        return self.row_of(addr) // (self.depth // 2)
+        if 0 <= addr < self.words:
+            return addr // self.banks // (self.depth // 2)
+        raise self._out_of_range(addr)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     requester: object          # LSU coord, or ("ring", rpu_id)
     op: str                    # "read" | "write"
@@ -64,7 +70,7 @@ class Request:
     data: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Grant:
     bank: int
     requester: object
@@ -84,10 +90,10 @@ class PaiArbiter:
     def __init__(self, n_banks: int, order: tuple):
         self.n_banks = n_banks
         self.order = order
-        self._pos = {req: i for i, req in enumerate(self.order)}
+        self._pos = dict(zip(order, range(len(order))))
         self.rr_pointer = [len(self.order) - 1] * n_banks  # so index 0 wins first
         self.pending: dict[object, Request] = {}
-        self.grant_counts: dict[object, int] = {req: 0 for req in self.order}
+        self.grant_counts: dict[object, int] = dict.fromkeys(order, 0)
         self.conflicts = 0
         self.total_grants = 0
         self.total_requests = 0
@@ -101,6 +107,14 @@ class PaiArbiter:
 
     def arbitrate(self, sram: BankedSram) -> list[Grant]:
         """Pick one winner per contested bank and advance its pointer."""
+        if len(self.pending) == 1:
+            # a lone request wins its bank outright: no conflict, same pointer move
+            requester, req = self.pending.popitem()
+            bank = sram.bank_of(req.addr)
+            self.rr_pointer[bank] = self._pos[requester]
+            self.grant_counts[requester] += 1
+            self.total_grants += 1
+            return [Grant(bank, requester, req.op, req.addr, req.data)]
         by_bank: dict[int, list[int]] = {}
         for req in self.pending.values():
             by_bank.setdefault(sram.bank_of(req.addr), []).append(self._pos[req.requester])

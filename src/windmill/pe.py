@@ -283,13 +283,13 @@ def validate_bitstream(params: ArchParams,
     the words that emit, 2-hop selects only under the 1-hop
     topology, shared-register selects the PE reads or writes within the
     register count, capacity respected, all targets inside the grid. Each
-    (word, PE type) pair is checked once.
+    word is checked once per process for each PE type, register count and
+    topology it meets.
     """
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
-    one_hop = params.topology is TopologyKind.ONE_HOP
+    topology = params.topology.value
     seen = set()
-    legal: dict[PeType, set] = {t: set() for t in PeType}   # PE type -> checked words
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
             raise BitstreamTargetInvalid(f"record targets ({row},{col}) outside grid")
@@ -299,32 +299,43 @@ def validate_bitstream(params: ArchParams,
         if len(words) > cap:
             raise CapacityExceeded(
                 f"PE ({row},{col}): {len(words)} words > capacity {cap}")
-        pe_type = params.pe_type(row, col)
-        checked = legal[pe_type]
+        type_letter = params.pe_type(row, col).value
         for i, w in enumerate(words):
-            if w in checked:
-                continue
-            problem = _undefined_field(w)
-            if problem is None:
-                if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
-                    problem = f"{Opcode(w.opcode).name} on a {pe_type.name}"
-                elif w.dst == DstSel.RTT and pe_type is not PeType.CPE:
-                    problem = f"RTT destination on a {pe_type.name}"
-                elif (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
-                      and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
-                    problem = f"controller action nibble {w.imm16 >> 12:#x} undefined"
-                elif not one_hop and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
-                    problem = f"2-hop source under {params.topology.value}"
-                elif not one_hop and w.dst in _TWO_HOP_DST:
-                    problem = f"2-hop destination under {params.topology.value}"
-                # the index field is also a memory op's stride selector, so only a
-                # select the word reads, or a destination it writes, names a register
-                elif w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
-                        w.dst == DstSel.SREG and w.opcode not in _NO_RESULT)):
-                    problem = f"shared register {w.shared_reg_idx} (count {n_sregs})"
+            problem = _word_problem(w, type_letter, n_sregs, topology)
             if problem is not None:
                 raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
-            checked.add(w)
+
+
+_LSU, _CPE, _ONE_HOP = PeType.LSU.value, PeType.CPE.value, TopologyKind.ONE_HOP.value
+
+
+# bounded like its sibling memos; a config re-registered per job, or a word
+# many PEs share, is checked once per process. The PE type and topology come
+# as their arch-file spellings, which hash without a Python-level call.
+@lru_cache(maxsize=1024)
+def _word_problem(w: ConfigWord, type_letter: str, n_sregs: int,
+                  topology: str) -> str | None:
+    """Why ``w`` may not sit on a PE of that type, if it may not."""
+    problem = _undefined_field(w)
+    if problem is not None:
+        return problem
+    if w.opcode in MEMORY_OPS and type_letter != _LSU:
+        return f"{Opcode(w.opcode).name} on a {PeType(type_letter).name}"
+    if w.dst == DstSel.RTT and type_letter != _CPE:
+        return f"RTT destination on a {PeType(type_letter).name}"
+    if (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
+            and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
+        return f"controller action nibble {w.imm16 >> 12:#x} undefined"
+    if topology != _ONE_HOP and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
+        return f"2-hop source under {topology}"
+    if topology != _ONE_HOP and w.dst in _TWO_HOP_DST:
+        return f"2-hop destination under {topology}"
+    # the index field is also a memory op's stride selector, so only a
+    # select the word reads, or a destination it writes, names a register
+    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
+            w.dst == DstSel.SREG and w.opcode not in _NO_RESULT)):
+        return f"shared register {w.shared_reg_idx} (count {n_sregs})"
+    return None
 
 
 # --- runtime -----------------------------------------------------------------
@@ -339,7 +350,8 @@ def validate_bitstream(params: ArchParams,
 #             _K_ALU word
 # srcs        the required operands in firing order, each (_S_* code, arg):
 #             the entry latch Direction, a constant, or a shared-register index
-# pulls       the latch directions among srcs, consumed when the word fires
+# pulls       the latch directions among srcs, each once, consumed when the
+#             word fires
 # to          one of the _TO_* codes; to_arg is the shared-register index, the
 #             RTT payload or the drive Direction, and entry is the latch the
 #             value lands in at the receiver, which write-back finds in the
@@ -404,7 +416,7 @@ def _predecode(word: ConfigWord) -> tuple:
     """The runtime tuple of ``word``, shared by every PE and config that
     holds an equal word."""
     srcs = tuple(_source(sel, word) for sel in _required(word))
-    pulls = tuple(arg for kind, arg in srcs if kind == _S_LATCH)
+    pulls = tuple(dict.fromkeys(arg for kind, arg in srcs if kind == _S_LATCH))
     return (_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls, *_destination(word),
             word.iterations, word.next_step, word)
 
@@ -417,6 +429,10 @@ class PE:
     registers, memory responses), making intra-cycle evaluation order
     irrelevant. Pipeline slots hold pre-decoded words (see ``_predecode``).
     """
+
+    __slots__ = ("coord", "pe_type", "ports", "_context", "_code", "pc", "iter_index",
+                 "remaining", "latch", "acc", "f_slot", "d_slot", "x_slot", "w_slot",
+                 "done", "active_cycles")
 
     def __init__(self, coord, pe_type: PeType, ports: dict[Direction, tuple]):
         self.coord = coord

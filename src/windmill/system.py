@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .arch import ArchParams, ExecMode, PeType, validate
 from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
@@ -154,7 +156,32 @@ class SimStats:
         return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
 
 
+# --- the machine table ------------------------------------------------------------
+
+
+class Machine(NamedTuple):
+    """What every SystemSim of one architecture shares."""
+
+    cells: tuple              # (coord, PE type, port row) of every cell, in raster order
+    pai_order: tuple          # arbiter requesters: LSUs in raster order, then the ring port
+    lsu_report_order: tuple   # LSUs as ``grants_per_lsu`` lists them: by str(coord)
+
+
+# bounded like the other per-geometry tables
+@lru_cache(maxsize=8)
+def machine_table(params: ArchParams) -> Machine:
+    """The validated ``params``' machine table, built once per architecture."""
+    validate(params)
+    ports = neighbor_map(params.topology, (params.rows, params.cols))
+    cells = tuple((rc, params.pe_type(*rc), ports[rc]) for rc in params.coords())
+    lsus = tuple(rc for rc, pe_type, _ in cells if pe_type is PeType.LSU)
+    return Machine(cells, (*lsus, ("ring",)), tuple(sorted(lsus, key=str)))
+
+
 # --- one RPU -------------------------------------------------------------------
+
+
+_NO_HALVES = frozenset()   # the halves and banks a cycle without grants touches
 
 
 class RpuStatus:
@@ -174,14 +201,15 @@ class Rpu:
     """
 
     def __init__(self, rpu_id: int, params: ArchParams, ext_memory: list[int],
-                 pai_order: tuple):
+                 machine: Machine):
         self.id = rpu_id
         self.params = params
+        self.machine = machine
         dims = (params.rows, params.cols)
         self.pes: dict[tuple[int, int], PE] = {}
         self.sram = BankedSram(params.sm_banks, params.bank_depth, params.bank_width)
         self.half_words = self.sram.words // 2
-        self.pai = PaiArbiter(params.sm_banks, pai_order)
+        self.pai = PaiArbiter(params.sm_banks, machine.pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
         self.sregs = SharedRegFile(params.shared_reg_mode, dims, params.shared_reg_count)
         self.queue: list[ControlVector] = []
@@ -203,18 +231,17 @@ class Rpu:
         self.ring_out: list = []
         self.ring_wait = None
         # per-cycle access halves, for the ping-pong safety assertion
-        self.cycle_pea_halves: set[int] = set()
+        self.cycle_pea_halves: set[int] | frozenset = _NO_HALVES
         self.cycle_dma_half: int | None = None
 
     # -- configuration actions -------------------------------------------
 
     def load_config(self, records: list[tuple[int, int, list[ConfigWord]]]):
         """Load a registered config; SystemSim.register_config validated it."""
-        if not self.pes:
-            p = self.params
-            ports = neighbor_map(p.topology, (p.rows, p.cols))
-            self.pes = {rc: PE(rc, p.pe_type(*rc), ports[rc]) for rc in p.coords()}
         cap = self.params.context_capacity()
+        if not self.pes:
+            self.pes = {rc: PE(rc, pe_type, ports)
+                        for rc, pe_type, ports in self.machine.cells}
         for pe in self.pes.values():
             if pe.context:
                 pe.load_context([], cap)
@@ -232,7 +259,7 @@ class Rpu:
                 f"rpu {self.id}: launch from {self.status!r}, expected configured")
         for pe in self.pes.values():
             pe.launch_reset()
-        self.live = [pe for _, pe in sorted(self.pes.items()) if not pe.done]
+        self.live = [pe for pe in self.pes.values() if not pe.done]   # raster order
         self.asleep.clear()
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
@@ -310,11 +337,9 @@ class Rpu:
             self.live = [pe for pe in self.live if not pe.done]
 
     def end_cycle(self, system):
-        self.cycle_pea_halves = set()
-        self.cycle_dma_half = None
         # wakes: a delivery its receiver, a consume its driver (symmetric ports), a commit all
         pes, asleep = self.pes, self.asleep
-        for coord, direction in set(self._consumes):
+        for coord, direction in self._consumes:   # a word pulls each latch once
             pe = pes[coord]
             del pe.latch[direction]
             asleep.discard(pes[pe.ports[direction]])
@@ -330,32 +355,37 @@ class Rpu:
             self.sregs.commit()
             asleep.clear()
 
-        # a grant's response is read the next cycle, a ring response's one later
-        responses, self._responses_next = self._responses_next, {}
-        blocked = set()
+        # a grant's response is read the next cycle, a ring response's one later;
+        # the two dicts swap roles, and a response left unread is dropped
+        responses = self._responses_next
+        self._responses_next = self._responses_now
+        self._responses_next.clear()
+        self._responses_now = responses
+        blocked = halves = _NO_HALVES
         if self.pai.pending:
-            for g in self.pai.arbitrate(self.sram):
+            sram = self.sram
+            blocked, halves = set(), set()
+            for g in self.pai.arbitrate(sram):
                 blocked.add(g.bank)
-                self.cycle_pea_halves.add(self.sram.half_of(g.addr))
+                halves.add(sram.half_of(g.addr))
                 if g.op == "read":
-                    value = self.sram.read(g.addr)
+                    value = sram.read(g.addr)
                     if g.requester == ("ring",):
                         system.ring_response(self.id, value)
                     else:
                         responses[g.requester] = (value,)
                 else:
-                    self.sram.write(g.addr, g.data)
+                    sram.write(g.addr, g.data)
                     responses[g.requester] = (None,)
+        self.cycle_pea_halves = halves
 
-        dma_bank = self.dma.step(self.sram, blocked)
-        if dma_bank is not None:
-            self.cycle_dma_half = self.dma._active_half
-        if (self.status == RpuStatus.RUNNING and self.cycle_dma_half is not None
-                and self.cycle_dma_half in self.cycle_pea_halves):
-            raise SimulationError(
-                f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
-
-        self._responses_now = responses
+        dma = self.dma
+        self.cycle_dma_half = None
+        if not dma.idle() and dma.step(self.sram, blocked) is not None:
+            self.cycle_dma_half = dma._active_half
+            if self.status == RpuStatus.RUNNING and dma._active_half in halves:
+                raise SimulationError(
+                    f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
 
         if self.status == RpuStatus.RUNNING:
             self.running_cycles += 1
@@ -397,14 +427,13 @@ class SystemSim:
 
     def __init__(self, params: ArchParams, data_image: list[int] | None = None,
                  cycle_limit: int = DEFAULT_CYCLE_LIMIT):
-        self.params = validate(params)
+        self.machine = machine_table(params)
+        self.params = params
         self.ext_memory = list(data_image or [])
         self.rtt = default_rtt()
         self.cycle_limit = cycle_limit
-        # the arbiter order every RPU shares: LSUs in raster order, then the ring port
-        pai_order = (*(c for c in params.coords() if params.pe_type(*c) is PeType.LSU),
-                     ("ring",))
-        self.rpus = [Rpu(i, params, self.ext_memory, pai_order) for i in range(params.rpu_count)]
+        self.rpus = [Rpu(i, params, self.ext_memory, self.machine)
+                     for i in range(params.rpu_count)]
         self._active: list[Rpu] = []
         self.configs: dict[int, list] = {}
         self.script: list[HostCommand] = []
@@ -522,13 +551,18 @@ class SystemSim:
     # -- main loop -------------------------------------------------------------
 
     def tick(self):
-        self._dispatch_one_command()
+        if self._script_pos < len(self.script):
+            self._dispatch_one_command()
         active = self._active
         for rpu in active:
-            if rpu.queue or rpu._cpe_actions:
+            # a running RPU's queue waits for its finish
+            if rpu._cpe_actions or (rpu.queue and rpu.status != RpuStatus.RUNNING):
                 self._controller_step(rpu)
         # forward ring requests enqueued on previous cycles (1 transit cycle)
-        self._step_ring()
+        for rpu in active:
+            if rpu.ring_out:
+                self._step_ring()
+                break
         for rpu in active:
             if rpu.live:
                 rpu.tick_pes()
@@ -542,9 +576,9 @@ class SystemSim:
         self.stats.total_cycles += 1
         if self.trace_hook is not None:
             self.trace_hook(self)
-        for rpu in [r for r in active if r.quiescent()]:
+        for rpu in [r for r in active if r.status != RpuStatus.RUNNING and r.quiescent()]:
             active.remove(rpu)   # and from the next cycle on touches no half
-            rpu.cycle_pea_halves, rpu.cycle_dma_half = set(), None
+            rpu.cycle_pea_halves, rpu.cycle_dma_half = _NO_HALVES, None
 
     def quiescent(self) -> bool:
         return self._script_pos >= len(self.script) and not self._active
@@ -585,16 +619,12 @@ class SystemSim:
         st.dma_stall_cycles = sum(r.dma.stall_cycles for r in self.rpus)
         st.pingpong_toggles = sum(r.dma.toggles for r in self.rpus)
         st.sreg_conflicts = sum(r.sregs.conflicts for r in self.rpus)
-        st.grants_per_lsu = {
-            (r.id, coord): n
-            for r in self.rpus
-            for coord, n in sorted(r.pai.grant_counts.items(),
-                                   key=lambda kv: str(kv[0]))
-            if coord != ("ring",)
-        }
+        m = self.machine
+        st.grants_per_lsu = {(r.id, coord): r.pai.grant_counts[coord]
+                             for r in self.rpus for coord in m.lsu_report_order}
         # a PE never built (its RPU never configured) was never active
         st.pe_active = {(r.id, coord): r.pes[coord].active_cycles if r.pes else 0
-                        for r in self.rpus for coord in self.params.coords()}
+                        for r in self.rpus for coord, _, _ in m.cells}
         st.pe_active_cycles = sum(st.pe_active.values())
         st.pe_idle_cycles = st.total_cycles * len(st.pe_active) - st.pe_active_cycles
 

@@ -252,6 +252,35 @@ class TestSim:
         header, row = stats.read_text().splitlines()
         assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
 
+    @pytest.mark.parametrize("imm16, script, message", [
+        (0x2005, "01 1 0\n03 1\n", "controller descriptor 5 not in manifest"),
+        (0x1007, "01 1 0\n03 1\n", "config 7 never registered"),
+        (None, "01 1 0\n03 1\n03 1\n", "rpu 0: launch from 'done', expected configured"),
+    ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done"])
+    def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
+                                                              imm16, script, message):
+        """A protocol fault met after cycles have run is a run-time fault:
+        exit 4, the message, and the stats of the cycles run so far. The
+        controller word at (1, 1) emits one RTT action; without it, the PE at
+        (1, 2) halts at once."""
+        from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, pack_bitstream
+        if imm16 is None:
+            records = [(1, 2, [ConfigWord(opcode=Opcode.HALT)])]
+        else:
+            records = [(1, 1, [ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, DstSel.RTT,
+                                          imm16=imm16)])]
+        bs = tmp_path / "fault.bit"
+        bs.write_bytes(pack_bitstream(records))
+        path = tmp_path / "fault.script"
+        path.write_text(script)
+        stats = tmp_path / "stats.csv"
+        r = windmill("sim", "--arch", std_arch, "--bitstream", bs, "--script", path,
+                     "--stats", stats)
+        assert r.returncode == 4
+        assert r.stderr == f"error: {message}\n"
+        header, row = stats.read_text().splitlines()
+        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+
     def test_in_process_sim_closes_its_files(self, std_arch, tmp_path):
         import gc
         import warnings

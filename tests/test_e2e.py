@@ -8,7 +8,7 @@ import pytest
 from windmill.arch import ArchParams, TopologyKind, perimeter_lsu_map, validate
 from windmill.errors import Unmappable
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
-from windmill.pe import unpack_bitstream
+from windmill.pe import Opcode, SrcSel, unpack_bitstream
 from windmill.system import SystemSim, run_protocol
 
 OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "lt"]
@@ -151,3 +151,20 @@ def test_wide_fanout_single_producer():
     system = SystemSim(params)
     got, _ = run_protocol(system, records, image, 2, 12)
     assert got == reference_execute(dfg, image)[2:14]
+
+
+def test_operand_read_twice_from_one_latch():
+    """``v add a a`` with ``a`` arriving over a link reads one latch for both
+    operands; the word consumes that latch once and the value is still
+    doubled."""
+    text = "in a 0\nv add a a\nout v 1"
+    params = make_arch()
+    dfg = parse_dfg(text)
+    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+    assert any(w.opcode == Opcode.ADD and w.src0 == w.src1 and w.src0 < SrcSel.ACC
+               for _, _, words in records for w in words)
+    rng = random.Random(11)
+    for _ in range(4):
+        image = [rng.getrandbits(32), 0]
+        got, _ = run_protocol(SystemSim(params), records, image, 1, 1)
+        assert got == reference_execute(dfg, image)[1:2]

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from windmill.errors import AddressOutOfRange, SimulationError
-from windmill.memory import (BankedSram, DmaController, PaiArbiter, Request,
+from windmill.arch import PeType, standard_preset
+from windmill.memory import (BankedSram, DmaController, Grant, PaiArbiter, Request,
                              TransferBatch)
 
 
@@ -79,6 +80,28 @@ class BruteForceArbiter:
         return granted
 
 
+def general_arbitrate(pai, sram):
+    """``PaiArbiter.arbitrate`` as written before its one-request path: the
+    reference the arbiter must match on every pending set."""
+    by_bank = {}
+    for req in pai.pending.values():
+        by_bank.setdefault(sram.bank_of(req.addr), []).append(pai._pos[req.requester])
+    grants = []
+    for bank in sorted(by_bank):
+        contenders = by_bank[bank]
+        pai.conflicts += len(contenders) - 1
+        start = pai.rr_pointer[bank]
+        n = len(pai.order)
+        winner_pos = min(contenders, key=lambda p: (p - start - 1) % n)
+        pai.rr_pointer[bank] = winner_pos
+        requester = pai.order[winner_pos]
+        req = pai.pending.pop(requester)
+        pai.grant_counts[requester] += 1
+        pai.total_grants += 1
+        grants.append(Grant(bank, requester, req.op, req.addr, req.data))
+    return grants
+
+
 class TestArbiter:
     def test_single_requester_granted_immediately(self):
         sram = BankedSram(16, 256)
@@ -146,6 +169,37 @@ class TestArbiter:
                 del backlog[g.requester]
         assert pai.grant_counts == oracle.grants
         assert pai.conflicts == oracle.conflicts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_general_path_on_every_pending_set(self, seed):
+        """Pending sets of one request up to every requester, the ring port
+        included, over every bank, for cycles enough that the pointers wrap:
+        the same grants in the same order, pointers, conflicts and counts."""
+        params = standard_preset()
+        order = (*(c for c in params.coords() if params.pe_type(*c) is PeType.LSU), ("ring",))
+        sram = BankedSram(params.sm_banks, params.bank_depth)
+        pai, ref = PaiArbiter(params.sm_banks, order), PaiArbiter(params.sm_banks, order)
+        rng = random.Random(seed)
+        sizes = set()
+        for _ in range(4000):
+            idle = [r for r in order if r not in pai.pending]
+            if idle and (not pai.pending or rng.random() < 0.6):
+                # mostly one new request, now and then a burst of up to all of them
+                k = rng.randint(1, len(idle)) if rng.random() < 0.2 else 1
+                for r in rng.sample(idle, k):
+                    op = rng.choice(("read", "write"))
+                    addr = rng.randrange(sram.words)
+                    data = rng.getrandbits(32) if op == "write" else None
+                    pai.post(Request(r, op, addr, data))
+                    ref.post(Request(r, op, addr, data))
+            sizes.add(len(pai.pending))
+            assert pai.arbitrate(sram) == general_arbitrate(ref, sram)
+            assert pai.pending == ref.pending
+            assert pai.rr_pointer == ref.rr_pointer
+            assert (pai.conflicts, pai.total_grants) == (ref.conflicts, ref.total_grants)
+            assert pai.grant_counts == ref.grant_counts
+        assert {1, len(order)} <= sizes and ref.conflicts > 0
+        assert ref.grant_counts[("ring",)] > 0
 
     def test_stall_retry_semantics(self):
         """A losing request stays pending and wins a later cycle."""

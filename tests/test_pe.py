@@ -237,6 +237,13 @@ class TestByValue:
         assert _predecode(twin) is _predecode(word)
         assert _predecode.cache_info().misses == 1
 
+    @pytest.mark.parametrize("opcode", [Opcode.ADD, Opcode.STORE])
+    def test_latch_read_twice_is_pulled_once(self, opcode):
+        """Both operands from latch N: two sources, one consume."""
+        dec = _predecode.__wrapped__(ConfigWord(opcode, SrcSel.N, SrcSel.N, DstSel.ACC))
+        assert [arg for _, arg in dec[2]] == [Direction.N, Direction.N]
+        assert dec[3] == (Direction.N,)
+
     @pytest.mark.parametrize("dst", [DstSel.RTT, int(DstSel.RTT)])
     def test_rtt_destination_on_a_gpe_rejected(self, dst):
         word = ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, dst, imm16=0x3000)

@@ -257,6 +257,28 @@ class TestProtocol:
         assert stats.pe_active_cycles + stats.pe_idle_cycles \
             == stats.total_cycles * n_pes
 
+    def test_stats_key_order_on_a_tall_grid(self):
+        """Per-LSU grants list each RPU's LSUs by the text of their
+        coordinate, so (10, 0) before (2, 0); per-PE activity lists them in
+        raster order. RPU 0 is configured, RPUs 1 and 2 never are."""
+        params = arch(rows=12, cols=3, rpus=3)
+        load = W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=5)
+        system = SystemSim(params)
+        system.register_config(0, [(2, 0, [load, W(opcode=Opcode.HALT)]),
+                                   (10, 0, [load, load, W(opcode=Opcode.HALT)])])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        stats = system.run()
+        lsus = [c for c in params.coords() if c[0] in (0, 11) or c[1] in (0, 2)]
+        by_text = sorted(lsus, key=str)
+        assert by_text.index((10, 0)) < by_text.index((2, 0))
+        assert list(stats.grants_per_lsu) == [(r, c) for r in range(3) for c in by_text]
+        assert list(stats.pe_active) == [(r, c) for r in range(3) for c in params.coords()]
+        assert stats.grants_per_lsu[(0, (10, 0))] == 2
+        assert stats.grants_per_lsu[(0, (2, 0))] == 1
+        assert sum(stats.grants_per_lsu.values()) == stats.arbiter_grants == 3
+        assert stats.pe_active[(0, (10, 0))] > stats.pe_active[(0, (2, 0))] > 0
+        assert not any(n for (r, _), n in stats.pe_active.items() if r > 0)
+
 
 class TestScmd:
     def test_row_broadcast(self):

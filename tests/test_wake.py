@@ -54,6 +54,11 @@ class ReadOnlyBus:
         return lambda *args: self.effects.append((name, args))
 
 
+def pe_state(pe):
+    """Every slot of ``pe``, by name: all the state a PE holds."""
+    return {name: getattr(pe, name) for name in type(pe).__slots__}
+
+
 class SleepOracle:
     """A ``trace_hook`` that checks every asleep PE after every cycle."""
 
@@ -69,7 +74,7 @@ class SleepOracle:
                                           id(pe._context): pe._context})
                 bus = ReadOnlyBus(rpu)
                 assert twin.tick(bus) is False, pe.coord
-                assert vars(twin) == vars(pe), pe.coord
+                assert pe_state(twin) == pe_state(pe), pe.coord
                 assert bus.effects == [], pe.coord
                 self.checks += 1
 
@@ -151,7 +156,7 @@ def test_shared_register_reader_keeps_the_sleep_invariant():
 
 def snapshot(pe, bus):
     state = {k: list(v) if isinstance(v, list) else dict(v) if isinstance(v, dict) else v
-             for k, v in vars(pe).items()}
+             for k, v in pe_state(pe).items()}
     effects = (len(bus._deliveries), len(bus._consumes), dict(bus.sreg),
                len(bus.rtt_actions))
     return state, effects
