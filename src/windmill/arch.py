@@ -39,28 +39,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
 
-class PeType(Enum):
+class IdentityEnum(Enum):
+    # members are singletons compared by identity, so hash them by identity:
+    # Enum's default hashes the name in Python code
+    __hash__ = object.__hash__
+
+
+class PeType(IdentityEnum):
     GPE = "G"
     LSU = "L"
     CPE = "C"
 
 
-class TopologyKind(Enum):
+class TopologyKind(IdentityEnum):
     MESH2D = "mesh2d"
     ONE_HOP = "onehop"
     TORUS = "torus"
 
 
-class ExecMode(Enum):
+class ExecMode(IdentityEnum):
     SCMD = "scmd"
     MCMD = "mcmd"
 
 
-class SharedRegScope(Enum):
+class SharedRegScope(IdentityEnum):
     LINE = "line"        # one scope per column
     ROW = "row"          # one scope per row
     QUADRANT = "quadrant"
@@ -180,8 +187,7 @@ def validate(params: ArchParams) -> ArchParams:
     return params
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(NamedTuple):
     """Pure function of validated parameters; what a generated instance costs
     in countable resources (the desk-scale stand-in for silicon area)."""
 
@@ -203,15 +209,8 @@ class ResourceReport:
     shared_reg_count: int
     rpu_count: int
 
-    CSV_COLUMNS = (
-        "rows", "cols", "gpe_count", "lsu_count", "cpe_count", "topology",
-        "exec_mode", "links_directed", "context_words_per_pe",
-        "context_bits_total", "sm_banks", "bank_depth", "bank_width",
-        "sm_bytes", "shared_reg_mode", "shared_reg_count", "rpu_count",
-    )
-
     def csv_row(self) -> str:
-        return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
+        return ",".join(map(str, self))
 
 
 def link_count(topology: TopologyKind, rows: int, cols: int) -> int:
@@ -221,7 +220,8 @@ def link_count(topology: TopologyKind, rows: int, cols: int) -> int:
     return sum(map(len, neighbor_map(topology, (rows, cols)).values()))
 
 
-def derive_counts(params: ArchParams) -> ResourceReport:
+def derive_counts(params: ArchParams, ports=None) -> ResourceReport:
+    """``params``' report; links are counted in ``ports`` or the topology's own table."""
     counts = {PeType.GPE: 0, PeType.LSU: 0, PeType.CPE: 0}
     for r, c in params.coords():
         counts[params.pe_type(r, c)] += 1
@@ -235,7 +235,8 @@ def derive_counts(params: ArchParams) -> ResourceReport:
         cpe_count=counts[PeType.CPE],
         topology=params.topology.value,
         exec_mode=params.exec_mode.value,
-        links_directed=link_count(params.topology, params.rows, params.cols),
+        links_directed=(link_count(params.topology, params.rows, params.cols) if ports is None
+                        else sum(map(len, ports.values()))),
         context_words_per_pe=cap,
         context_bits_total=cap * 64 * n_pes,
         sm_banks=params.sm_banks,
@@ -259,6 +260,9 @@ _KEY_HOME = {
     "rpu_count": "system", "cpe": "system", "context_depth_mcmd": "system",
     "shared_reg_mode": "system", "shared_reg_count": "system",
 }
+
+_ENUM_KEYS = {"topology": TopologyKind, "exec_mode": ExecMode,
+              "shared_reg_mode": SharedRegScope}
 
 _INT_KEYS = {"rows", "cols", "data_width", "sm_banks", "bank_depth",
              "bank_width", "rpu_count", "context_depth_mcmd",
@@ -307,12 +311,8 @@ def parse_arch_file(text: str) -> ArchParams:
                     values[key] = int(value, 0)
                 except ValueError:
                     raise ParseError(f"{key}: expected an integer, got {value!r}", lineno)
-            elif key == "topology":
-                values[key] = _parse_enum(TopologyKind, value, key, lineno)
-            elif key == "exec_mode":
-                values[key] = _parse_enum(ExecMode, value, key, lineno)
-            elif key == "shared_reg_mode":
-                values[key] = _parse_enum(SharedRegScope, value, key, lineno)
+            elif key in _ENUM_KEYS:
+                values[key] = _parse_enum(_ENUM_KEYS[key], value, key, lineno)
             elif key == "cpe":
                 if value.lower() not in ("on", "off"):
                     raise ParseError(f"cpe: expected on/off, got {value!r}", lineno)

@@ -22,8 +22,8 @@ from .arch import ExecMode, TopologyKind, parse_arch_file
 from .errors import ParseError, Unmappable, WindmillError
 from .mapper import emit_bitstream, map_dfg, parse_dfg
 from .pe import MEMORY_OPS, unpack_bitstream
-from .plugins import build_system, elaborate_arch, report_from_build
-from .system import DEFAULT_CYCLE_LIMIT, four_step_script, parse_script
+from .plugins import elaborate_arch, report_from_build, standard_machine
+from .system import DEFAULT_CYCLE_LIMIT, SystemSim, four_step_script, parse_script
 
 log = logging.getLogger("windmill")
 
@@ -105,8 +105,7 @@ def cmd_generate(args) -> int:
     rows = []
     for params in configs:
         ctx = elaborate_arch(params)
-        report = report_from_build(ctx)
-        rows.append(report)
+        rows.append(report_from_build(ctx))
         for plugin, phase, seq in ctx.phase_log:
             log.info("elaborated %-12s %s (#%d)", plugin, phase, seq)
 
@@ -128,7 +127,7 @@ def cmd_generate(args) -> int:
     print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(rows[0].CSV_COLUMNS) + "\n")
+            fh.write(",".join(rows[0]._fields) + "\n")
             for report in rows:
                 fh.write(report.csv_row() + "\n")
     return EXIT_OK
@@ -138,9 +137,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_map(args) -> int:
-    params = _load_arch(args.arch)
+    machine = standard_machine(_load_arch(args.arch))
     dfg = parse_dfg(_read_text(args.dfg))
-    mapping = map_dfg(dfg, params)
+    mapping = map_dfg(dfg, machine)
     blob = emit_bitstream(mapping)
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -156,10 +155,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    params = _load_arch(args.arch)
-    ctx = elaborate_arch(params)
+    machine = standard_machine(_load_arch(args.arch))
     image = _read_image(args.data) if args.data else []
-    system = build_system(ctx, image, cycle_limit=args.cycle_limit)
+    system = SystemSim(machine, image, cycle_limit=args.cycle_limit)
     with open(args.bitstream, "rb") as fh:
         records = unpack_bitstream(fh.read())
     system.register_config(0, records)
@@ -179,7 +177,7 @@ def cmd_sim(args) -> int:
         _write_image(args.out, system.results_words(result_len))
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write(stats.csv_header() + "\n")
+            fh.write(",".join(stats.CSV_COLUMNS) + "\n")
             fh.write(stats.csv_row() + "\n")
     if partial is not None:
         print(f"error: {partial}", file=sys.stderr)

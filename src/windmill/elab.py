@@ -107,8 +107,8 @@ class BuildContext:
         # ServiceKey -> (provider plugin name, payload)
         self.services: dict[ServiceKey, tuple[str, Any]] = {}
         self.artifacts: list[Artifact] = []
-        # (requirer plugin, service name, provider plugin), recorded eagerly
-        # at lookup time so detachment violations report a caller chain
+        # (requirer plugin, service name, provider plugin), recorded for each
+        # declared requirement once the early phase met it, and at each lookup
         self.dependency_edges: list[tuple[str, str, str]] = []
         # (plugin name, phase, sequence index) per executed callback
         self.phase_log: list[tuple[str, str, int]] = []
@@ -215,7 +215,9 @@ class BuildContext:
         unmet = []
         for plugin in self.plugins:
             for key in sorted(plugin.requires, key=lambda k: k.name):
-                if key not in self.services:
+                if key in self.services:   # no lookup has run, so the edge is new
+                    self.dependency_edges.append((plugin.name, key.name, self.services[key][0]))
+                else:
                     unmet.append((plugin.name, key.name))
         if unmet:
             raise MissingService(unmet)

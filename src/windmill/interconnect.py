@@ -8,17 +8,15 @@ links). Every link has one cycle of latency, including the distance-2 links.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from enum import Enum
-from functools import lru_cache
 from types import MappingProxyType
 
-from .arch import SharedRegScope, TopologyKind
+from .arch import IdentityEnum, SharedRegScope, TopologyKind
 from .errors import IndexOutOfRange
 
 Coord = tuple[int, int]
 
 
-class Direction(Enum):
+class Direction(IdentityEnum):
     # (row delta, col delta); *2 variants are the distance-2 straight links
     N = (-1, 0)
     S = (1, 0)
@@ -28,11 +26,6 @@ class Direction(Enum):
     S2 = (2, 0)
     E2 = (0, 2)
     W2 = (0, -2)
-
-    # members are singletons compared by identity, so hash them by identity:
-    # Enum's default hashes the name in Python code, and latches are dicts
-    # keyed by Direction that the simulator reads every cycle
-    __hash__ = object.__hash__
 
     @property
     def opposite(self) -> "Direction":
@@ -77,14 +70,9 @@ def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[D
     return out
 
 
-@lru_cache(maxsize=8)
 def neighbor_map(topology: TopologyKind, dims: Coord) -> Mapping[Coord, Mapping[Direction, Coord]]:
-    """Outgoing ports for every coordinate, built once per geometry.
-
-    Every caller with the same (topology, dims) gets the same table, so it
-    is read-only, outer and inner mappings alike. The few most recent
-    geometries are kept, which covers every array one run builds.
-    """
+    """Outgoing ports for every coordinate, as one read-only table, outer and
+    inner mappings alike: the standard Topology plugin's service payload."""
     rows, cols = dims
     return MappingProxyType({
         (r, c): MappingProxyType(dict(neighbors(topology, (r, c), dims)))
@@ -108,12 +96,6 @@ def scope_of(mode: SharedRegScope, coord: Coord, dims: Coord) -> int:
     return 0
 
 
-def scope_count(mode: SharedRegScope, dims: Coord) -> int:
-    rows, cols = dims
-    return {SharedRegScope.LINE: cols, SharedRegScope.ROW: rows,
-            SharedRegScope.QUADRANT: 4, SharedRegScope.GLOBAL: 1}[mode]
-
-
 class SharedRegFile:
     """Scoped 32-bit registers with validity bits for cross-schedule delivery.
 
@@ -126,7 +108,8 @@ class SharedRegFile:
         self.mode = mode
         self.dims = dims
         self.reg_count = reg_count
-        n = scope_count(mode, dims)
+        n = {SharedRegScope.LINE: dims[1], SharedRegScope.ROW: dims[0],
+             SharedRegScope.QUADRANT: 4, SharedRegScope.GLOBAL: 1}[mode]   # scope instances
         self._value = [[0] * reg_count for _ in range(n)]
         self._valid = [[False] * reg_count for _ in range(n)]
         self.pending: dict[tuple[int, int], tuple[Coord, int]] = {}

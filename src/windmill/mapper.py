@@ -42,14 +42,15 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from operator import add
 
 from .arch import ArchParams, ExecMode, PeType, TopologyKind
 from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
-from .interconnect import Direction, neighbor_map
+from .interconnect import Direction
 from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, MASK32, Opcode,
                  SrcSel, alu_eval, pack_bitstream, to_signed32)
+from .plugins import MachineRecord, standard_machine
 
 _OPS = {
     "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
@@ -440,26 +441,21 @@ class Mapping:
         return {op.pe for op in self.micro_ops}
 
 
-@lru_cache(maxsize=8)
-def _route_tables(topology: TopologyKind, dims: tuple):
-    """Per geometry: each cell's (drive, to, entry, (to, entry)) links in
-    route's tie-break order, the last field being the link's key in
-    ``pending``; and ``hops_to(dst)[cell]``, the fewest links from cell to
-    dst on the free grid, by BFS from dst over the reversed port table."""
-    ports = neighbor_map(topology, dims)
+def _route_tables(machine: MachineRecord):
+    """Each cell's (drive, to, entry, (to, entry)) links in route's tie-break
+    order, the last field being the link's key in ``pending``; and
+    ``hops_to(dst)[cell]``, the fewest links from cell to dst on the free
+    grid, by BFS from dst over the two-way links, absent if there is none."""
+    ports = machine.ports
     links = {coord: tuple((d, to, d.opposite, (to, d.opposite))
                           for d, to in sorted(out.items(), key=lambda x: x[0].name))
              for coord, out in ports.items()}
-    into = {coord: [] for coord in ports}
-    for coord, out in ports.items():
-        for to in out.values():
-            into[to].append(coord)
 
     @cache   # at most one entry per cell
     def hops_to(dst):
         dist, frontier = {dst: 0}, [dst]
         for cell in frontier:
-            for coord in into[cell]:
+            for coord in ports[cell].values():
                 if coord not in dist:
                     dist[coord] = dist[cell] + 1
                     frontier.append(coord)
@@ -467,17 +463,23 @@ def _route_tables(topology: TopologyKind, dims: tuple):
     return links, hops_to
 
 
-@lru_cache(maxsize=8)
-def _distances(torus: bool, dims: tuple, pool: tuple):
-    """``row(p)[j]``: the Manhattan distance from cell p to ``pool[j]``; on
-    the torus a span longer than half the grid wraps."""
-    wrap_rows, wrap_cols = dims if torus else (2 * dims[0], 2 * dims[1])   # 2x: never wraps
+def _pools(machine: MachineRecord):
+    """Placement pools, GPEs then LSUs: (cells in raster order, cell ->
+    index, ``row``), where ``row(p)[j]`` is the Manhattan distance from
+    cell p to cells[j]; on the torus a span longer than half the grid wraps."""
+    params = machine.params
+    wrap_rows, wrap_cols = ((params.rows, params.cols) if params.topology is TopologyKind.TORUS
+                            else (2 * params.rows, 2 * params.cols))   # 2x: never wraps
 
-    @cache   # at most one entry per cell
-    def row(p):
-        spans = ((abs(p[0] - r), abs(p[1] - c)) for r, c in pool)
-        return tuple(min(dr, wrap_rows - dr) + min(dc, wrap_cols - dc) for dr, dc in spans)
-    return row
+    def pool(pe_type):
+        cells = tuple(rc for rc, t, _ in machine.cells if t is pe_type)
+
+        @cache   # at most one entry per cell
+        def row(p):
+            spans = ((abs(p[0] - r), abs(p[1] - c)) for r, c in cells)
+            return tuple(min(dr, wrap_rows - dr) + min(dc, wrap_cols - dc) for dr, dc in spans)
+        return cells, {pe: j for j, pe in enumerate(cells)}, row
+    return pool(PeType.GPE), pool(PeType.LSU)
 
 
 class _Scheduler:
@@ -493,10 +495,10 @@ class _Scheduler:
         (enforced during placement).
     """
 
-    def __init__(self, params: ArchParams, capacity: int):
-        self.params = params
+    def __init__(self, machine: MachineRecord, capacity: int):
+        self.machine = machine
         self.capacity = capacity
-        self.links, self.hops_to = _route_tables(params.topology, (params.rows, params.cols))
+        self.links, self.hops_to = machine.derived(_route_tables)
         self.next_free: dict[tuple, int] = {}
         self.last_consume: dict[tuple, int] = {}
         self.pending: set = set()          # (coord, entry dir) with an unconsumed arrival
@@ -540,7 +542,9 @@ class _Scheduler:
                                               self.capacity)
         to_dst = self.hops_to(dst)
         heappush, heappop = heapq.heappush, heapq.heappop
-        bound = to_dst[src]
+        bound = to_dst.get(src)
+        if bound is None:
+            return None   # no link path at all
         while True:
             # heap entries are (hops, occ, i, cell); back[i] = (i of the entry
             # whose cell was left, that cell, link taken), unwound on success
@@ -584,8 +588,11 @@ class _Scheduler:
             bound = min(pruned)
 
 
-def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
-    """Compile a validated DFG onto the array described by ``params``."""
+def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
+    """Compile a validated DFG onto ``machine``, or the standard one of ArchParams."""
+    if isinstance(machine, ArchParams):
+        machine = standard_machine(machine)
+    params = machine.params
     if params.exec_mode is ExecMode.SCMD:
         raise Unmappable("the mapper emits per-PE contexts; row-shared "
                          "configuration streams are not supported yet")
@@ -597,9 +604,8 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
             raise Unmappable(
                 f"bound address {ln.imm} outside the {half_words}-word space", ln.id)
 
-    gpes = [c for c in sorted(params.coords()) if params.pe_type(*c) is PeType.GPE]
-    lsus = [c for c in sorted(params.coords()) if params.pe_type(*c) is PeType.LSU]
-    if not gpes and any(ln.opcode not in MEMORY_OPS for ln in lnodes):
+    pools = machine.derived(_pools)
+    if not pools[0][0] and any(ln.opcode not in MEMORY_OPS for ln in lnodes):
         raise Unmappable("no general-purpose PEs in this array")
 
     # each node's distinct consumers, in lowering order
@@ -616,16 +622,13 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     placement: dict[str, tuple] = {}
     acc_owner_placed: dict[tuple, str] = {}
     remote_consumers: dict[tuple, int] = {}
-    ports = neighbor_map(params.topology, (params.rows, params.cols))
     crowded = capacity + 2 * (params.rows + params.cols)   # above any distance + estimate
     blocked = 2 * crowded
     alu_pool, mem_pool = (
-        (cells, {pe: j for j, pe in enumerate(cells)},
-         [0 if capacity > 0 else blocked] * len(cells),
+        (cells, index, [0 if capacity > 0 else blocked] * len(cells),
          [0] * len(cells),   # validated grids give every cell two ports or more
-         _distances(params.topology is TopologyKind.TORUS, (params.rows, params.cols),
-                    tuple(cells)))
-        for cells in (gpes, lsus))
+         dist)
+        for cells, index, dist in pools)
 
     for ln in lnodes:
         cells, index, estimate, crowding, dist = (
@@ -655,13 +658,13 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
         estimate[j] = n if n < capacity else blocked
         if pred_pes and spread[j]:
             remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
-            if remote_consumers[pe] >= len(ports[pe]) - 1:
+            if remote_consumers[pe] >= len(machine.ports[pe]) - 1:
                 crowding[j] = crowded
         if ln.opcode is not Opcode.STORE:
             acc_owner_placed[pe] = ln.id
 
     # --- routing and step assignment ---------------------------------------
-    sched = _Scheduler(params, capacity)
+    sched = _Scheduler(machine, capacity)
     # (producer, consumer) -> (operand select, entry latch or None, ready step)
     arrivals: dict[tuple[str, str], tuple] = {}
     claimed_entries: dict[str, set] = {ln.id: set() for ln in lnodes}
@@ -793,7 +796,7 @@ def map_dfg(dfg: Dfg, params: ArchParams) -> Mapping:
     for ln in lnodes:
         mapping.placement[ln.id] = placement[ln.id]
         mapping.schedule[ln.id] = node_step[ln.id]
-    _check_legal(mapping)
+    _check_legal(mapping, machine)
     return mapping
 
 
@@ -804,10 +807,10 @@ def _imm_of(srcs: list) -> int:
     return 0
 
 
-def _check_legal(mapping: Mapping):
-    """Exhaustive legality: one op per (PE, step), routes follow topology
-    links, memory ops sit on LSUs."""
-    params = mapping.params
+def _check_legal(mapping: Mapping, machine: MachineRecord):
+    """Exhaustive legality: one op per (PE, step), routes follow the
+    machine's links, memory ops sit on LSUs."""
+    params = machine.params
     seen = set()
     for op in mapping.micro_ops:
         key = (op.pe, op.step)
@@ -817,10 +820,9 @@ def _check_legal(mapping: Mapping):
         if op.opcode in MEMORY_OPS:
             if params.pe_type(*op.pe) is not PeType.LSU:
                 raise Unmappable(f"memory op on non-LSU {op.pe}", op.node)
-    ports = neighbor_map(params.topology, (params.rows, params.cols))
     for (src, dst), path in mapping.routes.items():
         for a, b in zip(path, path[1:]):
-            if b not in ports[a].values():
+            if b not in machine.ports[a].values():
                 raise Unmappable(f"route {src}->{dst} uses non-link {a}->{b}", src)
 
 

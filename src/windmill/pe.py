@@ -288,7 +288,6 @@ def validate_bitstream(params: ArchParams,
     """
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
-    topology = params.topology.value
     seen = set()
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
@@ -299,37 +298,34 @@ def validate_bitstream(params: ArchParams,
         if len(words) > cap:
             raise CapacityExceeded(
                 f"PE ({row},{col}): {len(words)} words > capacity {cap}")
-        type_letter = params.pe_type(row, col).value
+        pe_type = params.pe_type(row, col)
         for i, w in enumerate(words):
-            problem = _word_problem(w, type_letter, n_sregs, topology)
+            problem = _word_problem(w, pe_type, n_sregs, params.topology)
             if problem is not None:
                 raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
 
 
-_LSU, _CPE, _ONE_HOP = PeType.LSU.value, PeType.CPE.value, TopologyKind.ONE_HOP.value
-
-
 # bounded like its sibling memos; a config re-registered per job, or a word
-# many PEs share, is checked once per process. The PE type and topology come
-# as their arch-file spellings, which hash without a Python-level call.
+# many PEs share, is checked once per process
 @lru_cache(maxsize=1024)
-def _word_problem(w: ConfigWord, type_letter: str, n_sregs: int,
-                  topology: str) -> str | None:
+def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
+                  topology: TopologyKind) -> str | None:
     """Why ``w`` may not sit on a PE of that type, if it may not."""
     problem = _undefined_field(w)
     if problem is not None:
         return problem
-    if w.opcode in MEMORY_OPS and type_letter != _LSU:
-        return f"{Opcode(w.opcode).name} on a {PeType(type_letter).name}"
-    if w.dst == DstSel.RTT and type_letter != _CPE:
-        return f"RTT destination on a {PeType(type_letter).name}"
+    if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
+        return f"{Opcode(w.opcode).name} on a {pe_type.name}"
+    if w.dst == DstSel.RTT and pe_type is not PeType.CPE:
+        return f"RTT destination on a {pe_type.name}"
     if (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
             and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
         return f"controller action nibble {w.imm16 >> 12:#x} undefined"
-    if topology != _ONE_HOP and (w.src0 in _TWO_HOP_SRC or w.src1 in _TWO_HOP_SRC):
-        return f"2-hop source under {topology}"
-    if topology != _ONE_HOP and w.dst in _TWO_HOP_DST:
-        return f"2-hop destination under {topology}"
+    if topology is not TopologyKind.ONE_HOP and (w.src0 in _TWO_HOP_SRC
+                                                 or w.src1 in _TWO_HOP_SRC):
+        return f"2-hop source under {topology.value}"
+    if topology is not TopologyKind.ONE_HOP and w.dst in _TWO_HOP_DST:
+        return f"2-hop destination under {topology.value}"
     # the index field is also a memory op's stride selector, so only a
     # select the word reads, or a destination it writes, names a register
     if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (

@@ -1,25 +1,27 @@
-"""The standard plugin roster: how one array instance gets elaborated.
+"""The standard plugin roster, and the one machine record a sealed build makes.
 
-Each hardware concern is a plugin. The grid cells are split between the
-GPE, LSU and CPE plugins; shared memory, shared registers, the topology
-and the host bridge are services other plugins look up. Detaching the CPE
-plugin leaves no controller residue: the GPE plugin explicitly claims any
-controller cell nobody spoke for, which is the authored fallback path.
+Topology provides the port table, SharedRegs and SharedMemory their
+settings, HostBridge the register transformation table (RTT). The GPE, LSU
+and CPE plugins split the grid cells; detaching the CPE leaves no residue,
+as the GPE plugin claims any controller cell nobody spoke for.
 
-``build_system`` turns a sealed build context into a runnable simulator,
-reconstructing the cell map from the emitted artifacts so that whatever
-was detached at elaboration time is genuinely absent from the machine.
+``read_machine`` reads a sealed build into one immutable ``MachineRecord``,
+which the mapper, the simulator and the resource report all read: replace a
+plugin and each of them sees the change. ``standard_machine(params)`` is the
+standard roster's record, elaborated once per architecture.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .arch import ArchParams, PeType, derive_counts, validate
 from .elab import BuildContext, Plugin, ServiceKey, ServiceKind, elaborate
-from .errors import ValidationError
-from .interconnect import neighbor_map
-from .system import DEFAULT_CYCLE_LIMIT, SystemSim, default_rtt
+from .errors import MissingService, ValidationError
+from .interconnect import _OPPOSITE, neighbor_map
+from .system import DEFAULT_CYCLE_LIMIT, Rtt, SystemSim, default_rtt
 
 TOPOLOGY = ServiceKey("topology", ServiceKind.SIGNAL_BUNDLE)
 SHARED_MEMORY = ServiceKey("shared-memory", ServiceKind.SIGNAL_BUNDLE)
@@ -36,14 +38,10 @@ def _raw_cells(params: ArchParams, wanted: PeType):
 
 
 def topology_plugin() -> Plugin:
-    def config(ctx, params):
-        validate(params)
-
     def early(ctx, params):
         ctx.provide(TOPOLOGY, neighbor_map(params.topology, (params.rows, params.cols)))
 
-    return Plugin("Topology", provides=frozenset({TOPOLOGY}),
-                  on_config=config, on_early=early)
+    return Plugin("Topology", provides=frozenset({TOPOLOGY}), on_early=early)
 
 
 def shared_reg_plugin() -> Plugin:
@@ -85,7 +83,6 @@ def cpe_plugin() -> Plugin:
         ctx.provide(CPE_CELLS, tuple(_raw_cells(params, PeType.CPE)))
 
     def late(ctx, params):
-        ctx.get_service(HOST_RTT)  # the controller's command path
         for r, c in ctx.get_service(CPE_CELLS):
             ctx.emit(f"pe_{r}_{c}", "pe", row=r, col=c, pe_type="CPE")
 
@@ -95,8 +92,6 @@ def cpe_plugin() -> Plugin:
 
 def gpe_plugin() -> Plugin:
     def late(ctx, params):
-        ctx.get_service(TOPOLOGY)
-        ctx.get_service(SHARED_REGS)
         claimed = ctx.try_service(CPE_CELLS) or ()
         cells = list(_raw_cells(params, PeType.GPE))
         # authored fallback: unclaimed controller cells become plain GPEs
@@ -110,8 +105,6 @@ def gpe_plugin() -> Plugin:
 
 def lsu_plugin() -> Plugin:
     def late(ctx, params):
-        ctx.get_service(TOPOLOGY)
-        ctx.get_service(SHARED_MEMORY)
         for r, c in _raw_cells(params, PeType.LSU):
             ctx.emit(f"pe_{r}_{c}", "pe", row=r, col=c, pe_type="LSU")
 
@@ -136,27 +129,78 @@ def elaborate_arch(params: ArchParams, plugins: list[Plugin] | None = None) -> B
     return elaborate(plugins if plugins is not None else standard_plugins(params), params)
 
 
-def report_from_build(ctx: BuildContext):
-    """Resource report measured over the artifacts actually emitted."""
-    return derive_counts(_params_from_artifacts(ctx))
+# --- the machine record --------------------------------------------------------
 
 
-def _params_from_artifacts(ctx: BuildContext) -> ArchParams:
+@dataclass(frozen=True, eq=False)
+class MachineRecord:
+    """One built machine: everything the mapper and the simulator read."""
+
+    params: ArchParams        # as built
+    ports: Mapping            # coord -> {drive direction: neighbor}, read-only
+    rtt: Rtt                  # host and controller command decode
+    cells: tuple              # (coord, PE type, port row) of every cell, in raster order
+    pai_order: tuple          # arbiter requesters: LSUs in raster order, then the ring port
+    lsu_report_order: tuple   # LSUs as ``grants_per_lsu`` lists them: by str(coord)
+    _derived: dict = field(default_factory=dict, repr=False)
+
+    def derived(self, build):
+        """``build(self)``, computed once per record: a table a consumer
+        derives from the machine, such as the mapper's route tables."""
+        table = self._derived.get(build)
+        if table is None:
+            table = self._derived[build] = build(self)
+        return table
+
+
+def read_machine(ctx: BuildContext) -> MachineRecord:
+    """The machine a sealed build describes. Raises ValidationError when a
+    cell has no PE or no port row, or a link has no way back."""
+    keys = (TOPOLOGY, SHARED_REGS, SHARED_MEMORY, HOST_RTT)
+    missing = [key.name for key in keys if key not in ctx.services]
+    if missing:
+        raise MissingService([("machine", name) for name in missing])
+    ports, sregs, memory, rtt = (ctx.services[key][1] for key in keys)
     params: ArchParams = ctx.params
-    cells = {}
-    for a in ctx.artifacts:
-        if a.kind == "pe":
-            cells[(a.detail["row"], a.detail["col"])] = PeType[a.detail["pe_type"]]
-    missing = [c for c in params.coords() if c not in cells]
+    built = {(a.detail["row"], a.detail["col"]): PeType[a.detail["pe_type"]]
+             for a in ctx.artifacts if a.kind == "pe"}
+    missing = [c for c in params.coords() if c not in built]
     if missing:
         raise ValidationError([f"build emitted no PE for cells {missing[:4]}"])
-    grid = tuple(tuple(cells[(r, c)] for c in range(params.cols))
+    grid = tuple(tuple(built[(r, c)] for c in range(params.cols))
                  for r in range(params.rows))
-    has_cpe = any(t is PeType.CPE for row in grid for t in row)
-    return validate(replace(params, pe_type_map=grid, cpe_enabled=has_cpe))
+    params = validate(replace(
+        params, pe_type_map=grid, cpe_enabled=any(PeType.CPE in row for row in grid),
+        shared_reg_mode=sregs["mode"], shared_reg_count=sregs["count"],
+        sm_banks=memory["banks"], bank_depth=memory["depth"], bank_width=memory["width"]))
+    cells = tuple(((r, c), t, ports.get((r, c))) for r, types in enumerate(grid)
+                  for c, t in enumerate(types))
+    # a port row per cell, each link with a way back: a consumed latch wakes its
+    # driver through the opposite port, and route distances search from the goal
+    one_way = [f"{a} -{d.name}-> {b}" for a, row in ports.items() for d, b in row.items()
+               if b not in ports or ports[b].get(_OPPOSITE[d]) != a]
+    if one_way or len(ports) != len(cells) or any(row is None for _, _, row in cells):
+        raise ValidationError([f"topology: want a row per cell, no one-way link: {one_way[:4]}"])
+    lsus = tuple(rc for rc, pe_type, _ in cells if pe_type is PeType.LSU)
+    return MachineRecord(params, ports, rtt, cells, (*lsus, ("ring",)),
+                         tuple(sorted(lsus, key=str)))
+
+
+# bounded: a run builds few architectures, and a large grid's record is large
+@lru_cache(maxsize=16)
+def standard_machine(params: ArchParams) -> MachineRecord:
+    """The standard roster's machine for ``params``, elaborated once per
+    architecture."""
+    return read_machine(elaborate_arch(params))
+
+
+def report_from_build(ctx: BuildContext):
+    """Resource report of the machine actually built."""
+    machine = read_machine(ctx)
+    return derive_counts(machine.params, machine.ports)
 
 
 def build_system(ctx: BuildContext, data_image=None,
                  cycle_limit=DEFAULT_CYCLE_LIMIT) -> SystemSim:
     """Instantiate the simulator exactly as elaborated."""
-    return SystemSim(_params_from_artifacts(ctx), data_image, cycle_limit)
+    return SystemSim(read_machine(ctx), data_image, cycle_limit)

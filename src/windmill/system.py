@@ -32,13 +32,11 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
 
-from .arch import ArchParams, ExecMode, PeType, validate
+from .arch import ArchParams, ExecMode
 from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
                      ProtocolOrderViolation, SimulationError, UnknownOpcode)
-from .interconnect import SharedRegFile, neighbor_map
+from .interconnect import SharedRegFile
 from .memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
 from .pe import PE, ConfigWord, validate_bitstream
 
@@ -149,33 +147,8 @@ class SimStats:
                    "bank_conflicts", "arbiter_grants", "dma_stall_cycles",
                    "pingpong_toggles", "host_commands", "sreg_conflicts")
 
-    def csv_header(self) -> str:
-        return ",".join(self.CSV_COLUMNS)
-
     def csv_row(self) -> str:
         return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
-
-
-# --- the machine table ------------------------------------------------------------
-
-
-class Machine(NamedTuple):
-    """What every SystemSim of one architecture shares."""
-
-    cells: tuple              # (coord, PE type, port row) of every cell, in raster order
-    pai_order: tuple          # arbiter requesters: LSUs in raster order, then the ring port
-    lsu_report_order: tuple   # LSUs as ``grants_per_lsu`` lists them: by str(coord)
-
-
-# bounded like the other per-geometry tables
-@lru_cache(maxsize=8)
-def machine_table(params: ArchParams) -> Machine:
-    """The validated ``params``' machine table, built once per architecture."""
-    validate(params)
-    ports = neighbor_map(params.topology, (params.rows, params.cols))
-    cells = tuple((rc, params.pe_type(*rc), ports[rc]) for rc in params.coords())
-    lsus = tuple(rc for rc, pe_type, _ in cells if pe_type is PeType.LSU)
-    return Machine(cells, (*lsus, ("ring",)), tuple(sorted(lsus, key=str)))
 
 
 # --- one RPU -------------------------------------------------------------------
@@ -200,10 +173,9 @@ class Rpu:
     PEs are built at the first ``load_config``: ring reads need none.
     """
 
-    def __init__(self, rpu_id: int, params: ArchParams, ext_memory: list[int],
-                 machine: Machine):
+    def __init__(self, rpu_id: int, machine, ext_memory: list[int]):
         self.id = rpu_id
-        self.params = params
+        self.params = params = machine.params
         self.machine = machine
         dims = (params.rows, params.cols)
         self.pes: dict[tuple[int, int], PE] = {}
@@ -315,9 +287,7 @@ class Rpu:
         return self._responses_now.pop(coord, None)
 
     def rtt_action(self, coord, imm16):
-        if self.pes[coord].pe_type is not PeType.CPE:
-            raise SimulationError(f"RTT action from non-controller PE {coord}")
-        self._cpe_actions.append(imm16)
+        self._cpe_actions.append(imm16)   # validation kept RTT destinations on the CPE
 
     # -- cycle advance ------------------------------------------------------
 
@@ -423,17 +393,20 @@ class Rpu:
 
 class SystemSim:
     """All RPUs, the host bridge, external memory, and the tick loop. A cycle
-    visits only the RPUs a command or a ring transfer made busy, by id."""
+    visits only the RPUs a command or a ring transfer made busy, by id. It
+    runs a ``plugins.MachineRecord``; ArchParams stand for the standard one."""
 
-    def __init__(self, params: ArchParams, data_image: list[int] | None = None,
+    def __init__(self, machine, data_image: list[int] | None = None,
                  cycle_limit: int = DEFAULT_CYCLE_LIMIT):
-        self.machine = machine_table(params)
-        self.params = params
+        if isinstance(machine, ArchParams):
+            from .plugins import standard_machine   # plugins builds on this module
+            machine = standard_machine(machine)
+        self.machine = machine
+        self.params = machine.params
         self.ext_memory = list(data_image or [])
-        self.rtt = default_rtt()
+        self.rtt = machine.rtt
         self.cycle_limit = cycle_limit
-        self.rpus = [Rpu(i, params, self.ext_memory, self.machine)
-                     for i in range(params.rpu_count)]
+        self.rpus = [Rpu(i, machine, self.ext_memory) for i in range(self.params.rpu_count)]
         self._active: list[Rpu] = []
         self.configs: dict[int, list] = {}
         self.script: list[HostCommand] = []

@@ -10,7 +10,6 @@ from windmill.arch import (ArchParams, ExecMode, PeType, SharedRegScope,
                            TopologyKind, derive_counts, link_count, parse_arch_file,
                            perimeter_lsu_map, serialize, standard_preset, validate)
 from windmill.errors import ParseError, ValidationError
-from windmill.interconnect import neighbor_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -103,7 +102,6 @@ class TestDerivedCounts:
         for rows, cols in grids:
             assert (link_count(topology, rows, cols)
                     == self.closed_form_links(topology, rows, cols)), (rows, cols)
-        neighbor_map.cache_clear()   # a 256x256 table holds ~50 MB
 
     def test_torus_regular_degree(self):
         from windmill.interconnect import neighbors

@@ -1,12 +1,17 @@
 """Topology adjacency, per-cycle value exchange, and scoped shared registers."""
 
+from dataclasses import replace
+
 import pytest
 
-from windmill.arch import PeType, SharedRegScope, TopologyKind
+from windmill.arch import ArchParams, PeType, SharedRegScope, TopologyKind, with_default_type_map
 from windmill.errors import IndexOutOfRange
 from windmill.interconnect import (Direction, SharedRegFile, neighbor_map, neighbors,
                                    scope_of)
+from windmill.mapper import _route_tables, _Scheduler
 from windmill.pe import PE, ConfigWord, DstSel, Opcode, SrcSel
+from windmill.plugins import standard_machine
+from windmill.system import SystemSim
 
 from test_pe import FakeBus
 
@@ -65,10 +70,21 @@ class TestNeighbors:
                             assert dest != (r, c)
 
     def test_neighbor_map_is_one_read_only_table_per_geometry(self):
-        ports = neighbor_map(TopologyKind.TORUS, (4, 5))
-        assert neighbor_map(TopologyKind.TORUS, (4, 5)) is ports
-        assert neighbor_map(TopologyKind.MESH2D, (4, 5)) is not ports
+        """One machine record per architecture holds one read-only port
+        table, shared by the record's mapper tables and its PEs."""
+        params = with_default_type_map(ArchParams(rows=4, cols=5, topology=TopologyKind.TORUS))
+        machine = standard_machine(params)
+        assert standard_machine(replace(params)) is machine
+        ports = machine.ports
+        assert standard_machine(replace(params, topology=TopologyKind.MESH2D)).ports is not ports
         assert dict(ports[(0, 0)]) == dict(neighbors(TopologyKind.TORUS, (0, 0), (4, 5)))
+        links, _ = machine.derived(_route_tables)
+        assert {coord: {link[0]: link[1] for link in row} for coord, row in links.items()} \
+            == {coord: dict(row) for coord, row in ports.items()}
+        assert _Scheduler(machine, 4).links is links
+        rpu = SystemSim(machine).rpus[0]
+        rpu.load_config([])
+        assert all(pe.ports is ports[coord] for coord, pe in rpu.pes.items())
         with pytest.raises(TypeError):
             ports[(9, 9)] = {}
         with pytest.raises(TypeError):

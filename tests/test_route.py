@@ -15,6 +15,7 @@ import pytest
 from windmill.arch import TopologyKind
 from windmill.interconnect import Direction, neighbor_map
 from windmill.mapper import _Scheduler
+from windmill.plugins import standard_machine
 
 from test_e2e import make_arch
 
@@ -25,7 +26,8 @@ def oracle_route(sched, src, dst, forbidden_final):
     """The unbounded search: every reachable cell is settled in order."""
     if src == dst:
         return None
-    ports = neighbor_map(sched.params.topology, (sched.params.rows, sched.params.cols))
+    params = sched.machine.params
+    ports = neighbor_map(params.topology, (params.rows, params.cols))
     back = [None]
     pq = [(0, 0, 0, src)]
     seen = set()
@@ -62,7 +64,7 @@ def random_state(rng, topology):
     capacity, and src/dst pairs with claimed final entries."""
     size = rng.randint(4, 8)
     capacity = rng.randint(2, 8)
-    sched = _Scheduler(make_arch(size, size, topology), capacity)
+    sched = _Scheduler(standard_machine(make_arch(size, size, topology)), capacity)
     ports = neighbor_map(topology, (size, size))
     cells = sorted(ports)
     p_pending, p_busy = rng.choice((0.05, 0.2, 0.4)), rng.choice((0.1, 0.3, 0.6))
@@ -88,7 +90,7 @@ def test_bounded_route_matches_unbounded(topology):
     raised = unreachable = 0
     for _ in range(120):
         sched, queries = random_state(rng, topology)
-        free = _Scheduler(sched.params, sched.capacity)
+        free = _Scheduler(sched.machine, sched.capacity)
         for src, dst, claimed in queries:
             got = sched.route(src, dst, claimed)
             assert got == oracle_route(sched, src, dst, claimed), (src, dst, claimed)
