@@ -4,8 +4,8 @@ An architecture instance is one ``ArchParams`` value: grid geometry, the
 per-cell PE type map, interconnect topology, execution mode, shared-memory
 banking, shared-register scoping and the host-system counts. ``validate``
 checks every invariant and reports all violations at once. ``derive_counts``
-turns validated parameters into a resource report (PE counts by type, context
-bits, memory bytes, link counts).
+turns validated parameters and a port table into a resource report (PE counts
+by type, context bits, memory bytes, link counts).
 
 The on-disk form is a small ``key = value`` text format under three section
 headers, with the PE type map written as rows of single-letter codes::
@@ -37,9 +37,9 @@ Unknown keys are rejected. ``serialize`` and ``parse_arch_file`` round-trip.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -187,7 +187,8 @@ def validate(params: ArchParams) -> ArchParams:
     return params
 
 
-class ResourceReport(NamedTuple):
+@dataclass(frozen=True)
+class ResourceReport:
     """Pure function of validated parameters; what a generated instance costs
     in countable resources (the desk-scale stand-in for silicon area)."""
 
@@ -209,19 +210,20 @@ class ResourceReport(NamedTuple):
     shared_reg_count: int
     rpu_count: int
 
+    CSV_COLUMNS = (
+        "rows", "cols", "gpe_count", "lsu_count", "cpe_count", "topology",
+        "exec_mode", "links_directed", "context_words_per_pe",
+        "context_bits_total", "sm_banks", "bank_depth", "bank_width",
+        "sm_bytes", "shared_reg_mode", "shared_reg_count", "rpu_count",
+    )
+
     def csv_row(self) -> str:
-        return ",".join(map(str, self))
+        return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
 
 
-def link_count(topology: TopologyKind, rows: int, cols: int) -> int:
-    """Directed link count for one grid under the given topology: the
-    ports of its neighbor map."""
-    from .interconnect import neighbor_map   # interconnect imports this module
-    return sum(map(len, neighbor_map(topology, (rows, cols)).values()))
-
-
-def derive_counts(params: ArchParams, ports=None) -> ResourceReport:
-    """``params``' report; links are counted in ``ports`` or the topology's own table."""
+def derive_counts(params: ArchParams, ports: Mapping) -> ResourceReport:
+    """The report of a machine with ``params`` and the port table ``ports``
+    (coord -> {drive direction: neighbor})."""
     counts = {PeType.GPE: 0, PeType.LSU: 0, PeType.CPE: 0}
     for r, c in params.coords():
         counts[params.pe_type(r, c)] += 1
@@ -235,8 +237,7 @@ def derive_counts(params: ArchParams, ports=None) -> ResourceReport:
         cpe_count=counts[PeType.CPE],
         topology=params.topology.value,
         exec_mode=params.exec_mode.value,
-        links_directed=(link_count(params.topology, params.rows, params.cols) if ports is None
-                        else sum(map(len, ports.values()))),
+        links_directed=sum(map(len, ports.values())),
         context_words_per_pe=cap,
         context_bits_total=cap * 64 * n_pes,
         sm_banks=params.sm_banks,
@@ -260,9 +261,6 @@ _KEY_HOME = {
     "rpu_count": "system", "cpe": "system", "context_depth_mcmd": "system",
     "shared_reg_mode": "system", "shared_reg_count": "system",
 }
-
-_ENUM_KEYS = {"topology": TopologyKind, "exec_mode": ExecMode,
-              "shared_reg_mode": SharedRegScope}
 
 _INT_KEYS = {"rows", "cols", "data_width", "sm_banks", "bank_depth",
              "bank_width", "rpu_count", "context_depth_mcmd",
@@ -311,8 +309,12 @@ def parse_arch_file(text: str) -> ArchParams:
                     values[key] = int(value, 0)
                 except ValueError:
                     raise ParseError(f"{key}: expected an integer, got {value!r}", lineno)
-            elif key in _ENUM_KEYS:
-                values[key] = _parse_enum(_ENUM_KEYS[key], value, key, lineno)
+            elif key == "topology":
+                values[key] = _parse_enum(TopologyKind, value, key, lineno)
+            elif key == "exec_mode":
+                values[key] = _parse_enum(ExecMode, value, key, lineno)
+            elif key == "shared_reg_mode":
+                values[key] = _parse_enum(SharedRegScope, value, key, lineno)
             elif key == "cpe":
                 if value.lower() not in ("on", "off"):
                     raise ParseError(f"cpe: expected on/off, got {value!r}", lineno)

@@ -105,7 +105,8 @@ def cmd_generate(args) -> int:
     rows = []
     for params in configs:
         ctx = elaborate_arch(params)
-        rows.append(report_from_build(ctx))
+        report = report_from_build(ctx)
+        rows.append(report)
         for plugin, phase, seq in ctx.phase_log:
             log.info("elaborated %-12s %s (#%d)", plugin, phase, seq)
 
@@ -127,7 +128,7 @@ def cmd_generate(args) -> int:
     print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(rows[0]._fields) + "\n")
+            fh.write(",".join(rows[0].CSV_COLUMNS) + "\n")
             for report in rows:
                 fh.write(report.csv_row() + "\n")
     return EXIT_OK
@@ -177,7 +178,7 @@ def cmd_sim(args) -> int:
         _write_image(args.out, system.results_words(result_len))
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write(",".join(stats.CSV_COLUMNS) + "\n")
+            fh.write(stats.csv_header() + "\n")
             fh.write(stats.csv_row() + "\n")
     if partial is not None:
         print(f"error: {partial}", file=sys.stderr)

@@ -96,6 +96,12 @@ def scope_of(mode: SharedRegScope, coord: Coord, dims: Coord) -> int:
     return 0
 
 
+def scope_count(mode: SharedRegScope, dims: Coord) -> int:
+    rows, cols = dims
+    return {SharedRegScope.LINE: cols, SharedRegScope.ROW: rows,
+            SharedRegScope.QUADRANT: 4, SharedRegScope.GLOBAL: 1}[mode]
+
+
 class SharedRegFile:
     """Scoped 32-bit registers with validity bits for cross-schedule delivery.
 
@@ -108,8 +114,7 @@ class SharedRegFile:
         self.mode = mode
         self.dims = dims
         self.reg_count = reg_count
-        n = {SharedRegScope.LINE: dims[1], SharedRegScope.ROW: dims[0],
-             SharedRegScope.QUADRANT: 4, SharedRegScope.GLOBAL: 1}[mode]   # scope instances
+        n = scope_count(mode, dims)
         self._value = [[0] * reg_count for _ in range(n)]
         self._valid = [[False] * reg_count for _ in range(n)]
         self.pending: dict[tuple[int, int], tuple[Coord, int]] = {}

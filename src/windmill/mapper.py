@@ -534,7 +534,8 @@ class _Scheduler:
         A push whose hops plus free-grid distance to dst exceed ``bound``,
         first src's distance, is pruned; until dst is reached, ``bound`` rises
         to the least pruned length. Shortest paths keep every push, in order,
-        so the path is the one an unpruned search finds.
+        so the path is the one an unpruned search finds. Raises Unmappable
+        when no link path joins src to dst.
         """
         if src == dst:
             return None
@@ -543,8 +544,8 @@ class _Scheduler:
         to_dst = self.hops_to(dst)
         heappush, heappop = heapq.heappush, heapq.heappop
         bound = to_dst.get(src)
-        if bound is None:
-            return None   # no link path at all
+        if bound is None:   # no amount of waiting opens a path
+            raise Unmappable(f"no link path from {src} to {dst}")
         while True:
             # heap entries are (hops, occ, i, cell); back[i] = (i of the entry
             # whose cell was left, that cell, link taken), unwound on success

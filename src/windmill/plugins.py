@@ -1,14 +1,16 @@
 """The standard plugin roster, and the one machine record a sealed build makes.
 
-Topology provides the port table, SharedRegs and SharedMemory their
-settings, HostBridge the register transformation table (RTT). The GPE, LSU
-and CPE plugins split the grid cells; detaching the CPE leaves no residue,
-as the GPE plugin claims any controller cell nobody spoke for.
+Topology validates the caller's params and provides the port table,
+SharedRegs and SharedMemory their settings, HostBridge the register
+transformation table (RTT). The GPE, LSU and CPE plugins split the grid
+cells; detaching the CPE leaves no residue, as the GPE plugin claims any
+controller cell nobody spoke for.
 
 ``read_machine`` reads a sealed build into one immutable ``MachineRecord``,
-which the mapper, the simulator and the resource report all read: replace a
-plugin and each of them sees the change. ``standard_machine(params)`` is the
-standard roster's record, elaborated once per architecture.
+which the mapper and the simulator read; the resource report reads the same
+as-built params and port table. Replace a plugin and each of them sees the
+change. ``standard_machine(params)`` is the standard roster's record,
+elaborated once per architecture.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from .arch import ArchParams, PeType, derive_counts, validate
 from .elab import BuildContext, Plugin, ServiceKey, ServiceKind, elaborate
 from .errors import MissingService, ValidationError
-from .interconnect import _OPPOSITE, neighbor_map
+from .interconnect import neighbor_map
 from .system import DEFAULT_CYCLE_LIMIT, Rtt, SystemSim, default_rtt
 
 TOPOLOGY = ServiceKey("topology", ServiceKind.SIGNAL_BUNDLE)
@@ -38,10 +40,14 @@ def _raw_cells(params: ArchParams, wanted: PeType):
 
 
 def topology_plugin() -> Plugin:
+    def config(ctx, params):
+        validate(params)
+
     def early(ctx, params):
         ctx.provide(TOPOLOGY, neighbor_map(params.topology, (params.rows, params.cols)))
 
-    return Plugin("Topology", provides=frozenset({TOPOLOGY}), on_early=early)
+    return Plugin("Topology", provides=frozenset({TOPOLOGY}),
+                  on_config=config, on_early=early)
 
 
 def shared_reg_plugin() -> Plugin:
@@ -153,9 +159,9 @@ class MachineRecord:
         return table
 
 
-def read_machine(ctx: BuildContext) -> MachineRecord:
-    """The machine a sealed build describes. Raises ValidationError when a
-    cell has no PE or no port row, or a link has no way back."""
+def _as_built(ctx: BuildContext) -> tuple[ArchParams, Mapping, Rtt]:
+    """The params, port table and RTT of a sealed build: the cell map from
+    the emitted PEs, every other setting from its service."""
     keys = (TOPOLOGY, SHARED_REGS, SHARED_MEMORY, HOST_RTT)
     missing = [key.name for key in keys if key not in ctx.services]
     if missing:
@@ -173,12 +179,18 @@ def read_machine(ctx: BuildContext) -> MachineRecord:
         params, pe_type_map=grid, cpe_enabled=any(PeType.CPE in row for row in grid),
         shared_reg_mode=sregs["mode"], shared_reg_count=sregs["count"],
         sm_banks=memory["banks"], bank_depth=memory["depth"], bank_width=memory["width"]))
-    cells = tuple(((r, c), t, ports.get((r, c))) for r, types in enumerate(grid)
-                  for c, t in enumerate(types))
+    return params, ports, rtt
+
+
+def read_machine(ctx: BuildContext) -> MachineRecord:
+    """The machine a sealed build describes. Raises ValidationError when a
+    cell has no PE or no port row, or a link has no way back."""
+    params, ports, rtt = _as_built(ctx)
+    cells = tuple((rc, params.pe_type(*rc), ports.get(rc)) for rc in params.coords())
     # a port row per cell, each link with a way back: a consumed latch wakes its
     # driver through the opposite port, and route distances search from the goal
     one_way = [f"{a} -{d.name}-> {b}" for a, row in ports.items() for d, b in row.items()
-               if b not in ports or ports[b].get(_OPPOSITE[d]) != a]
+               if b not in ports or ports[b].get(d.opposite) != a]
     if one_way or len(ports) != len(cells) or any(row is None for _, _, row in cells):
         raise ValidationError([f"topology: want a row per cell, no one-way link: {one_way[:4]}"])
     lsus = tuple(rc for rc, pe_type, _ in cells if pe_type is PeType.LSU)
@@ -196,8 +208,8 @@ def standard_machine(params: ArchParams) -> MachineRecord:
 
 def report_from_build(ctx: BuildContext):
     """Resource report of the machine actually built."""
-    machine = read_machine(ctx)
-    return derive_counts(machine.params, machine.ports)
+    params, ports, _ = _as_built(ctx)
+    return derive_counts(params, ports)
 
 
 def build_system(ctx: BuildContext, data_image=None,

@@ -147,6 +147,9 @@ class SimStats:
                    "bank_conflicts", "arbiter_grants", "dma_stall_cycles",
                    "pingpong_toggles", "host_commands", "sreg_conflicts")
 
+    def csv_header(self) -> str:
+        return ",".join(self.CSV_COLUMNS)
+
     def csv_row(self) -> str:
         return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
 

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from windmill.arch import (ArchParams, ExecMode, PeType, SharedRegScope,
-                           TopologyKind, derive_counts, link_count, parse_arch_file,
+                           TopologyKind, derive_counts, parse_arch_file,
                            perimeter_lsu_map, serialize, standard_preset, validate)
 from windmill.errors import ParseError, ValidationError
+from windmill.interconnect import neighbor_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def standard_counts(params):
+    """``params``' report on the topology's own port table."""
+    return derive_counts(params, neighbor_map(params.topology, (params.rows, params.cols)))
+
+
+def link_count(topology, rows, cols):
+    return sum(map(len, neighbor_map(topology, (rows, cols)).values()))
 
 
 def count_types(params):
@@ -66,7 +76,7 @@ class TestValidation:
 
 class TestDerivedCounts:
     def test_standard_counts(self):
-        report = derive_counts(standard_preset())
+        report = standard_counts(standard_preset())
         assert report.lsu_count == 28
         assert report.gpe_count == 35
         assert report.cpe_count == 1
@@ -112,12 +122,12 @@ class TestDerivedCounts:
     def test_scmd_capacity_factor(self):
         base = standard_preset()
         scmd = replace(base, exec_mode=ExecMode.SCMD)
-        assert (derive_counts(scmd).context_words_per_pe
-                == 8 * derive_counts(base).context_words_per_pe)
+        assert (standard_counts(scmd).context_words_per_pe
+                == 8 * standard_counts(base).context_words_per_pe)
 
     def test_cpe_disabled_counts_as_gpe(self):
         p = replace(standard_preset(), cpe_enabled=False)
-        report = derive_counts(p)
+        report = standard_counts(p)
         assert report.cpe_count == 0
         assert report.gpe_count == 36
 

@@ -9,6 +9,7 @@ the cut table still computes what ``reference_execute`` does.
 
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -111,6 +112,20 @@ def test_one_way_link_fails_the_build():
         build_system(ctx)
 
 
+@pytest.mark.parametrize("bad", [
+    replace(STANDARD, pe_type_map=STANDARD.pe_type_map + STANDARD.pe_type_map[:1]),
+    replace(STANDARD, pe_type_map=tuple(row[:-1] for row in STANDARD.pe_type_map)),
+    replace(STANDARD, pe_type_map=tuple(tuple(PeType.GPE if t is PeType.CPE else t for t in row)
+                                        for row in STANDARD.pe_type_map)),
+], ids=["extra-row", "short-rows", "cpe-enabled-without-cpe"])
+def test_the_callers_params_are_validated(bad):
+    """The record rebuilds its params from the build, which must not trim
+    or repair the params the caller described."""
+    for build in (SystemSim, lambda p: build_system(elaborate_arch(p)), elaborate_arch):
+        with pytest.raises(ValidationError):
+            build(bad)
+
+
 def test_unreachable_destination_is_unmappable():
     """No E/W link joins columns 1 and 2, and each LSU holds one op, so the
     store sits across the cut from the load it reads."""
@@ -119,7 +134,7 @@ def test_unreachable_destination_is_unmappable():
                                  pe_type_map=((lsu, gpe, gpe, lsu), (gpe,) * 4)))
     cut = {(1, Direction.E), (2, Direction.W)}
     ctx = build_with(params, topology_plugin(lambda coord, d: (coord[1], d) in cut))
-    with pytest.raises(Unmappable):
+    with pytest.raises(Unmappable, match=r"no link path from \(0, 0\) to \(0, 3\)"):
         map_dfg(parse_dfg("in a 0\nout a 1\n"), read_machine(ctx))
 
 
