@@ -94,8 +94,8 @@ class ProtocolOrderViolation(WindmillError):
 
 class BitstreamTargetInvalid(WindmillError):
     """A bitstream record targets a PE that does not exist, or uses an
-    encoding illegal for the target (memory op on a non-LSU, 2-hop select
-    without the 1-hop topology)."""
+    encoding illegal for the target (memory op on a non-LSU, a directional
+    select the word uses in which no link of the machine runs)."""
 
 
 class CycleLimitExceeded(WindmillError):

@@ -39,10 +39,6 @@ class Direction(IdentityEnum):
 
 _OPPOSITE = {d: Direction((-d.value[0], -d.value[1])) for d in Direction}
 
-_ONE_HOP_ORDER = (Direction.N, Direction.S, Direction.E, Direction.W,
-                  Direction.N2, Direction.S2, Direction.E2, Direction.W2)
-_MESH_ORDER = _ONE_HOP_ORDER[:4]
-
 
 def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[Direction, Coord]]:
     """Outgoing ports of one PE: (direction, destination coordinate).
@@ -56,16 +52,13 @@ def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[D
     if not (0 <= r < rows and 0 <= c < cols):
         raise IndexOutOfRange(f"coord {coord} outside {rows}x{cols} grid")
     out = []
-    if topology is TopologyKind.TORUS:
-        for d in _MESH_ORDER:
-            dr, dc = d.value
-            out.append((d, ((r + dr) % rows, (c + dc) % cols)))
-        return out
-    order = _ONE_HOP_ORDER if topology is TopologyKind.ONE_HOP else _MESH_ORDER
-    for d in order:
-        dr, dc = d.value
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < rows and 0 <= nc < cols:
+    for d in Direction:   # N S E W, then the distance-2 links N2 S2 E2 W2
+        if d.is_two_hop and topology is not TopologyKind.ONE_HOP:
+            break
+        nr, nc = r + d.value[0], c + d.value[1]
+        if topology is TopologyKind.TORUS:
+            out.append((d, (nr % rows, nc % cols)))
+        elif 0 <= nr < rows and 0 <= nc < cols:
             out.append((d, (nr, nc)))
     return out
 

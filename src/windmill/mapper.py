@@ -17,7 +17,7 @@ ternary select, lowered to a mask-and-merge of two predicated passes.
 
 Mapping strategy: greedy placement in a demand-driven topological order
 (consumers fire as soon as their operands exist), minimizing summed
-Manhattan distance to placed predecessors with a light spreading penalty.
+one-step link distance to placed predecessors with a light spreading penalty.
 Values travel as chains of single-target sends and ROUTE hops; a node with
 one remote consumer drives the first link straight from its datapath,
 anything else parks in the accumulator and sends from there. Chains are
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from operator import add
 
-from .arch import ArchParams, ExecMode, PeType, TopologyKind
+from .arch import ArchParams, ExecMode, PeType
 from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
 from .interconnect import Direction
 from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, MASK32, Opcode,
@@ -441,43 +441,48 @@ class Mapping:
         return {op.pe for op in self.micro_ops}
 
 
+def _hops(ports, start) -> dict:
+    """The fewest links from ``start`` to each cell it reaches over the port
+    table, by BFS. Links are two-way, so these are the distances back to
+    ``start`` too."""
+    dist, frontier = {start: 0}, [start]
+    for cell in frontier:
+        for coord in ports[cell].values():
+            if coord not in dist:
+                dist[coord] = dist[cell] + 1
+                frontier.append(coord)
+    return dist
+
+
 def _route_tables(machine: MachineRecord):
     """Each cell's (drive, to, entry, (to, entry)) links in route's tie-break
     order, the last field being the link's key in ``pending``; and
     ``hops_to(dst)[cell]``, the fewest links from cell to dst on the free
-    grid, by BFS from dst over the two-way links, absent if there is none."""
+    grid, absent if there is none."""
     ports = machine.ports
     links = {coord: tuple((d, to, d.opposite, (to, d.opposite))
                           for d, to in sorted(out.items(), key=lambda x: x[0].name))
              for coord, out in ports.items()}
-
-    @cache   # at most one entry per cell
-    def hops_to(dst):
-        dist, frontier = {dst: 0}, [dst]
-        for cell in frontier:
-            for coord in ports[cell].values():
-                if coord not in dist:
-                    dist[coord] = dist[cell] + 1
-                    frontier.append(coord)
-        return dist
-    return links, hops_to
+    return links, cache(lambda dst: _hops(ports, dst))   # at most one entry per cell
 
 
 def _pools(machine: MachineRecord):
     """Placement pools, GPEs then LSUs: (cells in raster order, cell ->
-    index, ``row``), where ``row(p)[j]`` is the Manhattan distance from
-    cell p to cells[j]; on the torus a span longer than half the grid wraps."""
-    params = machine.params
-    wrap_rows, wrap_cols = ((params.rows, params.cols) if params.topology is TopologyKind.TORUS
-                            else (2 * params.rows, 2 * params.cols))   # 2x: never wraps
+    index, ``row``), where ``row(p)[j]`` is the fewest one-step links from
+    cell p to cells[j] on the free grid, or rows + cols if none joins them:
+    longer than a standard grid's paths, short of ``map_dfg``'s blocked key."""
+    far = machine.params.rows + machine.params.cols
+    steps = {cell: {d: to for d, to in out.items() if not d.is_two_hop}
+             for cell, out in machine.ports.items()}
+    hops_from = cache(lambda p: _hops(steps, p))   # one BFS per cell serves both pools
 
     def pool(pe_type):
         cells = tuple(rc for rc, t, _ in machine.cells if t is pe_type)
 
         @cache   # at most one entry per cell
         def row(p):
-            spans = ((abs(p[0] - r), abs(p[1] - c)) for r, c in cells)
-            return tuple(min(dr, wrap_rows - dr) + min(dc, wrap_cols - dc) for dr, dc in spans)
+            dist = hops_from(p)
+            return tuple(dist.get(cell, far) for cell in cells)
         return cells, {pe: j for j, pe in enumerate(cells)}, row
     return pool(PeType.GPE), pool(PeType.LSU)
 
@@ -671,7 +676,6 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
     claimed_entries: dict[str, set] = {ln.id: set() for ln in lnodes}
     routes: dict[tuple, list] = {}
     node_step: dict[str, int] = {}
-    chain_done: set[tuple[str, str]] = set()
     acc_owner: dict[tuple, str] = {}
 
     def schedule_chain(v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
@@ -703,18 +707,15 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
         claimed_entries[cid].add(final_entry)
         arrivals[(v, cid)] = (_SRC_DIR[final_entry], final_entry, prev_step)
         routes[(v, cid)] = [src_pe] + [h[2] for h in path]
-        chain_done.add((v, cid))
         return True
 
     def flush_chains(v: str) -> bool:
         """Schedule every not-yet-routed chain out of v's accumulator."""
         for cid in consumers[v]:
-            if placement[cid] != placement[v] and (v, cid) not in chain_done \
+            if placement[cid] != placement[v] and (v, cid) not in routes \
                     and not schedule_chain(v, cid):
                 return False
         return True
-
-    processed: set[str] = set()
 
     def try_unit(ln: _LNode) -> bool:
         """Attempt to schedule one lowered node. Chain scheduling is
@@ -724,7 +725,7 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
         # every operand chain must exist before this op can be ordered
         for src in ln.srcs:
             if src[0] == "node" and placement[src[1]] != pe \
-                    and (src[1], ln.id) not in chain_done:
+                    and (src[1], ln.id) not in routes:
                 if not schedule_chain(src[1], ln.id):
                     return False
         # the accumulator is about to be reused: drain its deferred chains
@@ -768,14 +769,13 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
                 # flush) demands it; this keeps in-flight arrivals scarce
                 op.dst = DstSel.ACC
                 acc_owner[pe] = ln.id
-        processed.add(ln.id)
         return True
 
     work = deque(lnodes)
     fails_in_row = 0
     while work:
         ln = work.popleft()
-        ready = all(src[1] in processed for src in ln.srcs if src[0] == "node")
+        ready = all(src[1] in node_step for src in ln.srcs if src[0] == "node")
         if ready and try_unit(ln):
             fails_in_row = 0
             continue

@@ -34,7 +34,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arch import ArchParams, ExecMode, PeType, TopologyKind
+from .arch import ArchParams, ExecMode, PeType
 from .errors import (AddressOutOfRange, BitstreamTargetInvalid, CapacityExceeded,
                      DecodeError, EncodeError)
 from .interconnect import Direction
@@ -104,8 +104,6 @@ class DstSel(IntEnum):
 
 _DIR_BY_SEL = {s: Direction[s.name] for s in SrcSel if s.value <= 7}
 _DST_DIR = {d: Direction[d.name] for d in DstSel if d.value <= 7}
-_TWO_HOP_SRC = {s for s, d in _DIR_BY_SEL.items() if d.is_two_hop}
-_TWO_HOP_DST = {s for s, d in _DST_DIR.items() if d.is_two_hop}
 
 # Affine LSU stride table, indexed by the shared_reg_idx field.
 STRIDES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128, 256, -1, -4)
@@ -274,20 +272,22 @@ _NO_RESULT = (Opcode.NOP, Opcode.STORE, Opcode.HALT)
 _CONTROLLER_ACTIONS = range(1, 5)
 
 
-def validate_bitstream(params: ArchParams,
-                       records: list[tuple[int, int, list[ConfigWord]]]):
-    """Static legality of a bitstream against an architecture.
+def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]):
+    """Static legality of a bitstream against a ``plugins.MachineRecord``.
 
     Every field a defined value, memory ops only on LSUs, the RTT
     destination only on the CPE and only with a defined action nibble in
-    the words that emit, 2-hop selects only under the 1-hop
-    topology, shared-register selects the PE reads or writes within the
-    register count, capacity respected, all targets inside the grid. Each
-    word is checked once per process for each PE type, register count and
-    topology it meets.
+    the words that emit, a directional select the word reads or drives
+    (N..W2) only when some link of the machine runs that way (a drive off
+    the grid edge is legal and drops its value), shared-register selects the
+    PE reads or writes within the register count, capacity respected, all
+    targets inside the grid. Each word is checked once per process for each
+    PE type, register count and link-direction set it meets.
     """
+    params = machine.params
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
+    directions = machine.derived(_link_directions)
     seen = set()
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
@@ -300,16 +300,21 @@ def validate_bitstream(params: ArchParams,
                 f"PE ({row},{col}): {len(words)} words > capacity {cap}")
         pe_type = params.pe_type(row, col)
         for i, w in enumerate(words):
-            problem = _word_problem(w, pe_type, n_sregs, params.topology)
+            problem = _word_problem(w, pe_type, n_sregs, directions)
             if problem is not None:
                 raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
+
+
+def _link_directions(machine) -> frozenset:
+    """The directions the machine's links run in, anywhere on the grid."""
+    return frozenset(d for out in machine.ports.values() for d in out)
 
 
 # bounded like its sibling memos; a config re-registered per job, or a word
 # many PEs share, is checked once per process
 @lru_cache(maxsize=1024)
 def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
-                  topology: TopologyKind) -> str | None:
+                  directions: frozenset) -> str | None:
     """Why ``w`` may not sit on a PE of that type, if it may not."""
     problem = _undefined_field(w)
     if problem is not None:
@@ -321,15 +326,16 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
     if (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
             and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
         return f"controller action nibble {w.imm16 >> 12:#x} undefined"
-    if topology is not TopologyKind.ONE_HOP and (w.src0 in _TWO_HOP_SRC
-                                                 or w.src1 in _TWO_HOP_SRC):
-        return f"2-hop source under {topology.value}"
-    if topology is not TopologyKind.ONE_HOP and w.dst in _TWO_HOP_DST:
-        return f"2-hop destination under {topology.value}"
-    # the index field is also a memory op's stride selector, so only a
-    # select the word reads, or a destination it writes, names a register
-    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in _required(w) or (
-            w.dst == DstSel.SREG and w.opcode not in _NO_RESULT)):
+    # only a select the word reads, or a destination it writes, needs a link
+    # or names a register: a HALT's all-zero fields encode N, and the index
+    # field is also a memory op's stride selector
+    reads = _required(w)
+    writes = () if w.opcode in _NO_RESULT else (w.dst,)
+    used = [("reads", _DIR_BY_SEL.get(s)) for s in reads] + [("drives", _DST_DIR.get(d)) for d in writes]
+    for verb, direction in used:
+        if direction is not None and direction not in directions:
+            return f"{verb} {direction.name}, but the machine has no {direction.name} link"
+    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in reads or DstSel.SREG in writes):
         return f"shared register {w.shared_reg_idx} (count {n_sregs})"
     return None
 

@@ -422,8 +422,8 @@ class SystemSim:
     # -- host-side setup ----------------------------------------------------
 
     def register_config(self, config_id: int, records: list):
-        """Validate a config once, against the parameters every RPU shares."""
-        validate_bitstream(self.params, records)
+        """Validate a config once, against the machine every RPU shares."""
+        validate_bitstream(self.machine, records)
         self.configs[config_id] = records
 
     def submit_script(self, commands: list[HostCommand]):

@@ -1,10 +1,12 @@
 """The machine record: one sealed build drives the mapper and the simulator.
 
 ``topology_plugin`` is the example of customising the machine by replacing
-one plugin. It provides the standard port table without the links a rule
+one plugin. It provides a standard port table without the links a rule
 cuts. Nothing outside this file changes: the mapper routes around the cut
 links, the simulator drops a value driven into one, and a kernel mapped on
-the cut table still computes what ``reference_execute`` does.
+the cut table still computes what ``reference_execute`` does. Cut from the
+1-hop table instead, the same rule adds distance-2 links to a mesh, and the
+mapper, the bitstream validator and the simulator all use them.
 """
 
 import ast
@@ -15,9 +17,10 @@ from types import MappingProxyType
 
 import pytest
 
-from windmill.arch import ArchParams, PeType, SharedRegScope, parse_arch_file, validate
+from windmill.arch import (ArchParams, PeType, SharedRegScope, TopologyKind, parse_arch_file,
+                           validate)
 from windmill.elab import Plugin
-from windmill.errors import DeadlockDetected, Unmappable, ValidationError
+from windmill.errors import BitstreamTargetInvalid, DeadlockDetected, Unmappable, ValidationError
 from windmill.interconnect import Direction, neighbor_map
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
@@ -37,11 +40,12 @@ def provider(name, key, payload):
                   on_early=lambda ctx, params: ctx.provide(key, payload))
 
 
-def topology_plugin(cut):
-    """A Topology providing the standard table less each link (coord,
-    drive direction) for which ``cut`` is true."""
+def topology_plugin(cut, topology=None):
+    """A Topology providing the standard table of ``topology`` (by default
+    the params') less each link (coord, drive direction) for which ``cut``
+    is true."""
     def early(ctx, params):
-        full = neighbor_map(params.topology, (params.rows, params.cols))
+        full = neighbor_map(topology or params.topology, (params.rows, params.cols))
         ctx.provide(TOPOLOGY, MappingProxyType({
             coord: MappingProxyType({d: to for d, to in out.items() if not cut(coord, d)})
             for coord, out in full.items()}))
@@ -104,6 +108,56 @@ class TestGapTopology:
             run(build_system(self.ctx))
 
 
+def express(coord, direction):
+    """Cut from the 1-hop table: every distance-2 link but row 3's E2/W2."""
+    return direction.is_two_hop and not (
+        coord[0] == GAP_ROW and direction in (Direction.E2, Direction.W2))
+
+
+class TestExpressRow:
+    """The mesh plus 1-hop E2/W2 links along row 3; the params still say mesh2d."""
+
+    ctx = build_with(STANDARD, topology_plugin(express, TopologyKind.ONE_HOP))
+
+    @pytest.mark.parametrize("kernel", [kernels.dot, kernels.vecadd, kernels.fir4])
+    def test_kernels_use_the_links_and_compute_the_reference(self, kernel):
+        text, n_in, result_addr, result_len = kernel()
+        dfg = parse_dfg(text)
+        records = unpack_bitstream(emit_bitstream(map_dfg(dfg, read_machine(self.ctx))))
+        assert any({w.src0, w.src1} & {SrcSel.E2, SrcSel.W2} or w.dst in (DstSel.E2, DstSel.W2)
+                   for _, _, words in records for w in words)
+        rng = random.Random(kernel.__name__)
+        image = [rng.getrandbits(32) for _ in range(n_in)] + [0] * result_len
+        results, _ = run_protocol(build_system(self.ctx), records, image,
+                                  result_addr, result_len)
+        assert results == reference_execute(dfg, image)[result_addr:result_addr + result_len]
+
+    def test_an_e2_drive_lands_two_cells_east(self):
+        """(3, 2) drives E2; (3, 4) reads it from its W2 latch."""
+        send = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E2, imm16=7)
+        receive = ConfigWord(Opcode.ADD, SrcSel.W2, SrcSel.NONE, DstSel.ACC)
+        halt = ConfigWord(opcode=Opcode.HALT)
+        system = build_system(self.ctx)
+        system.register_config(0, [(GAP_ROW, 2, [send, halt]), (GAP_ROW, 4, [receive, halt])])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        system.run()
+        assert system.rpus[0].pes[(GAP_ROW, 4)].acc == 7
+
+
+def test_only_the_fields_a_word_uses_need_a_link():
+    """Without N/S links a copy still maps, validates and runs: its HALT
+    words' all-zero fields encode N, but a HALT reads and drives nothing."""
+    ctx = build_with(STANDARD, topology_plugin(lambda coord, d: d in (Direction.N, Direction.S)))
+    records = unpack_bitstream(emit_bitstream(map_dfg(parse_dfg("in a 0\nout a 1\n"),
+                                                      read_machine(ctx))))
+    assert ConfigWord(Opcode.HALT) in (w for _, _, words in records for w in words)
+    results, _ = run_protocol(build_system(ctx), records, [5, 0], 1, 1)
+    assert results == [5]
+    read_n = ConfigWord(Opcode.ADD, SrcSel.N, SrcSel.NONE, DstSel.ACC)
+    with pytest.raises(BitstreamTargetInvalid, match="reads N, but the machine has no N link"):
+        build_system(ctx).register_config(0, [(2, 2, [read_n])])
+
+
 def test_one_way_link_fails_the_build():
     """(2, 2) still drives east into (2, 3), which has no link back west."""
     ctx = build_with(STANDARD,
@@ -156,9 +210,18 @@ def test_the_machine_reads_every_service():
 
 def test_no_consumer_builds_its_own_machine_description():
     """The simulator, the mapper, the PE core and the CLI read the machine
-    record; none of them makes a port table or an RTT of its own."""
+    record; none of them makes a port table or an RTT of its own. Only the
+    CLI's sweep names the topology kind: the others learn which links exist
+    from the record's port table alone."""
     for name in ("system.py", "mapper.py", "pe.py", "cli.py"):
         tree = ast.parse((ROOT / "src" / "windmill" / name).read_text(encoding="utf-8"))
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not called & {"neighbor_map", "default_rtt"}, name
+        if name == "cli.py":
+            continue
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert "TopologyKind" not in imported, name
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "topology"
+                       for node in ast.walk(tree)), name

@@ -9,6 +9,7 @@ from windmill.errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
 from windmill.mapper import (Mapping, emit_bitstream, map_dfg, parse_dfg,
                              reference_execute)
 from windmill.pe import Opcode, unpack_bitstream, validate_bitstream
+from windmill.plugins import standard_machine
 
 from kernels import (ALL_KERNELS, KERNEL_CONTEXT_DEPTH, matmul4,
                      reference_model, vecadd)
@@ -294,7 +295,7 @@ class TestEmit:
             text, *_ = ALL_KERNELS[name]()
             arch = kernel_arch(name)
             blob = emit_bitstream(map_dfg(parse_dfg(text), arch))
-            validate_bitstream(arch, unpack_bitstream(blob))
+            validate_bitstream(standard_machine(arch), unpack_bitstream(blob))
 
     def test_every_used_pe_ends_with_halt(self):
         arch = standard_no_cpe()

@@ -6,7 +6,8 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from windmill.arch import ExecMode, PeType, standard_preset
+from windmill.arch import (ArchParams, ExecMode, PeType, TopologyKind, standard_preset,
+                           validate, with_default_type_map)
 from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeError,
                              EncodeError)
 from windmill.interconnect import Direction
@@ -14,6 +15,7 @@ from windmill.pe import (PE, BINARY_OPS, MEMORY_OPS, ConfigWord, DstSel, Opcode,
                          _predecode, _required, _undefined_field, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
                          unpack_bitstream, validate_bitstream)
+from windmill.plugins import standard_machine
 from windmill.system import SystemSim
 
 # --- encode / decode -----------------------------------------------------------
@@ -248,7 +250,7 @@ class TestByValue:
     def test_rtt_destination_on_a_gpe_rejected(self, dst):
         word = ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, dst, imm16=0x3000)
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_preset(), [(2, 2, [word])])
+            validate_bitstream(standard_machine(standard_preset()), [(2, 2, [word])])
         assert str(exc.value) == "PE (2,2) word 0: RTT destination on a GPE"
 
     @pytest.mark.parametrize("opcode", [op for op in Opcode if op not in MEMORY_OPS])
@@ -259,10 +261,10 @@ class TestByValue:
         word = ConfigWord(opcode, SrcSel.IMM, SrcSel.IMM, DstSel.RTT, imm16=nibble << 12 | 7)
         good = word._replace(imm16=0x4007)
         if opcode in (Opcode.NOP, Opcode.HALT):
-            validate_bitstream(standard_preset(), [(1, 1, [word])])   # the CPE
+            validate_bitstream(standard_machine(standard_preset()), [(1, 1, [word])])   # the CPE
             return
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_preset(), [(1, 1, [good, word])])
+            validate_bitstream(standard_machine(standard_preset()), [(1, 1, [good, word])])
         assert str(exc.value) == f"PE (1,1) word 1: controller action nibble {nibble:#x} undefined"
 
     @pytest.mark.parametrize("word, problem", [
@@ -281,14 +283,15 @@ class TestByValue:
 
     def test_int_twin_memory_op_on_a_gpe_named(self):
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_preset(), [(2, 2, [int_twin(ConfigWord(Opcode.LOAD))])])
+            validate_bitstream(standard_machine(standard_preset()),
+                               [(2, 2, [int_twin(ConfigWord(Opcode.LOAD))])])
         assert str(exc.value) == "PE (2,2) word 0: LOAD on a GPE"
 
     @pytest.mark.parametrize("dst", [DstSel.SREG, int(DstSel.SREG)])
     def test_sreg_destination_index_checked(self, dst):
         word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, dst, shared_reg_idx=7)
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_preset(), [(2, 2, [word])])
+            validate_bitstream(standard_machine(standard_preset()), [(2, 2, [word])])
         assert str(exc.value) == "PE (2,2) word 0: shared register 7 (count 4)"
 
 
@@ -508,20 +511,40 @@ class TestBitstream:
             unpack_bitstream(blob[:-1])
 
     def test_memory_op_on_gpe_rejected(self):
-        params = standard_preset()
+        machine = standard_machine(standard_preset())
         rec = [(1, 2, [ConfigWord(Opcode.LOAD)])]   # (1,2) is a GPE
         with pytest.raises(BitstreamTargetInvalid):
-            validate_bitstream(params, rec)
+            validate_bitstream(machine, rec)
 
     def test_two_hop_requires_one_hop_topology(self):
-        params = standard_preset()
+        """The standard mesh has no N2 link anywhere; the error names the
+        select and the missing direction."""
+        machine = standard_machine(standard_preset())
         rec = [(1, 2, [ConfigWord(Opcode.ADD, SrcSel.N2, SrcSel.IMM, DstSel.ACC)])]
-        with pytest.raises(BitstreamTargetInvalid):
-            validate_bitstream(params, rec)
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(machine, rec)
+        assert str(exc.value) == "PE (1,2) word 0: reads N2, but the machine has no N2 link"
+
+    def test_two_row_one_hop_grid_has_no_vertical_two_hop_link(self):
+        """Two rows leave no room for an N2/S2 link, while four columns
+        still have E2/W2 links."""
+        machine = standard_machine(validate(with_default_type_map(
+            ArchParams(rows=2, cols=4, topology=TopologyKind.ONE_HOP, cpe_enabled=False))))
+        drive = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E2, imm16=1)
+        validate_bitstream(machine, [(1, 1, [drive])])
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(machine, [(1, 1, [drive._replace(dst=DstSel.N2)])])
+        assert str(exc.value) == "PE (1,1) word 0: drives N2, but the machine has no N2 link"
+
+    def test_drive_off_the_grid_edge_accepted(self):
+        """A direction is legal machine-wide: the top row's N drive has no
+        receiver and drops its value, as it always has."""
+        word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.N, imm16=1)
+        validate_bitstream(standard_machine(standard_preset()), [(0, 2, [word])])
 
     def test_target_outside_grid_rejected(self):
         with pytest.raises(BitstreamTargetInvalid):
-            validate_bitstream(standard_preset(), [(9, 0, [])])
+            validate_bitstream(standard_machine(standard_preset()), [(9, 0, [])])
 
     # each distinct (word, PE type) pair is checked once per call; the error
     # still names the first offending PE and word
@@ -540,5 +563,5 @@ class TestBitstream:
     ])
     def test_first_offending_pe_and_word_named(self, records, message):
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_preset(), records)
+            validate_bitstream(standard_machine(standard_preset()), records)
         assert str(exc.value) == message

@@ -102,16 +102,16 @@ class TestRtt:
         calls = []
         real = system_mod.validate_bitstream
 
-        def counting(params, records):
-            calls.append(params)
-            return real(params, records)
+        def counting(machine, records):
+            calls.append(machine)
+            return real(machine, records)
 
         monkeypatch.setattr(system_mod, "validate_bitstream", counting)
         system = SystemSim(arch(rpus=4))
         records = [(1, 1, [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=3),
                            W(opcode=Opcode.HALT)])]
         system.register_config(0, records)
-        assert calls == [system.params]
+        assert calls == [system.machine]
         system.submit_script([HostCommand(0x01, (0xF, 0)), HostCommand(0x03, (0xF,))])
         system.run()
         assert len(calls) == 1
