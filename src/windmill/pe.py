@@ -330,12 +330,12 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
     # or names a register: a HALT's all-zero fields encode N, and the index
     # field is also a memory op's stride selector
     reads = _required(w)
-    writes = () if w.opcode in _NO_RESULT else (w.dst,)
-    used = [("reads", _DIR_BY_SEL.get(s)) for s in reads] + [("drives", _DST_DIR.get(d)) for d in writes]
+    written = None if w.opcode in _NO_RESULT else w.dst
+    used = [("reads", _DIR_BY_SEL.get(s)) for s in reads] + [("drives", _DST_DIR.get(written))]
     for verb, direction in used:
         if direction is not None and direction not in directions:
             return f"{verb} {direction.name}, but the machine has no {direction.name} link"
-    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in reads or DstSel.SREG in writes):
+    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in reads or written == DstSel.SREG):
         return f"shared register {w.shared_reg_idx} (count {n_sregs})"
     return None
 
