@@ -38,7 +38,7 @@ Unknown keys are rejected. ``serialize`` and ``parse_arch_file`` round-trip.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import ParseError, ValidationError
@@ -210,15 +210,11 @@ class ResourceReport:
     shared_reg_count: int
     rpu_count: int
 
-    CSV_COLUMNS = (
-        "rows", "cols", "gpe_count", "lsu_count", "cpe_count", "topology",
-        "exec_mode", "links_directed", "context_words_per_pe",
-        "context_bits_total", "sm_banks", "bank_depth", "bank_width",
-        "sm_bytes", "shared_reg_mode", "shared_reg_count", "rpu_count",
-    )
-
     def csv_row(self) -> str:
         return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
+
+
+ResourceReport.CSV_COLUMNS = tuple(f.name for f in fields(ResourceReport))
 
 
 def derive_counts(params: ArchParams, ports: Mapping) -> ResourceReport:
@@ -254,25 +250,37 @@ def derive_counts(params: ArchParams, ports: Mapping) -> ResourceReport:
 
 _SECTIONS = ("array", "memory", "system")
 
-_KEY_HOME = {
-    "rows": "array", "cols": "array", "topology": "array",
-    "exec_mode": "array", "data_width": "array",
-    "sm_banks": "memory", "bank_depth": "memory", "bank_width": "memory",
-    "rpu_count": "system", "cpe": "system", "context_depth_mcmd": "system",
-    "shared_reg_mode": "system", "shared_reg_count": "system",
+# the description's keys in ``serialize`` order: key -> (section, ArchParams
+# field, type); the type map is written as rows of letter codes instead
+_SCHEMA = {
+    "rows": ("array", "rows", int), "cols": ("array", "cols", int),
+    "topology": ("array", "topology", TopologyKind),
+    "exec_mode": ("array", "exec_mode", ExecMode),
+    "data_width": ("array", "data_width", int),
+    "sm_banks": ("memory", "sm_banks", int), "bank_depth": ("memory", "bank_depth", int),
+    "bank_width": ("memory", "bank_width", int),
+    "rpu_count": ("system", "rpu_count", int), "cpe": ("system", "cpe_enabled", bool),
+    "context_depth_mcmd": ("system", "context_depth_mcmd", int),
+    "shared_reg_mode": ("system", "shared_reg_mode", SharedRegScope),
+    "shared_reg_count": ("system", "shared_reg_count", int),
 }
 
-_INT_KEYS = {"rows", "cols", "data_width", "sm_banks", "bank_depth",
-             "bank_width", "rpu_count", "context_depth_mcmd",
-             "shared_reg_count"}
 
-
-def _parse_enum(enum_cls, value, key, lineno):
+def read_value(key: str, text: str, lineno: int | None = None):
+    """Read ``text`` as a value of description key ``key``: an integer in any
+    base ``int(text, 0)`` reads, on/off, or an enum value in any case. Text
+    the key does not take raises ParseError at ``lineno``."""
+    kind = _SCHEMA[key][2]
     try:
-        return enum_cls(value.lower())
-    except ValueError:
-        legal = "/".join(e.value for e in enum_cls)
-        raise ParseError(f"{key}: expected one of {legal}, got {value!r}", lineno)
+        if kind is int:
+            return int(text, 0)
+        if kind is bool:
+            return {"on": True, "off": False}[text.lower()]
+        return kind(text.lower())
+    except (KeyError, ValueError):
+        expected = ("an integer" if kind is int else "on/off" if kind is bool
+                    else "one of " + "/".join(e.value for e in kind))
+        raise ParseError(f"{key}: expected {expected}, got {text!r}", lineno) from None
 
 
 def parse_arch_file(text: str) -> ArchParams:
@@ -297,28 +305,14 @@ def parse_arch_file(text: str) -> ArchParams:
         if "=" in line:
             key, _, value = line.partition("=")
             key, value = key.strip().lower(), value.strip()
-            home = _KEY_HOME.get(key)
-            if home is None:
+            entry = _SCHEMA.get(key)
+            if entry is None:
                 raise ParseError(f"unknown key {key!r}", lineno)
-            if home != section:
-                raise ParseError(f"key {key!r} belongs in [{home}]", lineno)
-            if key in values:
+            if entry[0] != section:
+                raise ParseError(f"key {key!r} belongs in [{entry[0]}]", lineno)
+            if entry[1] in values:
                 raise ParseError(f"duplicate key {key!r}", lineno)
-            if key in _INT_KEYS:
-                try:
-                    values[key] = int(value, 0)
-                except ValueError:
-                    raise ParseError(f"{key}: expected an integer, got {value!r}", lineno)
-            elif key == "topology":
-                values[key] = _parse_enum(TopologyKind, value, key, lineno)
-            elif key == "exec_mode":
-                values[key] = _parse_enum(ExecMode, value, key, lineno)
-            elif key == "shared_reg_mode":
-                values[key] = _parse_enum(SharedRegScope, value, key, lineno)
-            elif key == "cpe":
-                if value.lower() not in ("on", "off"):
-                    raise ParseError(f"cpe: expected on/off, got {value!r}", lineno)
-                values[key] = value.lower() == "on"
+            values[entry[1]] = read_value(key, value, lineno)
             continue
         if section == "array" and set(line) <= {"G", "L", "C"}:
             grid_rows.append(tuple(PeType(ch) for ch in line))
@@ -328,10 +322,7 @@ def parse_arch_file(text: str) -> ArchParams:
     if not saw_any:
         raise ParseError("empty architecture description", 1)
 
-    kwargs = {}
-    for key, value in values.items():
-        kwargs["cpe_enabled" if key == "cpe" else key] = value
-    params = ArchParams(pe_type_map=tuple(grid_rows), **kwargs)
+    params = ArchParams(pe_type_map=tuple(grid_rows), **values)
     if not grid_rows:
         # no explicit map: default to the perimeter-LSU pattern
         params = with_default_type_map(params)
@@ -340,28 +331,16 @@ def parse_arch_file(text: str) -> ArchParams:
 
 def serialize(params: ArchParams) -> str:
     """Canonical text form; parses back to an equal ArchParams."""
-    lines = [
-        "[array]",
-        f"rows = {params.rows}",
-        f"cols = {params.cols}",
-        f"topology = {params.topology.value}",
-        f"exec_mode = {params.exec_mode.value}",
-        f"data_width = {params.data_width}",
-    ]
-    for row in params.pe_type_map:
-        lines.append("".join(t.value for t in row))
-    lines += [
-        "",
-        "[memory]",
-        f"sm_banks = {params.sm_banks}",
-        f"bank_depth = {params.bank_depth}",
-        f"bank_width = {params.bank_width}",
-        "",
-        "[system]",
-        f"rpu_count = {params.rpu_count}",
-        f"cpe = {'on' if params.cpe_enabled else 'off'}",
-        f"context_depth_mcmd = {params.context_depth_mcmd}",
-        f"shared_reg_mode = {params.shared_reg_mode.value}",
-        f"shared_reg_count = {params.shared_reg_count}",
-    ]
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section in _SECTIONS:
+        lines.append(f"[{section}]")
+        for key, (home, name, _) in _SCHEMA.items():
+            if home == section:
+                value = getattr(params, name)
+                if isinstance(value, bool):
+                    value = "on" if value else "off"
+                lines.append(f"{key} = {value.value if isinstance(value, Enum) else value}")
+        if section == "array":
+            lines += ["".join(t.value for t in row) for row in params.pe_type_map]
+        lines.append("")
+    return "\n".join(lines)

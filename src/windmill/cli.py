@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import arch as arch_mod
-from .arch import ExecMode, TopologyKind, parse_arch_file
+from .arch import parse_arch_file
 from .errors import ParseError, Unmappable, WindmillError
 from .mapper import emit_bitstream, map_dfg, parse_dfg
 from .pe import MEMORY_OPS, unpack_bitstream
@@ -33,10 +33,8 @@ EXIT_UNMAPPABLE = 3
 EXIT_RUNTIME = 4
 
 
-_SWEEP_FIELDS = {
-    "rows": int, "cols": int, "sm_banks": int, "bank_depth": int,
-    "context_depth_mcmd": int, "topology": TopologyKind, "exec_mode": ExecMode,
-}
+_SWEEP_KEYS = ("rows", "cols", "sm_banks", "bank_depth", "context_depth_mcmd",
+               "topology", "exec_mode")
 
 
 def _read_text(path: str) -> str:
@@ -70,15 +68,14 @@ def _load_arch(path: str):
 def _sweep_values(spec: str):
     key, _, values = spec.partition("=")
     key = key.strip()
-    if key not in _SWEEP_FIELDS:
+    if key not in _SWEEP_KEYS:
         raise ParseError(f"--sweep key {key!r} not sweepable")
-    cast = _SWEEP_FIELDS[key]
     out = []
     for v in values.split(","):
         v = v.strip()
         try:
-            out.append(cast(int(v, 0)) if cast is int else cast(v.lower()))
-        except ValueError:
+            out.append(arch_mod.read_value(key, v))
+        except ParseError:
             raise ParseError(f"--sweep {key}: bad value {v!r}") from None
     return key, out
 

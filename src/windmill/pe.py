@@ -237,6 +237,14 @@ _HEADER = struct.Struct("<I")
 _WORD = struct.Struct("<Q")
 
 
+def record_holders(params: ArchParams, row: int, col: int) -> tuple:
+    """The PEs a record for (row, col) configures: under SCMD its row shares
+    one stream, so every PE of that row."""
+    if params.exec_mode is ExecMode.SCMD:
+        return tuple((row, c) for c in range(params.cols))
+    return ((row, col),)
+
+
 def pack_bitstream(records: list[tuple[int, int, list[ConfigWord]]]) -> bytes:
     out = bytearray()
     for row, col, words in records:
@@ -277,32 +285,36 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
 
     Every field a defined value, memory ops only on LSUs, the RTT
     destination only on the CPE and only with a defined action nibble in
-    the words that emit, a directional select the word reads or drives
-    (N..W2) only when some link of the machine runs that way (a drive off
-    the grid edge is legal and drops its value), shared-register selects the
-    PE reads or writes within the register count, capacity respected, all
-    targets inside the grid. Each word is checked once per process for each
-    PE type, register count and link-direction set it meets.
+    the words that emit, a directional select (N..W2) the word reads only
+    where a link of its PE fills that latch, one it drives only when some
+    link of the machine runs that way (a drive off the grid edge is legal
+    and drops its value), shared-register selects the PE reads or writes
+    within the register count, capacity respected, all targets inside the
+    grid. The rules hold on every PE a record configures (under SCMD its
+    whole row: ``record_holders``), and no PE is configured twice. Each
+    word is checked once per process for each PE type, register count and
+    pair of link-direction sets it meets.
     """
     params = machine.params
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
     directions = machine.derived(_link_directions)
+    cell_directions = machine.derived(_cell_directions)
     seen = set()
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
             raise BitstreamTargetInvalid(f"record targets ({row},{col}) outside grid")
-        if (row, col) in seen:
-            raise BitstreamTargetInvalid(f"duplicate record for PE ({row},{col})")
-        seen.add((row, col))
-        if len(words) > cap:
-            raise CapacityExceeded(
-                f"PE ({row},{col}): {len(words)} words > capacity {cap}")
-        pe_type = params.pe_type(row, col)
-        for i, w in enumerate(words):
-            problem = _word_problem(w, pe_type, n_sregs, directions)
-            if problem is not None:
-                raise BitstreamTargetInvalid(f"PE ({row},{col}) word {i}: {problem}")
+        for r, c in record_holders(params, row, col):
+            if (r, c) in seen:
+                raise BitstreamTargetInvalid(f"duplicate record for PE ({r},{c})")
+            seen.add((r, c))
+            if len(words) > cap:
+                raise CapacityExceeded(f"PE ({r},{c}): {len(words)} words > capacity {cap}")
+            pe_type, links = params.pe_type(r, c), cell_directions[(r, c)]
+            for i, w in enumerate(words):
+                problem = _word_problem(w, pe_type, n_sregs, links, directions)
+                if problem is not None:
+                    raise BitstreamTargetInvalid(f"PE ({r},{c}) word {i}: {problem}")
 
 
 def _link_directions(machine) -> frozenset:
@@ -310,11 +322,19 @@ def _link_directions(machine) -> frozenset:
     return frozenset(d for out in machine.ports.values() for d in out)
 
 
+def _cell_directions(machine) -> dict:
+    """Per cell, the directions its links run in: the latches its neighbors
+    fill. Equal sets are one object, so a memo hit compares by identity."""
+    shared: dict = {}
+    return {rc: shared.setdefault(frozenset(out), frozenset(out))
+            for rc, out in machine.ports.items()}
+
+
 # bounded like its sibling memos; a config re-registered per job, or a word
 # many PEs share, is checked once per process
 @lru_cache(maxsize=1024)
 def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
-                  directions: frozenset) -> str | None:
+                  cell_directions: frozenset, directions: frozenset) -> str | None:
     """Why ``w`` may not sit on a PE of that type, if it may not."""
     problem = _undefined_field(w)
     if problem is not None:
@@ -331,10 +351,12 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
     # field is also a memory op's stride selector
     reads = _required(w)
     written = None if w.opcode in _NO_RESULT else w.dst
-    used = [("reads", _DIR_BY_SEL.get(s)) for s in reads] + [("drives", _DST_DIR.get(written))]
-    for verb, direction in used:
-        if direction is not None and direction not in directions:
-            return f"{verb} {direction.name}, but the machine has no {direction.name} link"
+    used = ([("reads", _DIR_BY_SEL.get(s), cell_directions) for s in reads]
+            + [("drives", _DST_DIR.get(written), directions)])
+    for verb, direction, links in used:
+        if direction is not None and direction not in links:
+            owner = "the PE" if direction in directions else "the machine"
+            return f"{verb} {direction.name}, but {owner} has no {direction.name} link"
     if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in reads or written == DstSel.SREG):
         return f"shared register {w.shared_reg_idx} (count {n_sregs})"
     return None

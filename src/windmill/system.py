@@ -33,12 +33,12 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 
-from .arch import ArchParams, ExecMode
+from .arch import ArchParams
 from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
                      ProtocolOrderViolation, SimulationError, UnknownOpcode)
 from .interconnect import SharedRegFile
 from .memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
-from .pe import PE, ConfigWord, validate_bitstream
+from .pe import PE, ConfigWord, record_holders, validate_bitstream
 
 DEFAULT_CYCLE_LIMIT = 1_000_000
 
@@ -221,11 +221,8 @@ class Rpu:
             if pe.context:
                 pe.load_context([], cap)
         for row, col, words in records:
-            if self.params.exec_mode is ExecMode.SCMD:
-                for c in range(self.params.cols):
-                    self.pes[(row, c)].load_context(words, cap)
-            else:
-                self.pes[(row, col)].load_context(words, cap)
+            for rc in record_holders(self.params, row, col):
+                self.pes[rc].load_context(words, cap)
         self.status = RpuStatus.CONFIGURED
 
     def launch(self):

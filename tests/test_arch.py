@@ -1,12 +1,12 @@
 """Parameter validation, resource derivation, and the arch file format."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from windmill.arch import (ArchParams, ExecMode, PeType, SharedRegScope,
+from windmill.arch import (_SCHEMA, ArchParams, ExecMode, PeType, SharedRegScope,
                            TopologyKind, derive_counts, parse_arch_file,
                            perimeter_lsu_map, serialize, standard_preset, validate)
 from windmill.errors import ParseError, ValidationError
@@ -158,11 +158,56 @@ class TestArchFile:
             parse_arch_file(text)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("# an 8x8\n\n[array]\nrows = eight\n", 4, "rows: expected an integer, got 'eight'"),
+        ("[array]\ntopology = ring\n", 2,
+         "topology: expected one of mesh2d/onehop/torus, got 'ring'"),
+        ("[array]\nexec_mode = SIMD\n", 2, "exec_mode: expected one of scmd/mcmd, got 'SIMD'"),
+        ("[system]\nshared_reg_mode = chip\n", 2,
+         "shared_reg_mode: expected one of line/row/quadrant/global, got 'chip'"),
+        ("[system]\ncpe = yes\n", 2, "cpe: expected on/off, got 'yes'"),
+        ("[array]\nrows = 4\n[memory]\ncols = 4\n", 4, "key 'cols' belongs in [array]"),
+        ("[array]\nrows = 4\nROWS = 8\n", 3, "duplicate key 'rows'"),
+        ("[system]\nvoltage = 12\n", 2, "unknown key 'voltage'"),
+        ("[array]\n[Power]\n", 2, "unknown section [power]"),
+        ("\nrows = 4\n[array]\n", 2, "content before any section header"),
+        ("[memory]\nGGGG\n", 2, "unrecognized line 'GGGG'"),
+        ("", 1, "empty architecture description"),
+        ("# nothing here\n\n", 1, "empty architecture description"),
+    ])
+    def test_parse_error_messages(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_arch_file(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("spec, report_line", [
+        ("topology=TORUS", "array: 8x8 (torus, mcmd)"), ("rows=0x4", "array: 4x8 (mesh2d, mcmd)")])
+    def test_sweep_reads_a_value_as_the_file_does(self, capsys, spec, report_line):
+        from windmill.cli import main
+        assert main(["generate", "--arch", str(FIXTURES / "standard.arch"),
+                     "--sweep", spec]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == report_line
+
     def test_default_grid_when_omitted(self):
         text = ("[array]\nrows = 4\ncols = 4\n"
                 "[memory]\nsm_banks = 4\nbank_depth = 16\n")
         params = parse_arch_file(text)
         assert params.pe_type_map == perimeter_lsu_map(4, 4)
+
+    def test_key_table_covers_every_parameter_once(self):
+        """One row per ArchParams field but the type map (written as grid
+        rows), and serialize writes each key once, in its own section."""
+        assert sorted(name for _, name, _ in _SCHEMA.values()) == sorted(
+            f.name for f in fields(ArchParams) if f.name != "pe_type_map")
+        section, written = None, []
+        for line in serialize(standard_preset()).splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif "=" in line:
+                written.append(line.partition(" =")[0])
+                assert _SCHEMA[written[-1]][0] == section, line
+        assert written == list(_SCHEMA)
 
     def test_roundtrip_standard(self):
         params = standard_preset()

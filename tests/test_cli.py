@@ -238,6 +238,18 @@ class TestSim:
         assert "PE (2,2)" in r.stderr and "shared register 7" in r.stderr
         assert not stats.exists()
 
+    def test_scmd_word_checked_on_every_pe_of_its_row(self, std_arch, tmp_path, capsys):
+        """Under SCMD a record configures its whole row, so a LOAD in an LSU's
+        record also lands on the GPE beside it: an input error (exit 2)."""
+        from windmill.cli import main
+        from windmill.pe import ConfigWord, Opcode, SrcSel, DstSel, pack_bitstream
+        std_arch.write_text(std_arch.read_text().replace("exec_mode = mcmd", "exec_mode = scmd"))
+        load = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=5)
+        bs = tmp_path / "scmd.bit"
+        bs.write_bytes(pack_bitstream([(2, 0, [load, ConfigWord(opcode=Opcode.HALT)])]))
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs)]) == 2
+        assert capsys.readouterr().err == "error: PE (2,1) word 0: LOAD on a GPE\n"
+
     def test_runtime_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path):
         """A load from an address past the remote window maps fine and then
         faults in the simulator: exit 4, partial stats still written."""

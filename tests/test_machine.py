@@ -20,7 +20,7 @@ import pytest
 from windmill.arch import (ArchParams, PeType, SharedRegScope, TopologyKind, parse_arch_file,
                            validate)
 from windmill.elab import Plugin
-from windmill.errors import BitstreamTargetInvalid, DeadlockDetected, Unmappable, ValidationError
+from windmill.errors import BitstreamTargetInvalid, Unmappable, ValidationError
 from windmill.interconnect import Direction, neighbor_map
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
@@ -92,20 +92,25 @@ class TestGapTopology:
         assert results == reference_execute(dfg, image)[result_addr:result_addr + result_len]
 
     def test_a_drive_across_the_gap_drops_its_value(self):
-        """(3, 2) drives east into (3, 3), which waits on its west latch."""
+        """(3, 2) drives east into (3, 3): the mesh fills its west latch, the
+        gap drops the value. A word of (3, 3) that reads W is rejected on
+        the gap, where no link of (3, 3) can fill that latch."""
         send = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=7)
         receive = ConfigWord(Opcode.ADD, SrcSel.W, SrcSel.NONE, DstSel.ACC)
         halt = ConfigWord(opcode=Opcode.HALT)
 
-        def run(system):
-            system.register_config(0, [(GAP_ROW, 2, [send, halt]), (GAP_ROW, 3, [receive, halt])])
+        def run(system, receiver):
+            system.register_config(0, [(GAP_ROW, 2, [send, halt]), (GAP_ROW, 3, receiver)])
             system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
             system.run()
-            return system.rpus[0].pes[(GAP_ROW, 3)].acc
+            return system.rpus[0].pes[(GAP_ROW, 3)]
 
-        assert run(build_system(elaborate_arch(STANDARD))) == 7
-        with pytest.raises(DeadlockDetected, match=r"PE \(3, 3\) lacks latch W"):
-            run(build_system(self.ctx))
+        assert run(build_system(elaborate_arch(STANDARD)), [receive, halt]).acc == 7
+        assert run(build_system(elaborate_arch(STANDARD)), [halt]).latch == {Direction.W: 7}
+        assert run(build_system(self.ctx), [halt]).latch == {}
+        with pytest.raises(BitstreamTargetInvalid,
+                           match=r"PE \(3,3\) word 0: reads W, but the PE has no W link"):
+            run(build_system(self.ctx), [receive, halt])
 
 
 def express(coord, direction):
@@ -210,18 +215,18 @@ def test_the_machine_reads_every_service():
 
 def test_no_consumer_builds_its_own_machine_description():
     """The simulator, the mapper, the PE core and the CLI read the machine
-    record; none of them makes a port table or an RTT of its own. Only the
-    CLI's sweep names the topology kind: the others learn which links exist
-    from the record's port table alone."""
+    record; none of them makes a port table or an RTT of its own, or imports
+    the topology kind: the CLI's sweep reads it through arch's key table, and
+    the others learn which links exist from the record's port table alone."""
     for name in ("system.py", "mapper.py", "pe.py", "cli.py"):
         tree = ast.parse((ROOT / "src" / "windmill" / name).read_text(encoding="utf-8"))
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not called & {"neighbor_map", "default_rtt"}, name
-        if name == "cli.py":
-            continue
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
         assert "TopologyKind" not in imported, name
+        if name == "cli.py":
+            continue   # prints the resource report's topology column
         assert not any(isinstance(node, ast.Attribute) and node.attr == "topology"
                        for node in ast.walk(tree)), name

@@ -2,6 +2,7 @@
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -541,6 +542,23 @@ class TestBitstream:
         receiver and drops its value, as it always has."""
         word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.N, imm16=1)
         validate_bitstream(standard_machine(standard_preset()), [(0, 2, [word])])
+
+    def test_scmd_records_on_one_row_are_duplicates(self):
+        """Under SCMD a record configures every PE of its row."""
+        machine = standard_machine(replace(standard_preset(), exec_mode=ExecMode.SCMD))
+        halt = [ConfigWord(opcode=Opcode.HALT)]
+        validate_bitstream(machine, [(2, 3, halt), (3, 3, halt)])
+        with pytest.raises(BitstreamTargetInvalid, match=r"duplicate record for PE \(2,0\)"):
+            validate_bitstream(machine, [(2, 3, halt), (2, 5, halt)])
+
+    def test_read_off_the_grid_edge_rejected(self):
+        """A read is judged at its own PE: no link feeds the top row's N latch."""
+        word = ConfigWord(Opcode.ADD, SrcSel.N, SrcSel.NONE, DstSel.ACC)
+        machine = standard_machine(standard_preset())
+        validate_bitstream(machine, [(1, 2, [word])])
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(machine, [(0, 2, [word])])
+        assert str(exc.value) == "PE (0,2) word 0: reads N, but the PE has no N link"
 
     def test_target_outside_grid_rejected(self):
         with pytest.raises(BitstreamTargetInvalid):
