@@ -67,7 +67,7 @@ def _load_arch(path: str):
 
 def _sweep_values(spec: str):
     key, _, values = spec.partition("=")
-    key = key.strip()
+    key = key.strip().lower()   # as the arch file reads its keys
     if key not in _SWEEP_KEYS:
         raise ParseError(f"--sweep key {key!r} not sweepable")
     out = []
@@ -164,13 +164,12 @@ def cmd_sim(args) -> int:
                          else four_step_script(len(image), args.result_addr, result_len))
     partial = None
     try:
-        stats = system.run()
+        system.run()
     except WindmillError as exc:
         # any fault once the run has started is a run-time fault: report it
         # and still write the partial stats
-        system._finalize_stats()
         partial = exc
-        stats = system.stats
+    stats = system.stats
     if args.out:
         _write_image(args.out, system.results_words(result_len))
     if args.stats:

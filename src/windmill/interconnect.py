@@ -89,27 +89,21 @@ def scope_of(mode: SharedRegScope, coord: Coord, dims: Coord) -> int:
     return 0
 
 
-def scope_count(mode: SharedRegScope, dims: Coord) -> int:
-    rows, cols = dims
-    return {SharedRegScope.LINE: cols, SharedRegScope.ROW: rows,
-            SharedRegScope.QUADRANT: 4, SharedRegScope.GLOBAL: 1}[mode]
-
-
 class SharedRegFile:
-    """Scoped 32-bit registers with validity bits for cross-schedule delivery.
+    """Scoped 32-bit registers for cross-schedule delivery.
 
-    Reads see the state committed at the end of the previous cycle. Writes
-    are staged and committed together; two writes to the same register in
-    one cycle resolve to the lowest (row, col) writer and count a conflict.
+    Reads see the state committed at the end of the previous cycle: a
+    register is valid once written, and ``committed`` holds exactly the
+    valid ones, keyed by (scope instance, index). Writes are staged and
+    committed together; two writes to the same register in one cycle
+    resolve to the lowest (row, col) writer and count a conflict.
     """
 
     def __init__(self, mode: SharedRegScope, dims: Coord, reg_count: int):
         self.mode = mode
         self.dims = dims
         self.reg_count = reg_count
-        n = scope_count(mode, dims)
-        self._value = [[0] * reg_count for _ in range(n)]
-        self._valid = [[False] * reg_count for _ in range(n)]
+        self.committed: dict[tuple[int, int], int] = {}
         self.pending: dict[tuple[int, int], tuple[Coord, int]] = {}
         self.conflicts = 0
 
@@ -119,8 +113,8 @@ class SharedRegFile:
 
     def read(self, coord: Coord, idx: int) -> tuple[int, bool]:
         self._check_idx(idx)
-        s = scope_of(self.mode, coord, self.dims)
-        return self._value[s][idx], self._valid[s][idx]
+        value = self.committed.get((scope_of(self.mode, coord, self.dims), idx))
+        return (0, False) if value is None else (value, True)
 
     def write(self, coord: Coord, idx: int, value: int):
         """Stage a write; committed at cycle end by ``commit``."""
@@ -136,14 +130,10 @@ class SharedRegFile:
                 self.pending[key] = (coord, value)
 
     def commit(self):
-        for (s, idx), (_, value) in self.pending.items():
-            self._value[s][idx] = value & 0xFFFFFFFF
-            self._valid[s][idx] = True
+        for key, (_, value) in self.pending.items():
+            self.committed[key] = value & 0xFFFFFFFF
         self.pending.clear()
 
     def clear(self):
-        for bank_v, bank_f in zip(self._value, self._valid):
-            for i in range(self.reg_count):
-                bank_v[i] = 0
-                bank_f[i] = False
+        self.committed.clear()
         self.pending.clear()

@@ -791,12 +791,7 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
             raise Unmappable(
                 f"PE {pe} needs {n} context words, capacity {capacity}", worst.node)
 
-    mapping = Mapping(params)
-    mapping.micro_ops = sched.ops
-    mapping.routes = routes
-    for ln in lnodes:
-        mapping.placement[ln.id] = placement[ln.id]
-        mapping.schedule[ln.id] = node_step[ln.id]
+    mapping = Mapping(params, placement, node_step, routes, sched.ops)
     _check_legal(mapping, machine)
     return mapping
 

@@ -274,8 +274,6 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
     return records
 
 
-# opcodes that never reach their destination select
-_NO_RESULT = (Opcode.NOP, Opcode.STORE, Opcode.HALT)
 # RTT payload nibbles a controller may emit: host opcodes 01-04 (all but load_manifest)
 _CONTROLLER_ACTIONS = range(1, 5)
 
@@ -343,21 +341,21 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
         return f"{Opcode(w.opcode).name} on a {pe_type.name}"
     if w.dst == DstSel.RTT and pe_type is not PeType.CPE:
         return f"RTT destination on a {pe_type.name}"
-    if (w.dst == DstSel.RTT and w.opcode not in _NO_RESULT
-            and w.imm16 >> 12 not in _CONTROLLER_ACTIONS):
-        return f"controller action nibble {w.imm16 >> 12:#x} undefined"
-    # only a select the word reads, or a destination it writes, needs a link
-    # or names a register: a HALT's all-zero fields encode N, and the index
-    # field is also a memory op's stride selector
-    reads = _required(w)
-    written = None if w.opcode in _NO_RESULT else w.dst
-    used = ([("reads", _DIR_BY_SEL.get(s), cell_directions) for s in reads]
-            + [("drives", _DST_DIR.get(written), directions)])
+    # the rest reads the word as the PE runs it, so only a select it reads,
+    # or a destination it writes, needs a link or names a register: a HALT's
+    # all-zero fields encode N, and the index field is also a memory op's
+    # stride selector
+    _, _, srcs, pulls, to, to_arg, *_ = _predecode(w)
+    if to == _TO_RTT and to_arg >> 12 not in _CONTROLLER_ACTIONS:
+        return f"controller action nibble {to_arg >> 12:#x} undefined"
+    used = [("reads", d, cell_directions) for d in pulls]
+    if to == _TO_LATCH:
+        used.append(("drives", to_arg, directions))
     for verb, direction, links in used:
-        if direction is not None and direction not in links:
+        if direction not in links:
             owner = "the PE" if direction in directions else "the machine"
             return f"{verb} {direction.name}, but {owner} has no {direction.name} link"
-    if w.shared_reg_idx >= n_sregs and (SrcSel.SREG in reads or written == DstSel.SREG):
+    if w.shared_reg_idx >= n_sregs and (to == _TO_SREG or (_S_SREG, w.shared_reg_idx) in srcs):
         return f"shared register {w.shared_reg_idx} (count {n_sregs})"
     return None
 
@@ -376,11 +374,13 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
 #             the entry latch Direction, a constant, or a shared-register index
 # pulls       the latch directions among srcs, each once, consumed when the
 #             word fires
-# to          one of the _TO_* codes; to_arg is the shared-register index, the
+# to          one of the _TO_* codes, _TO_NONE for the opcodes that write no
+#             result (NOP, STORE, HALT); to_arg is the shared-register index, the
 #             RTT payload or the drive Direction, and entry is the latch the
 #             value lands in at the receiver, which write-back finds in the
 #             PE's port table (no neighbor: the value drops off the grid)
-# word        the ConfigWord itself, for the memory-address path
+# word        the ConfigWord itself, for the memory-address path and
+#             ``PE.context``
 
 _K_NOP, _K_ALU, _K_PHI, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(8)
 _KIND = {Opcode.NOP: _K_NOP, Opcode.PHI: _K_PHI, Opcode.ROUTE: _K_ROUTE,
@@ -425,6 +425,8 @@ def _source(sel: SrcSel, word: ConfigWord) -> tuple:
 
 
 def _destination(word: ConfigWord) -> tuple:
+    if word.opcode in (Opcode.NOP, Opcode.STORE, Opcode.HALT):   # no result to write
+        return _FIXED_DESTINATION[DstSel.NONE]
     fixed = _FIXED_DESTINATION.get(word.dst)
     if fixed is not None:
         return fixed
@@ -454,16 +456,13 @@ class PE:
     irrelevant. Pipeline slots hold pre-decoded words (see ``_predecode``).
     """
 
-    __slots__ = ("coord", "pe_type", "ports", "_context", "_code", "pc", "iter_index",
-                 "remaining", "latch", "acc", "f_slot", "d_slot", "x_slot", "w_slot",
-                 "done", "active_cycles")
+    __slots__ = ("coord", "ports", "_code", "pc", "iter_index", "remaining", "latch",
+                 "acc", "f_slot", "d_slot", "x_slot", "w_slot", "done", "active_cycles")
 
-    def __init__(self, coord, pe_type: PeType, ports: dict[Direction, tuple]):
+    def __init__(self, coord, ports: dict[Direction, tuple]):
         self.coord = coord
-        self.pe_type = pe_type
         self.ports = ports  # outgoing direction -> destination coord
-        self._context: list[ConfigWord] = []
-        self._code: list[tuple] = []   # pre-decoded _context
+        self._code: list[tuple] = []   # the loaded context, pre-decoded
         self.pc = 0
         self.iter_index: list[int] = []
         self.remaining: list[int] = []
@@ -482,20 +481,15 @@ class PE:
 
     @property
     def context(self) -> list[ConfigWord]:
-        """The loaded words. Replace them only through ``load_context``,
-        which keeps the pre-decoded form in step."""
-        return self._context
+        """The loaded words, read back from their pre-decoded form."""
+        return [dec[9] for dec in self._code]
 
     def load_context(self, words: list[ConfigWord], capacity: int):
-        """Load ``words`` and their pre-decoded form."""
+        """Load ``words`` in pre-decoded form; ``launch_reset`` arms them."""
         if len(words) > capacity:
             raise CapacityExceeded(
                 f"PE {self.coord}: {len(words)} words > capacity {capacity}")
-        self._context = list(words)
         self._code = list(map(_predecode, words))
-        self.pc = 0
-        self.iter_index = [0] * len(words)
-        self.remaining = [dec[7] for dec in self._code]
 
     def launch_reset(self):
         """Start of a compute phase: arm the ICB and clear data-flow state."""
@@ -674,7 +668,7 @@ class PE:
         destinations continue to the write-back stage."""
         self.x_slot = None
         to = dec[4]
-        if result is None or to == _TO_NONE:
+        if to == _TO_NONE:
             return
         value = result & MASK32
         if to == _TO_ACC:

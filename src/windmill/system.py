@@ -31,7 +31,7 @@ commands only for the initial setup.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .arch import ArchParams
 from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
@@ -143,15 +143,15 @@ class SimStats:
     grants_per_lsu: dict = field(default_factory=dict)
     pe_active: dict = field(default_factory=dict)
 
-    CSV_COLUMNS = ("total_cycles", "pe_active_cycles", "pe_idle_cycles",
-                   "bank_conflicts", "arbiter_grants", "dma_stall_cycles",
-                   "pingpong_toggles", "host_commands", "sreg_conflicts")
-
     def csv_header(self) -> str:
         return ",".join(self.CSV_COLUMNS)
 
     def csv_row(self) -> str:
         return ",".join(str(getattr(self, c)) for c in self.CSV_COLUMNS)
+
+
+# the counters, in field order; the per-LSU and per-PE dicts stay out of the CSV
+SimStats.CSV_COLUMNS = tuple(f.name for f in fields(SimStats) if f.type == "int")
 
 
 # --- one RPU -------------------------------------------------------------------
@@ -193,7 +193,6 @@ class Rpu:
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
         self.asleep: set[PE] = set()   # live PEs whose last tick changed nothing
         self.launch_count = 0
-        self.batches_enqueued = 0
         self.running_cycles = 0
         self.action_log: list[str] = []
         # staged cycle effects
@@ -215,10 +214,9 @@ class Rpu:
         """Load a registered config; SystemSim.register_config validated it."""
         cap = self.params.context_capacity()
         if not self.pes:
-            self.pes = {rc: PE(rc, pe_type, ports)
-                        for rc, pe_type, ports in self.machine.cells}
+            self.pes = {rc: PE(rc, ports) for rc, _, ports in self.machine.cells}
         for pe in self.pes.values():
-            if pe.context:
+            if pe._code:
                 pe.load_context([], cap)
         for row, col, words in records:
             for rc in record_holders(self.params, row, col):
@@ -387,7 +385,7 @@ class Rpu:
         """A launch waits for its phase's data, a store for a deferred toggle."""
         head = self.queue[0].action
         if head == "launch":
-            return self.dma.completed < min(self.batches_enqueued, self.launch_count + 1)
+            return not self.dma.idle() and self.dma.completed <= self.launch_count
         return head == "store_results" and self.dma._toggle_pending
 
 
@@ -443,8 +441,6 @@ class SystemSim:
         origin.ring_wait = None
 
     def _step_ring(self):
-        if len(self.rpus) < 2:
-            return
         for rpu in tuple(self._active):   # a post activates the neighbor
             if rpu.ring_out and rpu.ring_wait is None:
                 neighbor = self.clockwise(rpu.id)
@@ -462,8 +458,6 @@ class SystemSim:
     # -- command dispatch -----------------------------------------------------
 
     def _dispatch_one_command(self):
-        if self._script_pos >= len(self.script):
-            return
         cmd = self.script[self._script_pos]
         self._script_pos += 1
         self.stats.host_commands += 1
@@ -511,7 +505,6 @@ class SystemSim:
         elif head.action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
             rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging)))
-            rpu.batches_enqueued += 1
         elif head.action == "launch":
             rpu.launch()
         elif head.action == "store_results":
@@ -557,18 +550,22 @@ class SystemSim:
         return self._script_pos >= len(self.script) and not self._active
 
     def run(self, max_cycles: int | None = None):
+        """Tick until quiescent; the stats cover the cycles run, also when a
+        run-time fault ends the run."""
         guard = max_cycles or (self.cycle_limit * 16)
-        while not self.quiescent():
-            if self.stats.total_cycles >= guard:
-                raise CycleLimitExceeded(f"system made no progress in {guard} cycles")
-            skip = self._dma_only_cycles(guard)
-            if skip:
-                for rpu in self._active:
-                    rpu.dma.stream(rpu.sram, skip)
-                self.stats.total_cycles += skip
-            else:
-                self.tick()
-        self._finalize_stats()
+        try:
+            while not self.quiescent():
+                if self.stats.total_cycles >= guard:
+                    raise CycleLimitExceeded(f"system made no progress in {guard} cycles")
+                skip = self._dma_only_cycles(guard)
+                if skip:
+                    for rpu in self._active:
+                        rpu.dma.stream(rpu.sram, skip)
+                    self.stats.total_cycles += skip
+                else:
+                    self.tick()
+        finally:
+            self._finalize_stats()
         return self.stats
 
     def _dma_only_cycles(self, guard: int) -> int:

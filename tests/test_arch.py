@@ -182,7 +182,8 @@ class TestArchFile:
         assert str(err.value) == f"line {line}: {message}"
 
     @pytest.mark.parametrize("spec, report_line", [
-        ("topology=TORUS", "array: 8x8 (torus, mcmd)"), ("rows=0x4", "array: 4x8 (mesh2d, mcmd)")])
+        ("topology=TORUS", "array: 8x8 (torus, mcmd)"), ("rows=0x4", "array: 4x8 (mesh2d, mcmd)"),
+        ("ROWS=4", "array: 4x8 (mesh2d, mcmd)")])
     def test_sweep_reads_a_value_as_the_file_does(self, capsys, spec, report_line):
         from windmill.cli import main
         assert main(["generate", "--arch", str(FIXTURES / "standard.arch"),

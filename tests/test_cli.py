@@ -238,6 +238,19 @@ class TestSim:
         assert "PE (2,2)" in r.stderr and "shared register 7" in r.stderr
         assert not stats.exists()
 
+    def test_context_over_capacity_rejected_before_the_run(self, std_arch, tmp_path, capsys):
+        """standard.arch holds 16 words per PE: a 17-word record is an input
+        error (exit 2) naming the PE, and no stats are written."""
+        from windmill.cli import main
+        from windmill.pe import ConfigWord, pack_bitstream
+        bs = tmp_path / "long.bit"
+        bs.write_bytes(pack_bitstream([(2, 2, [ConfigWord()] * 17)]))
+        stats = tmp_path / "stats.csv"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs),
+                     "--stats", str(stats)]) == 2
+        assert capsys.readouterr().err == "error: PE (2,2): 17 words > capacity 16\n"
+        assert not stats.exists()
+
     def test_scmd_word_checked_on_every_pe_of_its_row(self, std_arch, tmp_path, capsys):
         """Under SCMD a record configures its whole row, so a LOAD in an LSU's
         record also lands on the GPE beside it: an input error (exit 2)."""

@@ -168,3 +168,45 @@ def test_operand_read_twice_from_one_latch():
         image = [rng.getrandbits(32), 0]
         got, _ = run_protocol(SystemSim(params), records, image, 1, 1)
         assert got == reference_execute(dfg, image)[1:2]
+
+
+def memory_dfg(rng, n_in=8, n_ops=10):
+    """A random DAG with loads of constant addresses and stores at constant
+    and computed addresses. Loads read only the input words; the two outs,
+    the two constant-address stores and two 8-word windows, one per
+    computed-address store, follow them. Returns the text and image length."""
+    lines = [f"in i{k} {k}" for k in range(n_in)]
+    ids = [f"i{k}" for k in range(n_in)]
+    for k in range(2):
+        lines += [f"la{k} const {rng.randrange(n_in)}", f"l{k} load la{k}"]
+        ids.append(f"l{k}")
+    for k in range(n_ops):
+        lines.append(f"n{k} {rng.choice(OPS)} {rng.choice(ids)} {rng.choice(ids)}")
+        ids.append(f"n{k}")
+    lines += [f"out {rng.choice(ids)} {n_in + j}" for j in range(2)]
+    for k in range(2):
+        lines += [f"sa{k} const {n_in + 2 + k}", f"s{k} store sa{k} {rng.choice(ids)}"]
+    for k in range(2):
+        lines += [f"m{k} const 7", f"b{k} const {n_in + 4 + 8 * k}",
+                  f"w{k} and {rng.choice(ids)} m{k}", f"wa{k} add w{k} b{k}",
+                  f"t{k} store wa{k} {rng.choice(ids)}"]
+    return "\n".join(lines), n_in + 20
+
+
+@pytest.mark.parametrize("topology", list(TopologyKind))
+@pytest.mark.parametrize("seed", range(3))
+def test_stores_and_constant_loads(topology, seed):
+    rng = random.Random(9000 + seed)
+    text, size = memory_dfg(rng)
+    params = make_arch(topology=topology)
+    dfg = parse_dfg(text)
+    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+    words = [w for _, _, ws in records for w in ws]
+    # both store forms and the affine load of a constant address are emitted
+    assert any(w.opcode == Opcode.STORE and w.src1 == SrcSel.NONE and w.imm16 == 10
+               for w in words)
+    assert any(w.opcode == Opcode.STORE and w.src1 != SrcSel.NONE for w in words)
+    assert sum(w.opcode == Opcode.LOAD and w.src1 == SrcSel.NONE for w in words) == 10
+    image = [rng.getrandbits(32) for _ in range(8)] + [0] * (size - 8)
+    got, _ = run_protocol(SystemSim(params), records, image, 8, size - 8)
+    assert got == reference_execute(dfg, image)[8:size], text

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from windmill.arch import ArchParams, PeType, SharedRegScope, TopologyKind, with_default_type_map
+from windmill.arch import ArchParams, SharedRegScope, TopologyKind, with_default_type_map
 from windmill.errors import IndexOutOfRange
 from windmill.interconnect import (Direction, SharedRegFile, neighbor_map, neighbors,
                                    scope_of)
@@ -101,7 +101,7 @@ def drive(topology, dims, sends):
     as (receiving coordinate, entry latch) -> value, and the PEs.
     """
     ports = neighbor_map(topology, dims)
-    pes = {coord: PE(coord, PeType.GPE, ports[coord]) for coord in ports}
+    pes = {coord: PE(coord, ports[coord]) for coord in ports}
     for coord, (direction, value) in sends.items():
         word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel[direction.name],
                           imm16=value)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from windmill.arch import (ArchParams, ExecMode, PeType, TopologyKind, standard_preset,
+from windmill.arch import (ArchParams, ExecMode, TopologyKind, standard_preset,
                            validate, with_default_type_map)
 from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeError,
                              EncodeError)
@@ -348,8 +348,8 @@ class FakeBus:
         self._next_responses = {}
 
 
-def make_pe(words, coord=(0, 0), ports=None, pe_type=PeType.GPE, capacity=16):
-    pe = PE(coord, pe_type, ports or {})
+def make_pe(words, coord=(0, 0), ports=None, capacity=16):
+    pe = PE(coord, ports or {})
     pe.load_context(words, capacity)
     pe.launch_reset()
     return pe
@@ -429,7 +429,7 @@ class TestPipeline:
     def test_iteration_index_drives_affine_stream(self):
         word = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
                           imm16=4, iter_count=3, shared_reg_idx=2)
-        pe = make_pe([word], pe_type=PeType.LSU)
+        pe = make_pe([word])
         bus = FakeBus({(0, 0): pe})
         for _ in range(12):
             pe.tick(bus)
@@ -478,13 +478,13 @@ class TestPipeline:
                 pe.x_slot, pe.w_slot) == frozen
 
     def test_capacity_enforced(self):
-        pe = PE((0, 0), PeType.GPE, {})
+        pe = PE((0, 0), {})
         pe.load_context([ConfigWord()] * 16, 16)
         with pytest.raises(CapacityExceeded):
             pe.load_context([ConfigWord()] * 17, 16)
 
     def test_scmd_capacity_exercised(self):
-        pe = PE((0, 0), PeType.GPE, {})
+        pe = PE((0, 0), {})
         cap = context_capacity(ExecMode.SCMD, 16)
         pe.load_context([ConfigWord()] * 128, cap)
         assert len(pe.context) == 128
@@ -510,6 +510,18 @@ class TestBitstream:
         blob = pack_bitstream([(0, 0, [ConfigWord()])])
         with pytest.raises(DecodeError):
             unpack_bitstream(blob[:-1])
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_truncated_header_rejected(self, size):
+        header = pack_bitstream([(0, 0, [])])
+        with pytest.raises(DecodeError, match="^truncated bitstream header$"):
+            unpack_bitstream(header[:size])
+        with pytest.raises(DecodeError, match="^truncated bitstream header$"):
+            unpack_bitstream(header + header[:size])
+
+    def test_record_over_capacity_rejected(self):
+        with pytest.raises(CapacityExceeded, match=r"^PE \(2,2\): 17 words > capacity 16$"):
+            validate_bitstream(standard_machine(standard_preset()), [(2, 2, [ConfigWord()] * 17)])
 
     def test_memory_op_on_gpe_rejected(self):
         machine = standard_machine(standard_preset())

@@ -526,6 +526,24 @@ class TestRing:
         ring = run_one(arch(rpus=2).sm_words + 5)
         assert ring - local == 2
 
+    def test_ring_of_one_reads_its_own_array_half(self):
+        """With one RPU the clockwise neighbor is the RPU itself: a remote
+        read returns its own array-half word, as fast as across two RPUs."""
+        text = "in a 0\nx load a\nout x 5\n"
+
+        def run_with(rpus):
+            params = arch(rpus=rpus)
+            records = unpack_bitstream(emit_bitstream(map_dfg(parse_dfg(text), params)))
+            system = SystemSim(params, cycle_limit=20000)
+            image = [params.sm_words + 1, 77]   # word 0 points at remote word 1
+            results, stats = run_protocol(system, records, image, 5, 1)
+            return results, stats.total_cycles
+
+        alone, pair = run_with(1), run_with(2)
+        assert alone[0] == [77]   # the neighbor of a pair holds no data
+        assert pair[0] == [0]
+        assert alone[1] == pair[1]
+
     def test_pipelined_chain_across_four_rpus(self):
         """Tasks flow around the ring: each RPU reads its clockwise
         neighbor's buffer, so four phases overlap instead of serializing."""

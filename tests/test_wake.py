@@ -70,8 +70,7 @@ class SleepOracle:
             assert rpu.asleep <= set(rpu.live)
             for pe in rpu.asleep:
                 # the port table and the decoded context are read-only
-                twin = copy.deepcopy(pe, {id(pe.ports): pe.ports, id(pe._code): pe._code,
-                                          id(pe._context): pe._context})
+                twin = copy.deepcopy(pe, {id(pe.ports): pe.ports, id(pe._code): pe._code})
                 bus = ReadOnlyBus(rpu)
                 assert twin.tick(bus) is False, pe.coord
                 assert pe_state(twin) == pe_state(pe), pe.coord
