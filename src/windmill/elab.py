@@ -112,7 +112,7 @@ class BuildContext:
         self.dependency_edges: list[tuple[str, str, str]] = []
         # (plugin name, phase, sequence index) per executed callback
         self.phase_log: list[tuple[str, str, int]] = []
-        self._active_plugin: str | None = None
+        self._active: Plugin | None = None   # the plugin whose callback runs
         self._seq = 0
 
     # -- registration --------------------------------------------------
@@ -131,7 +131,7 @@ class BuildContext:
         """Install the payload for a service the active plugin declared."""
         if self.phase is not Phase.EARLY:
             raise PhaseViolation(f"provide({key}) outside the early phase")
-        plugin = self._require_active()
+        plugin = self._active
         if key not in plugin.provides:
             raise PhaseViolation(
                 f"plugin {plugin.name!r} never declared that it provides {key}"
@@ -145,7 +145,7 @@ class BuildContext:
         """Look up a service payload, recording the dependency edge."""
         if self.phase not in (Phase.EARLY, Phase.LATE):
             raise PhaseViolation(f"get_service({key}) outside early/late phases")
-        caller = self._require_active()
+        caller = self._active
         entry = self.services.get(key)
         if entry is None:
             raise MissingService([(caller.name, key.name)])
@@ -164,7 +164,7 @@ class BuildContext:
     def emit(self, name: str, kind: str, **detail):
         if self.phase is not Phase.LATE:
             raise PhaseViolation(f"artifact {name!r} emitted outside the late phase")
-        plugin = self._require_active()
+        plugin = self._active
         self.artifacts.append(Artifact(name, kind, plugin.name, dict(detail)))
 
     # -- introspection ---------------------------------------------------
@@ -194,20 +194,15 @@ class BuildContext:
 
     # -- internals -------------------------------------------------------
 
-    def _require_active(self) -> Plugin:
-        if self._active_plugin is None:
-            raise PhaseViolation("service access outside a plugin callback")
-        return next(p for p in self.plugins if p.name == self._active_plugin)
-
     def _run_phase(self, phase: Phase):
         self.phase = phase
         attr = {Phase.CONFIG: "on_config", Phase.EARLY: "on_early", Phase.LATE: "on_late"}[phase]
         for plugin in self.plugins:
-            self._active_plugin = plugin.name
+            self._active = plugin
             try:
                 getattr(plugin, attr)(self, self.params)
             finally:
-                self._active_plugin = None
+                self._active = None
             self.phase_log.append((plugin.name, phase.value, self._seq))
             self._seq += 1
 
@@ -222,16 +217,6 @@ class BuildContext:
         if unmet:
             raise MissingService(unmet)
 
-    def _seal(self):
-        registered = {p.name for p in self.plugins}
-        for a in self.artifacts:
-            if a.plugin not in registered:
-                raise PhaseViolation(f"artifact {a.name!r} from unregistered plugin {a.plugin!r}")
-        for key, (prov, _) in self.services.items():
-            if prov not in registered:
-                raise PhaseViolation(f"service {key} from unregistered plugin {prov!r}")
-        self.phase = Phase.SEALED
-
 
 def elaborate(plugins: list[Plugin], params: Any = None) -> BuildContext:
     """Run the three-phase build over the given plugins and seal the result.
@@ -244,9 +229,11 @@ def elaborate(plugins: list[Plugin], params: Any = None) -> BuildContext:
     ctx = BuildContext(params)
     for p in plugins:
         ctx.register(p)
-    ctx._run_phase(Phase.CONFIG)
-    ctx._run_phase(Phase.EARLY)
-    ctx._check_requirements()
-    ctx._run_phase(Phase.LATE)
-    ctx._seal()
+    try:
+        ctx._run_phase(Phase.CONFIG)
+        ctx._run_phase(Phase.EARLY)
+        ctx._check_requirements()
+        ctx._run_phase(Phase.LATE)
+    finally:   # also on failure: a context a callback kept takes no entry outside one
+        ctx.phase = Phase.SEALED
     return ctx

@@ -113,7 +113,7 @@ class SimulationError(WindmillError):
 # --- mapper ----------------------------------------------------------------
 
 class CyclicGraph(WindmillError):
-    """The dataflow graph contains a cycle not closed by a merge node."""
+    """The dataflow graph contains a cycle."""
 
 
 class UnboundOperand(WindmillError):

@@ -41,7 +41,7 @@ _OPPOSITE = {d: Direction((-d.value[0], -d.value[1])) for d in Direction}
 
 
 def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[Direction, Coord]]:
-    """Outgoing ports of one PE: (direction, destination coordinate).
+    """Outgoing ports of the PE at in-grid ``coord``: (direction, destination).
 
     Mesh: in-grid orthogonal adjacents. Torus: orthogonal with wraparound
     (directions are always 4; destinations may coincide on 2-wide grids).
@@ -49,8 +49,6 @@ def neighbors(topology: TopologyKind, coord: Coord, dims: Coord) -> list[tuple[D
     """
     rows, cols = dims
     r, c = coord
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise IndexOutOfRange(f"coord {coord} outside {rows}x{cols} grid")
     out = []
     for d in Direction:   # N S E W, then the distance-2 links N2 S2 E2 W2
         if d.is_two_hop and topology is not TopologyKind.ONE_HOP:

@@ -10,7 +10,7 @@ DFG text format (normative grammar in docs/formats.md)::
     t2  mul t1 c4
     out t2 16        # store node t2's value to word 16
 
-Ops: add sub mul and or xor shl shr lt sel phi load store const, plus the
+Ops: add sub mul and or xor shl shr lt sel load store const, plus the
 in/out directives. ``load``/``store`` take their address from an operand
 (the non-affine path); in/out bind fixed addresses. ``sel p a b`` is a
 ternary select, lowered to a mask-and-merge of two predicated passes.
@@ -56,12 +56,12 @@ _OPS = {
     "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
     "and": Opcode.AND, "or": Opcode.OR, "xor": Opcode.XOR,
     "shl": Opcode.SHL, "shr": Opcode.SHR, "lt": Opcode.CMP_LT,
-    "sel": Opcode.SEL, "phi": Opcode.PHI,
+    "sel": Opcode.SEL,
     "load": Opcode.LOAD, "store": Opcode.STORE,
 }
 
 _ARITY = {"add": 2, "sub": 2, "mul": 2, "and": 2, "or": 2, "xor": 2,
-          "shl": 2, "shr": 2, "lt": 2, "sel": 3, "phi": 2,
+          "shl": 2, "shr": 2, "lt": 2, "sel": 3,
           "load": 1, "store": 2}
 
 
@@ -169,7 +169,7 @@ def _validate(dfg: Dfg):
             raise UnboundOperand(f"out directive references unknown {node_id!r}")
         if dfg.nodes[node_id].op == "store":
             raise UnboundOperand(f"out directive reads store node {node_id!r}")
-    _check_cycles(dfg)
+    topo_order(dfg)
 
 
 def _toposort(deps: dict, rank: dict | None = None) -> list:
@@ -197,29 +197,13 @@ def _toposort(deps: dict, rank: dict | None = None) -> list:
     return out
 
 
-def _check_cycles(dfg: Dfg):
-    """Cycles are structurally legal only when every one passes through a
-    merge (phi) node; anything else is an error."""
-    done = set(_toposort({nid: node.operands for nid, node in dfg.nodes.items()}))
-    leftover = [nid for nid in dfg.nodes if nid not in done]
-    if not leftover:
-        return
-    if all(dfg.nodes[n].op != "phi" for n in leftover):
-        raise CyclicGraph(f"cycle through {leftover[:8]}")
-    # drop the merge nodes: whatever still cycles is not closed by one
-    keep = {nid for nid in leftover if dfg.nodes[nid].op != "phi"}
-    reduced = {nid: [r for r in dfg.nodes[nid].operands if r in keep] for nid in keep}
-    if len(_toposort(reduced)) != len(keep):
-        raise CyclicGraph(f"cycle not closed by a merge node: {leftover[:8]}")
-
-
 def topo_order(dfg: Dfg) -> list[str]:
-    """Complete topological order, ties to the earliest declaration;
-    merge-closed loops are structurally valid but have no such order, so
-    they are rejected here."""
+    """Complete topological order, ties to the earliest declaration; raises
+    CyclicGraph for a graph with a loop."""
     out = _toposort({nid: node.operands for nid, node in dfg.nodes.items()})
     if len(out) != len(dfg.nodes):
-        raise CyclicGraph("graph contains loops; no full evaluation order exists")
+        done = set(out)
+        raise CyclicGraph(f"cycle through {[nid for nid in dfg.nodes if nid not in done][:8]}")
     return out
 
 
@@ -257,8 +241,6 @@ def reference_execute(dfg: Dfg, image) -> list[int]:
         elif node.op == "sel":
             p, a, b = (values[r] for r in node.operands)
             values[nid] = a if p != 0 else b
-        elif node.op == "phi":
-            values[nid] = values[node.operands[0]]
         else:
             a, b = (values[r] for r in node.operands)
             values[nid] = alu_eval(_OPS[node.op], a, b)
@@ -392,8 +374,6 @@ def _lower(dfg: Dfg) -> list[_LNode]:
             f = _LNode(fresh(nid), Opcode.SEL, [("node", inv.id), operand(b_ref, False)])
             merged = _LNode(nid, Opcode.OR, [("node", t.id), ("node", f.id)])
             lnodes += [neg, pos, nz, inv, t, f, merged]
-        elif node.op == "phi":
-            raise Unmappable("merge nodes are not supported by the mapper yet", nid)
         else:
             lnodes.append(_LNode(nid, _OPS[node.op], binary_srcs(node.operands)))
     return lnodes
@@ -810,15 +790,15 @@ def _check_legal(mapping: Mapping, machine: MachineRecord):
     seen = set()
     for op in mapping.micro_ops:
         key = (op.pe, op.step)
-        if key in seen:
+        if key in seen:   # each op is emitted at or after _Scheduler.free_at(pe)
             raise Unmappable(f"two ops share {key}", op.node)
         seen.add(key)
         if op.opcode in MEMORY_OPS:
-            if params.pe_type(*op.pe) is not PeType.LSU:
+            if params.pe_type(*op.pe) is not PeType.LSU:   # placed from the LSU pool
                 raise Unmappable(f"memory op on non-LSU {op.pe}", op.node)
     for (src, dst), path in mapping.routes.items():
         for a, b in zip(path, path[1:]):
-            if b not in machine.ports[a].values():
+            if b not in machine.ports[a].values():   # route walks the port table's links
                 raise Unmappable(f"route {src}->{dst} uses non-link {a}->{b}", src)
 
 

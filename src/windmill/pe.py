@@ -576,9 +576,7 @@ class PE:
         is valid; otherwise hold it, leaving the accumulator untouched."""
         dec, iter_idx = self.d_slot
         kind = dec[0]
-        if kind == _K_HALT:
-            if self.w_slot is not None:
-                return False
+        if kind == _K_HALT:   # fetched only behind an empty pipeline: write-back is empty
             # freeze: context stays loaded for a later relaunch
             self.d_slot = self.f_slot = None
             self.pc = len(self._code)

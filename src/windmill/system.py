@@ -314,7 +314,7 @@ class Rpu:
         self._consumes.clear()
         for coord, direction, value in self._deliveries:
             pe = pes[coord]
-            if direction in pe.latch:
+            if direction in pe.latch:   # symmetric ports: one driver, and it asked latch_free
                 raise SimulationError(f"latch overrun at {coord} {direction}")
             pe.latch[direction] = value
             asleep.discard(pe)
@@ -351,6 +351,7 @@ class Rpu:
         self.cycle_dma_half = None
         if not dma.idle() and dma.step(self.sram, blocked) is not None:
             self.cycle_dma_half = dma._active_half
+            # a second staging batch still streams after launch, which waits for one
             if self.status == RpuStatus.RUNNING and dma._active_half in halves:
                 raise SimulationError(
                     f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
@@ -433,7 +434,7 @@ class SystemSim:
         """A ring grant at the serving RPU routes data back to the origin
         (its counterclockwise neighbor) with one extra transit cycle."""
         origin = self.rpus[(serving_rpu_id - 1) % len(self.rpus)]
-        if origin.ring_wait is None:
+        if origin.ring_wait is None:   # only _step_ring posts a ring read, setting ring_wait
             raise SimulationError("ring response with no waiting LSU")
         # staged at the system level so delivery timing does not depend on
         # the relative tick order of the two RPUs

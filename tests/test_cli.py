@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, file outputs, reproducibility."""
 
+import re
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, pack_bitstream
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -96,6 +99,43 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --sweep {spec.partition('=')[0]}: bad value {value}\n"
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"bank_depth = 256": "bank_depth = 3"},
+         "bank_depth: must be a power of two >= 2 (ping-pong halves split on the top "
+         "row-address bit)"),
+        ({"bank_width = 32": "bank_width = 16"}, "bank_width: 16 != data_width 32"),
+        ({"bank_width = 32": "bank_width = 16", "data_width = 32": "data_width = 16"},
+         "data_width: only 32-bit datapaths are supported"),
+        ({"context_depth_mcmd = 16": "context_depth_mcmd = 0"},
+         "context_depth_mcmd: must be >= 1"),
+        ({"shared_reg_count = 4": "shared_reg_count = 17"},
+         "shared_reg_count: must be in 1..16 (4-bit register index)"),
+        ({"shared_reg_count = 4": "shared_reg_count = 0"},
+         "shared_reg_count: must be in 1..16 (4-bit register index)"),
+        ({"rpu_count = 4": "rpu_count = 0"}, "rpu_count: must be >= 1"),
+    ], ids=["bank_depth", "bank_width", "data_width", "context_depth_mcmd",
+            "shared_reg_count-high", "shared_reg_count-zero", "rpu_count"])
+    def test_out_of_range_parameter_exit_2(self, std_arch, capsys, edits, message):
+        from windmill.cli import main
+        text = std_arch.read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        std_arch.write_text(text)
+        assert main(["generate", "--arch", str(std_arch)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unsweepable_key_exit_2(self, std_arch, capsys):
+        from windmill.cli import main
+        assert main(["generate", "--arch", str(std_arch), "--sweep", "Voltage=1,2"]) == 2
+        assert capsys.readouterr() == ("", "error: --sweep key 'voltage' not sweepable\n")
+
+    def test_timestamps_line_leads_the_report(self, std_arch, capsys):
+        from windmill.cli import main
+        assert main(["generate", "--arch", str(std_arch), "--timestamps"]) == 0
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        assert re.fullmatch(r"# generated at \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", first)
+        assert second == "array: 8x8 (mesh2d, mcmd)"
 
     def test_log_env_controls_verbosity(self, std_arch):
         quiet = windmill("generate", "--arch", std_arch)
@@ -263,6 +303,57 @@ class TestSim:
         assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs)]) == 2
         assert capsys.readouterr().err == "error: PE (2,1) word 0: LOAD on a GPE\n"
 
+    def test_unaligned_image_exit_2(self, std_arch, halt_bit, tmp_path, capsys):
+        from windmill.cli import main
+        data = tmp_path / "odd.bin"
+        data.write_bytes(bytes(5))
+        stats = tmp_path / "stats.csv"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(halt_bit),
+                     "--data", str(data), "--stats", str(stats)]) == 2
+        assert capsys.readouterr().err == f"error: {data}: image length 5 is not word aligned\n"
+        assert not stats.exists()
+
+    @pytest.mark.parametrize("word, message", [
+        # stride -1 (stride table entry 14) from base 0: the second iteration
+        (ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=0,
+                    iter_count=2, shared_reg_idx=14), "negative generated address -1"),
+        (ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=2048),
+         "PE address 2048 outside the half space (2048 words)"),
+        (ConfigWord(Opcode.STORE, SrcSel.IMM, SrcSel.NONE, DstSel.NONE, imm16=4096),
+         "remote window is read-only (addr 4096)"),
+    ], ids=["negative", "past-the-half", "remote-store"])
+    def test_generated_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path,
+                                                               capsys, word, message):
+        """standard.arch's scratchpad holds 4096 words, 2048 per half; an
+        address at 4096 or above reads the clockwise neighbour's."""
+        from windmill.cli import main
+        bs = tmp_path / "fault.bit"
+        bs.write_bytes(pack_bitstream([(0, 3, [word])]))   # (0, 3) is an LSU
+        stats = tmp_path / "stats.csv"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs),
+                     "--stats", str(stats)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        header, row = stats.read_text().splitlines()
+        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+
+    def test_staging_batch_racing_the_array_exit_4(self, std_arch, tmp_path, capsys):
+        """A launch waits for one staging batch, so a second one streams into
+        the array's half while the LSU at (0, 3) reads it: a machine fault."""
+        from windmill.cli import main
+        load = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, iter_count=8)
+        bs = tmp_path / "load.bit"
+        bs.write_bytes(pack_bitstream([(0, 3, [load, ConfigWord(opcode=Opcode.HALT)])]))
+        data = tmp_path / "in.bin"
+        write_image(data, list(range(64)))
+        script = tmp_path / "stage2.script"
+        script.write_text("01 1 0\n02 1 0 0 4 1\n02 1 0 a 14 1\n03 1\n")
+        stats = tmp_path / "stats.csv"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs), "--data", str(data),
+                     "--script", str(script), "--stats", str(stats)]) == 4
+        assert capsys.readouterr().err == "error: rpu 0: DMA and array touched half 0\n"
+        header, row = stats.read_text().splitlines()
+        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+
     def test_runtime_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path):
         """A load from an address past the remote window maps fine and then
         faults in the simulator: exit 4, partial stats still written."""
@@ -281,7 +372,11 @@ class TestSim:
         (0x2005, "01 1 0\n03 1\n", "controller descriptor 5 not in manifest"),
         (0x1007, "01 1 0\n03 1\n", "config 7 never registered"),
         (None, "01 1 0\n03 1\n03 1\n", "rpu 0: launch from 'done', expected configured"),
-    ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done"])
+        (None, "01 1 0\n03\n", "command 0x03 missing the RPU mask"),
+        # 0x7f8 = 2040: 16 words from there cross the end of the 2048-word half
+        (None, "01 1 0\n03 1\n04 1 7f8 0 10\n", "results region 2040+16 outside half space"),
+    ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done",
+            "missing-rpu-mask", "results-past-the-half"])
     def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
                                                               imm16, script, message):
         """A protocol fault met after cycles have run is a run-time fault:
@@ -419,6 +514,14 @@ class TestReport:
         r = windmill("report", "--stats", stats)
         assert r.returncode == 0
         assert r.stdout.split() == ["total_cycles", "42", "host_commands", "4"]
+
+    def test_no_data_row_exit_2(self, tmp_path, capsys):
+        from windmill.cli import main
+        stats = tmp_path / "s.csv"
+        stats.write_text("total_cycles,host_commands\n\n")
+        assert main(["report", "--stats", str(stats)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {stats}: expected a header row and a data row\n")
 
 
 @pytest.mark.parametrize("argv", [

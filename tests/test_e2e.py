@@ -57,16 +57,6 @@ def random_dfg(rng, n_in=8, n_ops=20, n_out=4, weird=True):
     return "\n".join(lines), n_in, n_in, len(outs)
 
 
-def run_both(text, params, image):
-    dfg = parse_dfg(text)
-    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
-    system = SystemSim(params)
-    base = len(image) - sum(1 for ln in text.splitlines()
-                            if ln.strip().startswith("out"))
-    results = None
-    return dfg, records, system
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_random_graphs_mesh(seed):
     rng = random.Random(1000 + seed)
@@ -136,7 +126,7 @@ def test_wide_fanout_single_producer():
     lines = ["in x 0", "in y 1"]
     outs = []
     for k in range(12):
-        lines.append(f"ck const {k}" if False else f"k{k} const {k + 1}")
+        lines.append(f"k{k} const {k + 1}")
         lines.append(f"n{k} mul x k{k}")
         lines.append(f"m{k} add n{k} y")
         outs.append(f"m{k}")

@@ -52,6 +52,13 @@ class TestRegistration:
             names.add(frozenset(p.name for p in ctx.plugins))
         assert len(names) == 1
 
+    def test_register_after_elaboration_rejected(self):
+        ctx = elaborate([make_plugin("A")], None)
+        with pytest.raises(PhaseViolation,
+                           match="^plugins may only be registered before elaboration$"):
+            ctx.register(make_plugin("B"))
+        assert [p.name for p in ctx.plugins] == ["A"]
+
     def test_provides_requires_disjoint(self):
         with pytest.raises(ValueError):
             Plugin("Bad", provides=frozenset({ServiceKey("x")}),
@@ -86,6 +93,55 @@ class TestServices:
         ctx = elaborate([make_plugin("A", provides=["svc"])], None)
         with pytest.raises(PhaseViolation):
             ctx.get_service(ServiceKey("svc"))
+
+    @pytest.mark.parametrize("phase", ["on_config", "on_late"])
+    def test_provide_outside_the_early_phase_rejected(self, phase):
+        key = ServiceKey("svc")
+        plugin = Plugin("A", provides=frozenset({key}),
+                        **{phase: lambda ctx, params: ctx.provide(key, 1)})
+        with pytest.raises(PhaseViolation, match=r"^provide\(svc\) outside the early phase$"):
+            elaborate([plugin], None)
+
+    def test_undeclared_provide_rejected(self):
+        plugin = Plugin("A", on_early=lambda ctx, params: ctx.provide(ServiceKey("svc"), 1))
+        with pytest.raises(PhaseViolation,
+                           match="^plugin 'A' never declared that it provides svc$"):
+            elaborate([plugin], None)
+
+    def test_two_providers_of_one_key_rejected(self):
+        a, b = make_plugin("A", provides=["svc"]), make_plugin("B", provides=["svc"])
+        with pytest.raises(DuplicatePlugin, match="^service svc provided by both 'A' and 'B'$"):
+            elaborate([a, b], None)
+
+    def test_lookup_of_an_unprovided_key_names_the_caller(self):
+        plugin = Plugin("A", on_late=lambda ctx, params: ctx.get_service(ServiceKey("svc")))
+        with pytest.raises(MissingService) as err:
+            elaborate([plugin], None)
+        assert err.value.unmet == [("A", "svc")]
+
+
+    @pytest.mark.parametrize("requires, error", [
+        (frozenset({ServiceKey("x")}), MissingService), (frozenset(), RuntimeError)],
+        ids=["unmet-requirement", "late-callback-raises"])
+    def test_a_context_kept_past_a_failed_build_is_sealed(self, requires, error):
+        """A callback may keep the context; outside a callback it takes no
+        entry, also after a build that failed part way."""
+        kept = []
+
+        def late(ctx, params):
+            raise RuntimeError("late callback fails")
+
+        plugin = Plugin("A", requires=requires, on_late=late,
+                        on_early=lambda ctx, params: kept.append(ctx))
+        with pytest.raises(error):
+            elaborate([plugin], None)
+        ctx = kept[0]
+        assert ctx.phase is Phase.SEALED
+        for call in (lambda: ctx.provide(ServiceKey("y"), 1),
+                     lambda: ctx.get_service(ServiceKey("y")),
+                     lambda: ctx.emit("late", "part")):
+            with pytest.raises(PhaseViolation):
+                call()
 
 
 class TestElaborate:

@@ -20,7 +20,7 @@ import pytest
 from windmill.arch import (ArchParams, PeType, SharedRegScope, TopologyKind, parse_arch_file,
                            validate)
 from windmill.elab import Plugin
-from windmill.errors import BitstreamTargetInvalid, Unmappable, ValidationError
+from windmill.errors import BitstreamTargetInvalid, MissingService, Unmappable, ValidationError
 from windmill.interconnect import Direction, neighbor_map
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
@@ -211,6 +211,23 @@ def test_the_machine_reads_every_service():
     system = SystemSim(machine)
     assert system.rtt is rtt
     assert system.rpus[0].sram.words == 256
+
+
+def test_a_roster_without_a_service_has_no_machine():
+    """Without HostBridge (and the Cpe that needs it) the build seals, but it
+    describes no host command decode."""
+    plugins = [p for p in standard_plugins(STANDARD) if p.name not in ("HostBridge", "Cpe")]
+    with pytest.raises(MissingService) as err:
+        read_machine(elaborate_arch(STANDARD, plugins))
+    assert err.value.unmet == [("machine", "host-rtt")]
+
+
+def test_a_cell_without_a_pe_has_no_machine():
+    ctx = build_with(STANDARD, Plugin("Lsu"))   # emits none of the 28 LSUs
+    with pytest.raises(ValidationError,
+                       match=r"^build emitted no PE for cells \[\(0, 0\), \(0, 1\), \(0, 2\), "
+                             r"\(0, 3\)\]$"):
+        read_machine(ctx)
 
 
 def test_no_consumer_builds_its_own_machine_description():

@@ -6,7 +6,7 @@ import pytest
 
 from windmill.arch import ArchParams, PeType, perimeter_lsu_map, validate
 from windmill.errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
-from windmill.mapper import (Mapping, emit_bitstream, map_dfg, parse_dfg,
+from windmill.mapper import (Dfg, DfgNode, Mapping, emit_bitstream, map_dfg, parse_dfg,
                              reference_execute)
 from windmill.pe import Opcode, unpack_bitstream, validate_bitstream
 from windmill.plugins import standard_machine
@@ -57,26 +57,57 @@ class TestParse:
         assert len(edges) == 6
 
     def test_cycle_rejected(self):
-        with pytest.raises(CyclicGraph):
+        with pytest.raises(CyclicGraph, match=r"^cycle through \['x', 'y'\]$"):
             parse_dfg("x add y y\ny add x x\n")
 
     def test_merge_closed_cycle_parses(self):
+        """A loop closed by a merge is no graph of the language: ``phi`` is
+        an unknown op, and the whole graph is a parse error."""
         text = ("start const 0\np phi start q\none const 1\nq add p one\n")
-        dfg = parse_dfg(text)
-        assert dfg.nodes["p"].op == "phi"
+        with pytest.raises(ParseError, match="unknown op 'phi'") as err:
+            parse_dfg(text)
+        assert err.value.line == 2
 
-    @pytest.mark.parametrize("text, leftover", [
+    @pytest.mark.parametrize("text, line", [
         # a plain cycle declared next to a merge-closed loop
         ("start const 0\np phi start q\none const 1\nq add p one\n"
-         "x add y y\ny add x x\n", ["p", "q", "x", "y"]),
+         "x add y y\ny add x x\n", 2),
         # a plain cycle feeding a merge-closed loop
-        ("x add y y\ny add x x\np phi x q\none const 1\nq add p one\n",
-         ["x", "y", "p", "q"]),
+        ("x add y y\ny add x x\np phi x q\none const 1\nq add p one\n", 3),
     ])
-    def test_cycle_beside_a_merge_loop_rejected(self, text, leftover):
-        with pytest.raises(CyclicGraph) as err:
+    def test_cycle_beside_a_merge_loop_rejected(self, text, line):
+        with pytest.raises(ParseError, match="unknown op 'phi'") as err:
             parse_dfg(text)
-        assert str(err.value) == f"cycle not closed by a merge node: {leftover}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("in a\n", "in directive needs: in <id> <addr>", 1),
+        ("in a 0 1\n", "in directive needs: in <id> <addr>", 1),
+        ("in a 0\nout a\n", "out directive needs: out <id> <addr>", 2),
+        ("x\n", "node line needs: <id> <op> ...", 1),
+        ("x const\n", "const needs one literal operand", 1),
+        ("x const 1 2\n", "const needs one literal operand", 1),
+        ("in a 0\nb foo a a\n", "unknown op 'foo'", 2),
+        ("in a 0\nb phi a a\n", "unknown op 'phi'", 2),
+        ("in a 0\nb add a\n", "add takes 2 operands, got 1", 2),
+        ("in a 0\nb sel a a\n", "sel takes 3 operands, got 2", 2),
+        ("x const 1z\n", "expected a number, got '1z'", 1),
+        ("in a zero\n", "expected a number, got 'zero'", 1),
+        ("x const 1\nout x 0x\n", "expected a number, got '0x'", 2),
+    ])
+    def test_malformed_line(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_dfg(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a const 1\ns store a a\nb add s a\n", "node 'b' reads store node 's'"),
+        ("a const 1\nout b 0\n", "out directive references unknown 'b'"),
+        ("a const 1\ns store a a\nout s 0\n", "out directive reads store node 's'"),
+    ])
+    def test_unbound_reference(self, text, message):
+        with pytest.raises(UnboundOperand, match=f"^{message}$"):
+            parse_dfg(text)
 
     def test_unbound_operand(self):
         with pytest.raises(UnboundOperand):
@@ -160,6 +191,18 @@ class TestReferenceExecute:
         text = f"in x 0\nin y 1\na const 3\ns1 store a {first}\ns2 store a {second}\n"
         assert reference_execute(parse_dfg(text), [5, 7, 0, 0])[3] == want
 
+    @pytest.mark.parametrize("text, message", [
+        ("in a 4\nout a 0\n", "input address 4 outside the image"),
+        ("k const -1\nv load k\nout v 0\n", "input address 4294967295 outside the image"),
+        ("k const 4\ns store k k\n", "store address 4 outside the image"),
+    ])
+    def test_address_outside_the_image(self, text, message):
+        with pytest.raises(UnboundOperand, match=f"^{message}$"):
+            reference_execute(parse_dfg(text), [1, 2, 3, 4])
+
+    def test_out_past_the_image_extends_it(self):
+        assert reference_execute(parse_dfg("in a 1\nout a 5\n"), [1, 2]) == [1, 2, 0, 0, 0, 2]
+
     def test_wrapping_matches_alu(self):
         text = "in a 0\nin b 1\nm mul a b\nout m 2\n"
         out = reference_execute(parse_dfg(text), [0xFFFFFFFF, 2, 0])
@@ -236,8 +279,20 @@ class TestMap:
 
     def test_merge_loops_unmappable(self):
         text = "start const 0\np phi start q\none const 1\nq add p one\n"
-        with pytest.raises(Unmappable):
+        with pytest.raises(ParseError, match="unknown op 'phi'"):
             map_dfg(parse_dfg(text), tiny_arch())
+
+    def test_hand_built_cycle_unmappable(self):
+        """``Dfg`` is public, so the mapper checks for loops itself."""
+        nodes = {"x": DfgNode("x", "add", ("y", "y")), "y": DfgNode("y", "add", ("x", "x"))}
+        dfg = Dfg(nodes, decls=[("node", "x"), ("node", "y")])
+        with pytest.raises(Unmappable, match="graph contains loops"):
+            map_dfg(dfg, tiny_arch())
+
+    def test_no_gpe_array_refuses_alu_ops(self):
+        arch = tiny_arch(grid=("LL", "LL"))
+        with pytest.raises(Unmappable, match="^no general-purpose PEs in this array$"):
+            map_dfg(parse_dfg("in a 0\nb add a a\nout b 1\n"), arch)
 
     def test_scmd_mode_refused(self):
         from windmill.arch import ExecMode

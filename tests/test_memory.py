@@ -28,8 +28,11 @@ class TestSram:
     def test_capacity_boundary(self):
         sram = BankedSram(16, 256)
         sram.read(4095)
-        with pytest.raises(AddressOutOfRange):
-            sram.read(4096)
+        for access in (sram.read, sram.bank_of, sram.row_of, sram.half_of,
+                       lambda addr: sram.write(addr, 1)):
+            for addr in (4096, -1):
+                with pytest.raises(AddressOutOfRange, match=f"^address {addr} outside 4096 words$"):
+                    access(addr)
 
     def test_half_split_on_top_row_bit(self):
         sram = BankedSram(16, 256)

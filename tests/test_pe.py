@@ -92,6 +92,11 @@ class TestEncoding:
         with pytest.raises(DecodeError, match=f"^{message}$"):
             decode(value)
 
+    @pytest.mark.parametrize("value, shown", [(1 << 64, "0x10000000000000000"), (-1, "-0x1")])
+    def test_value_wider_than_a_word_rejected(self, value, shown):
+        with pytest.raises(DecodeError, match=f"^value {shown} is not a 64-bit word$"):
+            decode(value)
+
     def test_field_overflow_rejected(self):
         with pytest.raises(EncodeError):
             encode(ConfigWord(imm16=1 << 16))
@@ -194,6 +199,12 @@ class TestAlu:
         assert alu_eval(Opcode.SUB, 0, 1) == 0xFFFFFFFF
         assert alu_eval(Opcode.MUL, 0x10000, 0x10000) == 0
         assert alu_eval(Opcode.CMP_LT, 0xFFFFFFFF, 0) == 1  # -1 < 0 signed
+
+    @pytest.mark.parametrize("op", [op for op in Opcode if op not in BINARY_OPS],
+                             ids=lambda o: o.name)
+    def test_other_opcodes_rejected(self, op):
+        with pytest.raises(ValueError, match="is not a binary ALU opcode$"):
+            alu_eval(op, 1, 2)
 
 
 class TestLsuAddr:
@@ -505,6 +516,16 @@ class TestBitstream:
     def test_header_layout(self):
         blob = pack_bitstream([(2, 5, [])])
         assert blob == struct.pack("<I", (2 << 24) | (5 << 16) | 0)
+
+    @pytest.mark.parametrize("record, shown", [
+        ((256, 0, []), "256,0"), ((0, 256, []), "0,256"),
+        ((0, -1, []), "0,-1"), ((1, 2, [ConfigWord()] * 65536), "1,2"),
+    ])
+    def test_header_field_overflow_rejected(self, record, shown):
+        """Row and column are 8-bit header fields, the word count 16-bit."""
+        with pytest.raises(EncodeError,
+                           match=rf"^bitstream record \({shown}\) header field overflow$"):
+            pack_bitstream([record])
 
     def test_truncated_rejected(self):
         blob = pack_bitstream([(0, 0, [ConfigWord()])])
