@@ -4,7 +4,8 @@ __version__ = "0.1.0"
 
 from .arch import ArchParams, derive_counts, parse_arch_file, serialize, standard_preset
 from .elab import BuildContext, Plugin, ServiceKey, elaborate
-from .mapper import Dfg, emit_bitstream, map_dfg, parse_dfg, reference_execute
+from .dfg import Dfg, parse_dfg, reference_execute
+from .mapper import emit_bitstream, map_dfg
 from .pe import ConfigWord, Opcode, context_capacity, decode, encode
 from .plugins import build_system, elaborate_arch, standard_plugins
 from .system import SimStats, SystemSim, run_protocol

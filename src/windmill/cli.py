@@ -19,8 +19,9 @@ import time
 
 from . import arch as arch_mod
 from .arch import parse_arch_file
+from .dfg import parse_dfg
 from .errors import ParseError, Unmappable, WindmillError
-from .mapper import emit_bitstream, map_dfg, parse_dfg
+from .mapper import emit_bitstream, map_dfg
 from .pe import MEMORY_OPS, unpack_bitstream
 from .plugins import elaborate_arch, report_from_build, standard_machine
 from .system import DEFAULT_CYCLE_LIMIT, SystemSim, four_step_script, parse_script

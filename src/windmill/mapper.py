@@ -1,19 +1,7 @@
-"""Dataflow-graph compiler: parse, place, route, schedule, emit.
+"""Dataflow-graph compiler: lower, place, route, schedule, emit.
 
-DFG text format (normative grammar in docs/formats.md)::
-
-    # comment
-    in  a 0          # node a loads shared-memory word 0
-    in  b 1
-    t1  add a b      # node line: <id> <op> <operand ids...>
-    c4  const 7
-    t2  mul t1 c4
-    out t2 16        # store node t2's value to word 16
-
-Ops: add sub mul and or xor shl shr lt sel load store const, plus the
-in/out directives. ``load``/``store`` take their address from an operand
-(the non-affine path); in/out bind fixed addresses. ``sel p a b`` is a
-ternary select, lowered to a mask-and-merge of two predicated passes.
+Compiles the language of ``dfg.py``; lowering turns ``sel p a b`` into a
+mask-and-merge of two predicated passes.
 
 Mapping strategy: greedy placement in a demand-driven topological order
 (consumers fire as soon as their operands exist), minimizing summed
@@ -30,11 +18,6 @@ whatever dynamic stalls occur; a congestion-blocked node simply retries
 after other nodes drain their arrivals. Constants fold into a consumer's
 immediate field when they fit; wider constants materialize as a shift-add
 chain.
-
-``reference_execute`` is the independent correctness oracle: plain
-topological evaluation with the same 32-bit wrapping semantics as the PE
-ALU. For every mappable DFG, simulating the emitted bitstream must
-reproduce its output image bit for bit.
 """
 
 from __future__ import annotations
@@ -46,209 +29,13 @@ from functools import cache
 from operator import add
 
 from .arch import ArchParams, ExecMode, PeType
-from .errors import CyclicGraph, ParseError, UnboundOperand, Unmappable
+# parse_dfg and reference_execute stay bound here: the bench reads them as mapper.*
+from .dfg import _OPS, Dfg, parse_dfg, reference_execute, topo_order, toposort  # noqa: F401
+from .errors import Unmappable
 from .interconnect import Direction
-from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, MASK32, Opcode,
-                 SrcSel, alu_eval, pack_bitstream, to_signed32)
+from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
+                 pack_bitstream, to_signed32)
 from .plugins import MachineRecord, standard_machine
-
-_OPS = {
-    "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
-    "and": Opcode.AND, "or": Opcode.OR, "xor": Opcode.XOR,
-    "shl": Opcode.SHL, "shr": Opcode.SHR, "lt": Opcode.CMP_LT,
-    "sel": Opcode.SEL,
-    "load": Opcode.LOAD, "store": Opcode.STORE,
-}
-
-_ARITY = {"add": 2, "sub": 2, "mul": 2, "and": 2, "or": 2, "xor": 2,
-          "shl": 2, "shr": 2, "lt": 2, "sel": 3,
-          "load": 1, "store": 2}
-
-
-@dataclass(frozen=True)
-class DfgNode:
-    id: str
-    op: str                      # in | const | store-directive | op token
-    operands: tuple = ()
-    value: int | None = None     # const payload
-    addr: int | None = None      # in/out binding
-
-
-@dataclass
-class Dfg:
-    nodes: dict[str, DfgNode] = field(default_factory=dict)   # in file order
-    outputs: list[tuple[str, int]] = field(default_factory=list)
-    # declarations in file order: ("node", id) | ("out", output index)
-    decls: list[tuple[str, object]] = field(default_factory=list)
-
-
-def parse_dfg(text: str) -> Dfg:
-    dfg = Dfg()
-    out_addrs = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0].lower()
-        if head == "in":
-            if len(tokens) != 3:
-                raise ParseError("in directive needs: in <id> <addr>", lineno)
-            _add_node(dfg, DfgNode(tokens[1], "in", addr=_addr(tokens[2], lineno)), lineno)
-        elif head == "out":
-            if len(tokens) != 3:
-                raise ParseError("out directive needs: out <id> <addr>", lineno)
-            _check_ident(tokens[1], lineno)
-            addr = _addr(tokens[2], lineno)
-            if addr in out_addrs:
-                raise ParseError(f"duplicate out address {addr}", lineno)
-            out_addrs.add(addr)
-            dfg.decls.append(("out", len(dfg.outputs)))
-            dfg.outputs.append((tokens[1], addr))
-        else:
-            if len(tokens) < 2:
-                raise ParseError(f"node line needs: <id> <op> ...", lineno)
-            node_id, op = tokens[0], tokens[1].lower()
-            if op == "const":
-                if len(tokens) != 3:
-                    raise ParseError("const needs one literal operand", lineno)
-                _add_node(dfg, DfgNode(node_id, "const", value=_num(tokens[2], lineno)),
-                          lineno)
-                continue
-            if op not in _OPS:
-                raise ParseError(f"unknown op {op!r}", lineno)
-            operands = tuple(tokens[2:])
-            if len(operands) != _ARITY[op]:
-                raise ParseError(
-                    f"{op} takes {_ARITY[op]} operands, got {len(operands)}", lineno)
-            _add_node(dfg, DfgNode(node_id, op, operands), lineno)
-    _validate(dfg)
-    return dfg
-
-
-def _num(token: str, lineno: int) -> int:
-    try:
-        return int(token, 0)
-    except ValueError:
-        raise ParseError(f"expected a number, got {token!r}", lineno)
-
-
-def _addr(token: str, lineno: int) -> int:
-    # a negative address would index the image from its end
-    addr = _num(token, lineno)
-    if addr < 0:
-        raise ParseError(f"negative address {addr}", lineno)
-    return addr
-
-
-def _check_ident(token: str, lineno: int):
-    # [A-Za-z_][A-Za-z0-9_]*, which keeps lowering's own ``$out<k>`` names free
-    if not (token.isascii() and token.isidentifier()):
-        raise ParseError(f"bad identifier {token!r}: want [A-Za-z_][A-Za-z0-9_]*", lineno)
-
-
-def _add_node(dfg: Dfg, node: DfgNode, lineno: int):
-    _check_ident(node.id, lineno)
-    if node.id in dfg.nodes:
-        raise ParseError(f"duplicate node id {node.id!r}", lineno)
-    dfg.nodes[node.id] = node
-    dfg.decls.append(("node", node.id))
-
-
-def _validate(dfg: Dfg):
-    if not dfg.nodes and not dfg.outputs:
-        raise ParseError("empty dataflow graph", 1)
-    for node in dfg.nodes.values():
-        for ref in node.operands:
-            if ref not in dfg.nodes:
-                raise UnboundOperand(f"node {node.id!r} references unknown {ref!r}")
-            if dfg.nodes[ref].op == "store":
-                raise UnboundOperand(f"node {node.id!r} reads store node {ref!r}")
-    for node_id, _ in dfg.outputs:
-        if node_id not in dfg.nodes:
-            raise UnboundOperand(f"out directive references unknown {node_id!r}")
-        if dfg.nodes[node_id].op == "store":
-            raise UnboundOperand(f"out directive reads store node {node_id!r}")
-    topo_order(dfg)
-
-
-def _toposort(deps: dict, rank: dict | None = None) -> list:
-    """Kahn's algorithm over ``deps`` (unit -> the units it waits on, repeats
-    allowed). Among ready units the lowest ``rank`` goes first; ranks must be
-    distinct and default to each unit's position in ``deps``. Units on or
-    behind a cycle are left out of the result."""
-    if rank is None:
-        rank = {u: i for i, u in enumerate(deps)}
-    indeg = {u: len(ds) for u, ds in deps.items()}
-    consumers = {u: [] for u in deps}
-    for u, ds in deps.items():
-        for d in ds:
-            consumers[d].append(u)
-    ready = [(rank[u], u) for u, n in indeg.items() if n == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        u = heapq.heappop(ready)[1]
-        out.append(u)
-        for c in consumers[u]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, (rank[c], c))
-    return out
-
-
-def topo_order(dfg: Dfg) -> list[str]:
-    """Complete topological order, ties to the earliest declaration; raises
-    CyclicGraph for a graph with a loop."""
-    out = _toposort({nid: node.operands for nid, node in dfg.nodes.items()})
-    if len(out) != len(dfg.nodes):
-        done = set(out)
-        raise CyclicGraph(f"cycle through {[nid for nid in dfg.nodes if nid not in done][:8]}")
-    return out
-
-
-# --- reference executor --------------------------------------------------------
-
-
-def reference_execute(dfg: Dfg, image) -> list[int]:
-    """Topological scalar evaluation with the PE's wrapping semantics.
-
-    Returns a copy of the image with all out/store effects applied.
-    """
-    order = topo_order(dfg)
-    mem = list(image)
-    values: dict[str, int] = {}
-
-    def load(addr):
-        if not 0 <= addr < len(mem):
-            raise UnboundOperand(f"input address {addr} outside the image")
-        return mem[addr]
-
-    for nid in order:
-        node = dfg.nodes[nid]
-        if node.op == "in":
-            values[nid] = load(node.addr) & MASK32
-        elif node.op == "const":
-            values[nid] = node.value & MASK32
-        elif node.op == "load":
-            values[nid] = load(values[node.operands[0]])
-        elif node.op == "store":
-            addr, val = node.operands
-            a = values[addr]
-            if not 0 <= a < len(mem):
-                raise UnboundOperand(f"store address {a} outside the image")
-            mem[a] = values[val]
-        elif node.op == "sel":
-            p, a, b = (values[r] for r in node.operands)
-            values[nid] = a if p != 0 else b
-        else:
-            a, b = (values[r] for r in node.operands)
-            values[nid] = alu_eval(_OPS[node.op], a, b)
-    for nid, addr in dfg.outputs:
-        if not 0 <= addr < len(mem):
-            mem.extend([0] * (addr + 1 - len(mem)))
-        mem[addr] = values[nid]
-    return mem
 
 
 # --- lowering -------------------------------------------------------------------
@@ -278,11 +65,10 @@ def _lower(dfg: Dfg) -> list[_LNode]:
     for kind, key in dfg.decls:
         refs = dfg.nodes[key].operands if kind == "node" else (dfg.outputs[key][0],)
         deps[(kind, key)] = [("node", r) for r in refs if dfg.nodes[r].op != "const"]
-    units = _toposort(deps, {u: (0 if ds else 1, i)
-                             for i, (u, ds) in enumerate(deps.items())})
+    units = toposort(deps, {u: (0 if ds else 1, i)
+                            for i, (u, ds) in enumerate(deps.items())})
     if len(units) != len(deps):
-        raise Unmappable("not mappable: graph contains loops; "
-                         "no full evaluation order exists")
+        topo_order(dfg)   # raises CyclicGraph: only a loop leaves units out
     consts = {nid: to_signed32(node.value)
               for nid, node in dfg.nodes.items() if node.op == "const"}
     lnodes: list[_LNode] = []
@@ -398,7 +184,6 @@ class MicroOp:
     src1: SrcSel = SrcSel.NONE
     dst: DstSel = DstSel.NONE
     imm: int = 0
-    stride_sel: int = 0
     node: str = ""
 
 
@@ -591,8 +376,6 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
                 f"bound address {ln.imm} outside the {half_words}-word space", ln.id)
 
     pools = machine.derived(_pools)
-    if not pools[0][0] and any(ln.opcode not in MEMORY_OPS for ln in lnodes):
-        raise Unmappable("no general-purpose PEs in this array")
 
     # each node's distinct consumers, in lowering order
     consumers: dict[str, list[str]] = {ln.id: [] for ln in lnodes}
@@ -815,7 +598,7 @@ def emit_bitstream(mapping: Mapping) -> bytes:
         words = []
         for op in sorted(per_pe[pe], key=lambda o: o.step):
             words.append(ConfigWord(op.opcode, op.src0, op.src1, op.dst, op.imm & 0xFFFF,
-                                    iter_count=1, shared_reg_idx=op.stride_sel))
+                                    iter_count=1))
         words.append(ConfigWord(opcode=Opcode.HALT))
         records.append((pe[0], pe[1], words))
     return pack_bitstream(records)

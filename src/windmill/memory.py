@@ -57,9 +57,7 @@ class BankedSram:
 
     def half_of(self, addr: int) -> int:
         """Ping-pong half: top bit of the row address."""
-        if 0 <= addr < self.words:
-            return addr // self.banks // (self.depth // 2)
-        raise self._out_of_range(addr)
+        return self.row_of(addr) // (self.depth // 2)
 
 
 @dataclass(slots=True)

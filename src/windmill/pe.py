@@ -484,11 +484,8 @@ class PE:
         """The loaded words, read back from their pre-decoded form."""
         return [dec[9] for dec in self._code]
 
-    def load_context(self, words: list[ConfigWord], capacity: int):
-        """Load ``words`` in pre-decoded form; ``launch_reset`` arms them."""
-        if len(words) > capacity:
-            raise CapacityExceeded(
-                f"PE {self.coord}: {len(words)} words > capacity {capacity}")
+    def load_context(self, words: list[ConfigWord]):
+        """Load validated ``words`` in pre-decoded form; ``launch_reset`` arms them."""
         self._code = list(map(_predecode, words))
 
     def launch_reset(self):

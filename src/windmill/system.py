@@ -212,15 +212,14 @@ class Rpu:
 
     def load_config(self, records: list[tuple[int, int, list[ConfigWord]]]):
         """Load a registered config; SystemSim.register_config validated it."""
-        cap = self.params.context_capacity()
         if not self.pes:
             self.pes = {rc: PE(rc, ports) for rc, _, ports in self.machine.cells}
         for pe in self.pes.values():
             if pe._code:
-                pe.load_context([], cap)
+                pe.load_context([])
         for row, col, words in records:
             for rc in record_holders(self.params, row, col):
-                self.pes[rc].load_context(words, cap)
+                self.pes[rc].load_context(words)
         self.status = RpuStatus.CONFIGURED
 
     def launch(self):

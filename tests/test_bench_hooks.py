@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from windmill import cli, dfg, mapper
 from windmill.system import SystemSim, run_protocol
 
 from test_sim_golden import pingpong_config, standard_arch
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.fixture()
@@ -57,3 +59,28 @@ def test_traced_run_records_the_system_layers(tracing):
                  "memory.arbitrate", "memory.dma_step"):
         assert counts.get(stem, 0) > 0, stem
     assert tracer.counts[("jobs", "configured_pe_cycles")] > 0
+
+
+def test_the_bench_reads_the_language_through_the_mapper():
+    """The bench names the parser and the oracle as ``mapper.*``; they are the
+    language's own functions, so a patch of one reaches every caller."""
+    assert mapper.parse_dfg is dfg.parse_dfg
+    assert mapper.reference_execute is dfg.reference_execute
+
+
+def test_traced_cli_map_records_the_parse(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        tracer.phase = "jobs"
+        code = cli.main(["map", "--arch", str(ROOT / "fixtures" / "standard.arch"),
+                         "--dfg", str(ROOT / "fixtures" / "vecadd16.dfg"),
+                         "--out", str(tmp_path / "v.bit")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert cli.parse_dfg is dfg.parse_dfg
+    counts = {stem: agg[0] for (phase, stem), agg in tracer.spans.items()}
+    for stem in ("mapper.parse", "mapper.map", "mapper.emit"):
+        assert counts.get(stem) == 1, stem

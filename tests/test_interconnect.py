@@ -105,7 +105,7 @@ def drive(topology, dims, sends):
     for coord, (direction, value) in sends.items():
         word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel[direction.name],
                           imm16=value)
-        pes[coord].load_context([word], 16)
+        pes[coord].load_context([word])
     for pe in pes.values():
         pe.launch_reset()
     bus = FakeBus(pes)

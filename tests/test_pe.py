@@ -359,9 +359,9 @@ class FakeBus:
         self._next_responses = {}
 
 
-def make_pe(words, coord=(0, 0), ports=None, capacity=16):
+def make_pe(words, coord=(0, 0), ports=None):
     pe = PE(coord, ports or {})
-    pe.load_context(words, capacity)
+    pe.load_context(words)
     pe.launch_reset()
     return pe
 
@@ -484,21 +484,19 @@ class TestPipeline:
         pe.latch[Direction.N] = 1234
         frozen = (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                   pe.x_slot, pe.w_slot)
-        pe.load_context([ConfigWord()] * 2, 16)
+        pe.load_context([ConfigWord()] * 2)
         assert (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                 pe.x_slot, pe.w_slot) == frozen
 
-    def test_capacity_enforced(self):
-        pe = PE((0, 0), {})
-        pe.load_context([ConfigWord()] * 16, 16)
-        with pytest.raises(CapacityExceeded):
-            pe.load_context([ConfigWord()] * 17, 16)
-
     def test_scmd_capacity_exercised(self):
-        pe = PE((0, 0), {})
-        cap = context_capacity(ExecMode.SCMD, 16)
-        pe.load_context([ConfigWord()] * 128, cap)
-        assert len(pe.context) == 128
+        """validate_bitstream is the one capacity check: an SCMD row's
+        context holds 8x the MCMD depth, and not one word more."""
+        params = replace(standard_preset(), exec_mode=ExecMode.SCMD, context_depth_mcmd=16)
+        machine = standard_machine(validate(params))
+        assert context_capacity(ExecMode.SCMD, 16) == 128
+        validate_bitstream(machine, [(2, 0, [ConfigWord()] * 128)])
+        with pytest.raises(CapacityExceeded, match=r"^PE \(2,0\): 129 words > capacity 128$"):
+            validate_bitstream(machine, [(2, 0, [ConfigWord()] * 129)])
 
 
 # --- bitstream wire format ------------------------------------------------------
