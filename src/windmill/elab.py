@@ -113,7 +113,6 @@ class BuildContext:
         # (plugin name, phase, sequence index) per executed callback
         self.phase_log: list[tuple[str, str, int]] = []
         self._active: Plugin | None = None   # the plugin whose callback runs
-        self._seq = 0
 
     # -- registration --------------------------------------------------
 
@@ -203,8 +202,7 @@ class BuildContext:
                 getattr(plugin, attr)(self, self.params)
             finally:
                 self._active = None
-            self.phase_log.append((plugin.name, phase.value, self._seq))
-            self._seq += 1
+            self.phase_log.append((plugin.name, phase.value, len(self.phase_log)))
 
     def _check_requirements(self):
         unmet = []

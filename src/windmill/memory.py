@@ -4,8 +4,8 @@ The scratchpad is ``sm_banks`` single-ported banks of ``bank_depth`` 32-bit
 words, word-interleaved on the low address bits so unit-stride streams are
 conflict free. Each bank grants at most one access per cycle; the grant goes
 to the first requester strictly after the bank's round-robin pointer in
-cyclic order, losers stall and retry. Granted loads return data one cycle
-after the grant.
+cyclic order, losers stall and retry. A granted load responds with the word
+it read, a store with the word it wrote, one cycle after the grant.
 
 Double buffering splits every bank in half on the top row-address bit. The
 DMA controller owns one half (initially half 1) and streams queued batches
@@ -68,15 +68,6 @@ class Request:
     data: int | None = None
 
 
-@dataclass(slots=True)
-class Grant:
-    bank: int
-    requester: object
-    op: str
-    addr: int
-    data: int | None = None
-
-
 class PaiArbiter:
     """Per-bank round-robin arbitration over the pending LSU requests.
 
@@ -86,7 +77,6 @@ class PaiArbiter:
     """
 
     def __init__(self, n_banks: int, order: tuple):
-        self.n_banks = n_banks
         self.order = order
         self._pos = dict(zip(order, range(len(order))))
         self.rr_pointer = [len(self.order) - 1] * n_banks  # so index 0 wins first
@@ -103,8 +93,9 @@ class PaiArbiter:
         self.pending[request.requester] = request
         self.total_requests += 1
 
-    def arbitrate(self, sram: BankedSram) -> list[Grant]:
-        """Pick one winner per contested bank and advance its pointer."""
+    def arbitrate(self, sram: BankedSram) -> list[tuple[int, Request]]:
+        """Pick one winner per contested bank and advance its pointer; each
+        grant is the bank and the posted request itself."""
         if len(self.pending) == 1:
             # a lone request wins its bank outright: no conflict, same pointer move
             requester, req = self.pending.popitem()
@@ -112,7 +103,7 @@ class PaiArbiter:
             self.rr_pointer[bank] = self._pos[requester]
             self.grant_counts[requester] += 1
             self.total_grants += 1
-            return [Grant(bank, requester, req.op, req.addr, req.data)]
+            return [(bank, req)]
         by_bank: dict[int, list[int]] = {}
         for req in self.pending.values():
             by_bank.setdefault(sram.bank_of(req.addr), []).append(self._pos[req.requester])
@@ -128,7 +119,7 @@ class PaiArbiter:
             req = self.pending.pop(requester)
             self.grant_counts[requester] += 1
             self.total_grants += 1
-            grants.append(Grant(bank, requester, req.op, req.addr, req.data))
+            grants.append((bank, req))
         return grants
 
 
@@ -177,6 +168,20 @@ class DmaController:
 
     def idle(self) -> bool:
         return self.active is None and not self.queue
+
+    def stages_before_flip(self) -> bool:
+        """A staging batch streams before the next flip: the active batch, or
+        one queued ahead of a streamed batch that waits for the flip."""
+        if self.active is not None and self.active.staging:
+            return True
+        free = self.toggles >= self.streamed_started   # one streamed batch may still start
+        for batch in self.queue:
+            if batch.staging:
+                return True
+            if not free:
+                return False
+            free = False
+        return False
 
     def request_toggle(self):
         """Finish signal from the array; deferred while a batch is in flight."""

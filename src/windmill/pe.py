@@ -472,7 +472,7 @@ class PE:
         # pipeline slots
         self.f_slot: tuple | None = None   # (decoded word, iter)
         self.d_slot: tuple | None = None   # (decoded word, iter)
-        self.x_slot: tuple | None = None   # ("mem", decoded, iter) | ("out", decoded, value)
+        self.x_slot: tuple | None = None   # ("mem", decoded) | ("out", decoded, value)
         self.w_slot: tuple | None = None   # (decoded word, value)
         self.done = True
         self.active_cycles = 0
@@ -526,9 +526,9 @@ class PE:
         x = self.x_slot
         if x is not None:
             if x[0] == "mem":
-                resp = bus.mem_response(self.coord)  # None or 1-tuple
-                if resp is not None:
-                    self._complete(x[1], resp[0] if x[1][0] == _K_LOAD else None)
+                value = bus.mem_response(self.coord)  # None until the reply arrives
+                if value is not None:
+                    self._complete(x[1], value)   # a STORE writes no destination
                 self.active_cycles += 1
                 moved = True
             elif self.w_slot is None:
@@ -656,7 +656,7 @@ class PE:
             bus.consume_latch(self.coord, direction)
         bus.mem_request(self.coord, "write" if store else "read", addr,
                         vals[0] if store else None)
-        self.x_slot = ("mem", dec, iter_idx)
+        self.x_slot = ("mem", dec)
 
     def _complete(self, dec, result):
         """Execute-stage completion: accumulator updates land here; outbound

@@ -2,9 +2,9 @@
 
 Topology validates the caller's params and provides the port table,
 SharedRegs and SharedMemory their settings, HostBridge the register
-transformation table (RTT). The GPE, LSU and CPE plugins split the grid
-cells; detaching the CPE leaves no residue, as the GPE plugin claims any
-controller cell nobody spoke for.
+transformation table (RTT), a read-only map from host opcode to action. The
+GPE, LSU and CPE plugins split the grid cells; detaching the CPE leaves no
+residue, as the GPE plugin claims any controller cell nobody spoke for.
 
 ``read_machine`` reads a sealed build into one immutable ``MachineRecord``,
 which the mapper and the simulator read; the resource report reads the same
@@ -18,12 +18,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arch import ArchParams, PeType, derive_counts, validate
 from .elab import BuildContext, Plugin, ServiceKey, ServiceKind, elaborate
 from .errors import MissingService, ValidationError
 from .interconnect import neighbor_map
-from .system import DEFAULT_CYCLE_LIMIT, Rtt, SystemSim, default_rtt
+from .system import DEFAULT_CYCLE_LIMIT, SystemSim
 
 TOPOLOGY = ServiceKey("topology", ServiceKind.SIGNAL_BUNDLE)
 SHARED_MEMORY = ServiceKey("shared-memory", ServiceKind.SIGNAL_BUNDLE)
@@ -73,9 +74,14 @@ def shared_memory_plugin() -> Plugin:
                   on_early=early, on_late=late)
 
 
+# the standard RTT; the simulator decodes host and controller commands through it
+DEFAULT_RTT = MappingProxyType({0x01: "load_config", 0x02: "load_data", 0x03: "launch",
+                                0x04: "store_results", 0x05: "load_manifest"})
+
+
 def host_bridge_plugin() -> Plugin:
     def early(ctx, params):
-        ctx.provide(HOST_RTT, default_rtt())
+        ctx.provide(HOST_RTT, DEFAULT_RTT)
 
     def late(ctx, params):
         ctx.emit("host_bridge", "bridge", rpu_count=params.rpu_count)
@@ -144,7 +150,7 @@ class MachineRecord:
 
     params: ArchParams        # as built
     ports: Mapping            # coord -> {drive direction: neighbor}, read-only
-    rtt: Rtt                  # host and controller command decode
+    rtt: Mapping              # host opcode -> action, for host and controller commands
     cells: tuple              # (coord, PE type, port row) of every cell, in raster order
     pai_order: tuple          # arbiter requesters: LSUs in raster order, then the ring port
     lsu_report_order: tuple   # LSUs as ``grants_per_lsu`` lists them: by str(coord)
@@ -159,7 +165,7 @@ class MachineRecord:
         return table
 
 
-def _as_built(ctx: BuildContext) -> tuple[ArchParams, Mapping, Rtt]:
+def _as_built(ctx: BuildContext) -> tuple[ArchParams, Mapping, Mapping]:
     """The params, port table and RTT of a sealed build: the cell map from
     the emitted PEs, every other setting from its service."""
     keys = (TOPOLOGY, SHARED_REGS, SHARED_MEMORY, HOST_RTT)
@@ -184,8 +190,11 @@ def _as_built(ctx: BuildContext) -> tuple[ArchParams, Mapping, Rtt]:
 
 def read_machine(ctx: BuildContext) -> MachineRecord:
     """The machine a sealed build describes. Raises ValidationError when a
-    cell has no PE or no port row, or a link has no way back."""
+    cell has no PE or no port row, a link has no way back, or the RTT holds
+    more than 16 entries."""
     params, ports, rtt = _as_built(ctx)
+    if len(rtt) > 16:
+        raise ValidationError([f"host-rtt: must hold at most 16 entries, found {len(rtt)}"])
     cells = tuple((rc, params.pe_type(*rc), ports.get(rc)) for rc in params.coords())
     # a port row per cell, each link with a way back: a consumed latch wakes its
     # driver through the opposite port, and route distances search from the goal

@@ -6,8 +6,9 @@ each may read its clockwise neighbor's scratchpad through one extra
 arbitrated requester port, two cycles slower than a local access.
 
 The host is a transaction-level command stream. Each command decodes
-through the register transformation table (RTT) into a control vector and
-queues on the target RPUs in issue order:
+through the register transformation table (RTT), the HostBridge's map from
+opcode to action, and its action and operands queue on the target RPUs in
+issue order:
 
     0x01 load_config    <mask> <config_id>
     0x02 load_data      <mask> <ext> <sm> <len> [staging]
@@ -31,6 +32,7 @@ commands only for the initial setup.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from .arch import ArchParams
@@ -47,25 +49,8 @@ DEFAULT_CYCLE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
-class RttEntry:
-    """One decode-table row: host opcode -> array control vector."""
-
-    opcode: int          # 8-bit command opcode
-    action: str          # load_config | load_data | launch | store_results | load_manifest
-
-
-@dataclass(frozen=True)
 class HostCommand:
     opcode: int
-    args: tuple
-
-
-@dataclass(frozen=True)
-class ControlVector:
-    """A decoded command; queued as is on each target RPU."""
-
-    action: str
-    rpu_mask: int
     args: tuple
 
 
@@ -73,39 +58,18 @@ class ControlVector:
 _REQUIRED_OPERANDS = {"load_data": "ext, sm, length", "store_results": "sm, ext, length"}
 
 
-class Rtt:
-    """Register transformation table: at most 16 entries, unique opcodes."""
-
-    def __init__(self, entries: list[RttEntry]):
-        if len(entries) > 16:
-            raise ValueError("RTT holds at most 16 entries")
-        self.entries = {}
-        for e in entries:
-            if e.opcode in self.entries:
-                raise ValueError(f"duplicate RTT opcode {e.opcode:#x}")
-            self.entries[e.opcode] = e
-
-    def decode(self, cmd: HostCommand) -> ControlVector:
-        entry = self.entries.get(cmd.opcode)
-        if entry is None:
-            raise UnknownOpcode(f"host opcode {cmd.opcode:#04x} not in RTT")
-        if not cmd.args:
-            raise UnknownOpcode(f"command {cmd.opcode:#04x} missing the RPU mask")
-        mask, *args = cmd.args
-        required = _REQUIRED_OPERANDS.get(entry.action)
-        if required is not None and len(args) < 3:
-            raise UnknownOpcode(f"{entry.action} needs {required} operands")
-        return ControlVector(entry.action, mask, tuple(args))
-
-
-def default_rtt() -> Rtt:
-    return Rtt([
-        RttEntry(0x01, "load_config"),
-        RttEntry(0x02, "load_data"),
-        RttEntry(0x03, "launch"),
-        RttEntry(0x04, "store_results"),
-        RttEntry(0x05, "load_manifest"),
-    ])
+def decode(rtt: Mapping, cmd: HostCommand) -> tuple[str, int, tuple]:
+    """``cmd`` through the RTT: its action, RPU mask and operands."""
+    action = rtt.get(cmd.opcode)
+    if action is None:
+        raise UnknownOpcode(f"host opcode {cmd.opcode:#04x} not in RTT")
+    if not cmd.args:
+        raise UnknownOpcode(f"command {cmd.opcode:#04x} missing the RPU mask")
+    mask, *args = cmd.args
+    required = _REQUIRED_OPERANDS.get(action)
+    if required is not None and len(args) < 3:
+        raise UnknownOpcode(f"{action} needs {required} operands")
+    return action, mask, tuple(args)
 
 
 def parse_script(text: str) -> list[HostCommand]:
@@ -187,7 +151,7 @@ class Rpu:
         self.pai = PaiArbiter(params.sm_banks, machine.pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
         self.sregs = SharedRegFile(params.shared_reg_mode, dims, params.shared_reg_count)
-        self.queue: list[ControlVector] = []
+        self.queue: list[tuple[str, tuple]] = []   # (action, operands)
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
@@ -198,7 +162,7 @@ class Rpu:
         # staged cycle effects
         self._consumes: list = []
         self._deliveries: list = []
-        self._responses_now: dict = {}    # LSU coord -> response, read this cycle
+        self._responses_now: dict = {}    # LSU coord -> word read or written, read this cycle
         self._responses_next: dict = {}   # ... and next cycle
         self._cpe_actions: list[int] = []
         # ring: outgoing read requests and the LSU awaiting a remote value
@@ -332,25 +296,25 @@ class Rpu:
         if self.pai.pending:
             sram = self.sram
             blocked, halves = set(), set()
-            for g in self.pai.arbitrate(sram):
-                blocked.add(g.bank)
-                halves.add(sram.half_of(g.addr))
-                if g.op == "read":
-                    value = sram.read(g.addr)
-                    if g.requester == ("ring",):
+            for bank, req in self.pai.arbitrate(sram):
+                blocked.add(bank)
+                halves.add(sram.half_of(req.addr))
+                if req.op == "read":
+                    value = sram.read(req.addr)
+                    if req.requester == ("ring",):
                         system.ring_response(self.id, value)
-                    else:
-                        responses[g.requester] = (value,)
+                        continue
                 else:
-                    sram.write(g.addr, g.data)
-                    responses[g.requester] = (None,)
+                    value = req.data
+                    sram.write(req.addr, value)
+                responses[req.requester] = value
         self.cycle_pea_halves = halves
 
         dma = self.dma
         self.cycle_dma_half = None
         if not dma.idle() and dma.step(self.sram, blocked) is not None:
             self.cycle_dma_half = dma._active_half
-            # a second staging batch still streams after launch, which waits for one
+            # a phase starts no staging batch (see head_waits), a streamed one fills the DMA's half
             if self.status == RpuStatus.RUNNING and dma._active_half in halves:
                 raise SimulationError(
                     f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
@@ -382,10 +346,13 @@ class Rpu:
         return not self.queue and self.dma.idle() and self.only_dma_pending()
 
     def head_waits(self) -> bool:
-        """A launch waits for its phase's data, a store for a deferred toggle."""
-        head = self.queue[0].action
+        """A launch waits for the staging batches the DMA streams before the
+        phase's flip and for its phase's data, a store for a deferred toggle."""
+        head = self.queue[0][0]
         if head == "launch":
-            return not self.dma.idle() and self.dma.completed <= self.launch_count
+            dma = self.dma
+            return dma.stages_before_flip() or (
+                not dma.idle() and dma.completed <= self.launch_count)
         return head == "store_results" and self.dma._toggle_pending
 
 
@@ -461,17 +428,16 @@ class SystemSim:
         cmd = self.script[self._script_pos]
         self._script_pos += 1
         self.stats.host_commands += 1
-        vec = self.rtt.decode(cmd)
-        if vec.action == "load_manifest":
-            a = vec.args
+        action, mask, a = decode(self.rtt, cmd)
+        if action == "load_manifest":
             if not a or len(a) < 1 + 4 * a[0]:
                 raise UnknownOpcode("load_manifest operand stream too short")
             entries = [tuple(a[1 + 4 * i: 5 + 4 * i]) for i in range(a[0])]
-            for rpu in self._targets(vec.rpu_mask):
+            for rpu in self._targets(mask):
                 rpu.manifest = entries
             return
-        for rpu in self._targets(vec.rpu_mask):
-            rpu.queue.append(vec)
+        for rpu in self._targets(mask):
+            rpu.queue.append((action, a))
             self._activate(rpu)
 
     def _targets(self, mask: int) -> list[Rpu]:
@@ -490,29 +456,29 @@ class SystemSim:
                 operands = rpu.manifest[operand]
             else:
                 raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
-            rpu.queue.append(self.rtt.decode(HostCommand(nibble, (1 << rpu.id, *operands))))
+            action, _, args = decode(self.rtt, HostCommand(nibble, (1 << rpu.id, *operands)))
+            rpu.queue.append((action, args))
         rpu._cpe_actions.clear()
         if not rpu.queue or rpu.status == RpuStatus.RUNNING or rpu.head_waits():
             return
-        head = rpu.queue[0]
-        args = head.args
-        if head.action == "load_config":
+        action, args = rpu.queue[0]
+        if action == "load_config":
             config_id = args[0] if args else 0
             records = self.configs.get(config_id)
             if records is None:
                 raise UnknownOpcode(f"config {config_id} never registered")
             rpu.load_config(records)
-        elif head.action == "load_data":
+        elif action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
             rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging)))
-        elif head.action == "launch":
+        elif action == "launch":
             rpu.launch()
-        elif head.action == "store_results":
+        elif action == "store_results":
             sm, ext, length = args[:3]
             for i, w in enumerate(rpu.store_results(sm, length)):
                 self.results_buffer[ext + i] = w
         rpu.queue.pop(0)
-        rpu.action_log.append(head.action)
+        rpu.action_log.append(action)
 
     # -- main loop -------------------------------------------------------------
 
@@ -536,7 +502,7 @@ class SystemSim:
             rpu.end_cycle(self)
         for origin_id, coord, value in self._ring_staging:
             # one transit cycle back; the staging boundary adds the other
-            self.rpus[origin_id]._responses_next[coord] = (value,)
+            self.rpus[origin_id]._responses_next[coord] = value
             self._activate(self.rpus[origin_id])
         self._ring_staging.clear()
         self.stats.total_cycles += 1

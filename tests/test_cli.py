@@ -336,9 +336,10 @@ class TestSim:
         header, row = stats.read_text().splitlines()
         assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
 
-    def test_staging_batch_racing_the_array_exit_4(self, std_arch, tmp_path, capsys):
-        """A launch waits for one staging batch, so a second one streams into
-        the array's half while the LSU at (0, 3) reads it: a machine fault."""
+    def test_launch_waits_for_every_staging_batch(self, std_arch, tmp_path, capsys):
+        """The launch waits for both staging batches, so the LSU at (0, 3)
+        reads the array's half only once the DMA is done with it, and the
+        read-back holds the words of both."""
         from windmill.cli import main
         load = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, iter_count=8)
         bs = tmp_path / "load.bit"
@@ -346,13 +347,13 @@ class TestSim:
         data = tmp_path / "in.bin"
         write_image(data, list(range(64)))
         script = tmp_path / "stage2.script"
-        script.write_text("01 1 0\n02 1 0 0 4 1\n02 1 0 a 14 1\n03 1\n")
-        stats = tmp_path / "stats.csv"
+        # ext 0..3 to sm 0..3, then ext 0..19 to sm 10..29; read sm 0..29 back
+        script.write_text("01 1 0\n02 1 0 0 4 1\n02 1 0 a 14 1\n03 1\n04 1 0 0 1e\n")
+        out = tmp_path / "out.bin"
         assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs), "--data", str(data),
-                     "--script", str(script), "--stats", str(stats)]) == 4
-        assert capsys.readouterr().err == "error: rpu 0: DMA and array touched half 0\n"
-        header, row = stats.read_text().splitlines()
-        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+                     "--script", str(script), "--out", str(out), "--result-len", "30"]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_image(out) == [0, 1, 2, 3] + [0] * 6 + list(range(20))
 
     def test_runtime_address_fault_exit_4_with_partial_stats(self, std_arch, tmp_path):
         """A load from an address past the remote window maps fine and then

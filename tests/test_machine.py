@@ -26,7 +26,7 @@ from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execut
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.plugins import (HOST_RTT, SHARED_MEMORY, SHARED_REGS, TOPOLOGY, build_system,
                               elaborate_arch, read_machine, standard_plugins)
-from windmill.system import HostCommand, Rtt, RttEntry, SystemSim, run_protocol
+from windmill.system import HostCommand, SystemSim, run_protocol
 
 import kernels
 
@@ -198,7 +198,7 @@ def test_unreachable_destination_is_unmappable():
 
 
 def test_the_machine_reads_every_service():
-    rtt = Rtt([RttEntry(0x01, "load_config"), RttEntry(0x03, "launch")])
+    rtt = {0x01: "load_config", 0x03: "launch"}
     sregs = {"mode": SharedRegScope.ROW, "count": 2}
     memory = {"banks": 4, "depth": 64, "width": 32}
     ctx = build_with(STANDARD, provider("SharedRegs", SHARED_REGS, sregs),
@@ -232,14 +232,19 @@ def test_a_cell_without_a_pe_has_no_machine():
 
 def test_no_consumer_builds_its_own_machine_description():
     """The simulator, the mapper, the PE core and the CLI read the machine
-    record; none of them makes a port table or an RTT of its own, or imports
-    the topology kind: the CLI's sweep reads it through arch's key table, and
-    the others learn which links exist from the record's port table alone."""
+    record; none of them makes a port table, names the HostBridge's standard
+    RTT, or imports the topology kind: the CLI's sweep reads it through arch's
+    key table, and the others learn which links exist from the record's port
+    table alone."""
     for name in ("system.py", "mapper.py", "pe.py", "cli.py"):
         tree = ast.parse((ROOT / "src" / "windmill" / name).read_text(encoding="utf-8"))
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        assert not called & {"neighbor_map", "default_rtt"}, name
+        assert "neighbor_map" not in called, name
+        named = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+        assert "DEFAULT_RTT" not in named, name
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
         assert "TopologyKind" not in imported, name

@@ -6,8 +6,7 @@ import pytest
 
 from windmill.errors import AddressOutOfRange, SimulationError
 from windmill.arch import PeType, standard_preset
-from windmill.memory import (BankedSram, DmaController, Grant, PaiArbiter, Request,
-                             TransferBatch)
+from windmill.memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
 
 
 def lsu_ids(n=28):
@@ -101,7 +100,7 @@ def general_arbitrate(pai, sram):
         req = pai.pending.pop(requester)
         pai.grant_counts[requester] += 1
         pai.total_grants += 1
-        grants.append(Grant(bank, requester, req.op, req.addr, req.data))
+        grants.append((bank, req))
     return grants
 
 
@@ -109,9 +108,10 @@ class TestArbiter:
     def test_single_requester_granted_immediately(self):
         sram = BankedSram(16, 256)
         pai = PaiArbiter(16, lsu_ids())
-        pai.post(Request(("lsu", 5), "read", 3))
+        request = Request(("lsu", 5), "read", 3)
+        pai.post(request)
         grants = pai.arbitrate(sram)
-        assert len(grants) == 1 and grants[0].requester == ("lsu", 5)
+        assert grants == [(3, request)] and grants[0][1] is request
 
     def test_saturating_fairness(self):
         """28 LSUs hammering one bank for 28k cycles: exactly 1000 grants each."""
@@ -166,10 +166,10 @@ class TestArbiter:
                     pai.post(Request(r, "read", addr))
             granted = pai.arbitrate(sram)
             expected = oracle.cycle(dict(backlog), sram)
-            assert sorted(map(str, (g.requester for g in granted))) \
+            assert sorted(map(str, (req.requester for _, req in granted))) \
                 == sorted(map(str, expected))
-            for g in granted:
-                del backlog[g.requester]
+            for _, req in granted:
+                del backlog[req.requester]
         assert pai.grant_counts == oracle.grants
         assert pai.conflicts == oracle.conflicts
 
@@ -211,10 +211,10 @@ class TestArbiter:
         pai.post(Request(("lsu", 0), "read", 0))
         pai.post(Request(("lsu", 1), "read", 16))    # same bank 0
         first = pai.arbitrate(sram)
-        assert [g.requester for g in first] == [("lsu", 0)]
+        assert [req.requester for _, req in first] == [("lsu", 0)]
         assert ("lsu", 1) in pai.pending
         second = pai.arbitrate(sram)
-        assert [g.requester for g in second] == [("lsu", 1)]
+        assert [req.requester for _, req in second] == [("lsu", 1)]
 
     def test_second_post_for_one_requester_raises(self):
         """One pending request per requester, enforced even under -O."""
@@ -283,6 +283,22 @@ class TestDma:
         half = sram.words // 2
         assert [sram.read(half + i) for i in range(4)] == [4, 5, 6, 7]
         assert [sram.read(i) for i in range(4)] == [8, 9, 10, 11]
+
+    def test_stages_before_flip(self):
+        """A staging batch counts while it is active or queued ahead of a
+        streamed batch that waits for the flip; one streamed batch may start
+        before the flip, so a staging batch behind it still counts."""
+        sram, dma = self.make(list(range(64)))
+        assert not dma.stages_before_flip()
+        for ext in range(0, 10, 2):   # staging, streamed, staging, streamed, staging
+            dma.enqueue(TransferBatch(ext, 0, 2, staging=ext % 4 == 0))
+        for _ in range(6):   # staging, streamed, staging: two words each
+            assert dma.stages_before_flip()
+            dma.step(sram, set())
+        # the second streamed batch waits for the flip, the staging one behind it too
+        assert dma.completed == 3 and not dma.stages_before_flip()
+        dma.request_toggle()
+        assert dma.stages_before_flip()
 
     def test_blocked_bank_stalls(self):
         ext = [1, 2, 3]

@@ -445,7 +445,7 @@ class TestPipeline:
         for _ in range(12):
             pe.tick(bus)
             for coord, op, addr, data in bus.mem_requests:
-                bus._next_responses[coord] = (addr,)
+                bus._next_responses[coord] = addr
             bus.mem_requests.clear()
             bus.end_cycle()
         # base 4, stride 2: last loaded address is 8

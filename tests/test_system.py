@@ -6,11 +6,11 @@ import pytest
 
 from windmill.arch import ArchParams, ExecMode, perimeter_lsu_map, validate
 from windmill.errors import (CycleLimitExceeded, DeadlockDetected, ProtocolOrderViolation,
-                             UnknownOpcode)
+                             UnknownOpcode, ValidationError)
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
-from windmill.system import (HostCommand, Rtt, RttEntry, SystemSim, default_rtt,
-                             parse_script, run_protocol)
+from windmill.plugins import DEFAULT_RTT, HOST_RTT, read_machine
+from windmill.system import HostCommand, SystemSim, decode, parse_script, run_protocol
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH, vecadd
 
@@ -35,12 +35,11 @@ W = ConfigWord
 
 class TestRtt:
     def test_load_config_decode(self):
-        vec = default_rtt().decode(HostCommand(0x01, (0x1, 3)))
-        assert vec.action == "load_config" and vec.args == (3,)
+        assert decode(DEFAULT_RTT, HostCommand(0x01, (0x1, 3))) == ("load_config", 0x1, (3,))
 
     def test_unknown_opcode(self):
-        with pytest.raises(UnknownOpcode):
-            default_rtt().decode(HostCommand(0x7F, (1,)))
+        with pytest.raises(UnknownOpcode, match="^host opcode 0x7f not in RTT$"):
+            decode(DEFAULT_RTT, HostCommand(0x7F, (1,)))
 
     def test_boot_sequence_decodes_in_order(self):
         script = parse_script(
@@ -48,14 +47,22 @@ class TestRtt:
             "02 1 0 0 40 # data\n"
             "03 1        # launch\n"
             "04 1 20 0 8 # results\n")
-        actions = [default_rtt().decode(c).action for c in script]
+        actions = [decode(DEFAULT_RTT, c)[0] for c in script]
         assert actions == ["load_config", "load_data", "launch", "store_results"]
 
     def test_table_limits(self):
-        with pytest.raises(ValueError):
-            Rtt([RttEntry(i, "launch") for i in range(17)])
-        with pytest.raises(ValueError):
-            Rtt([RttEntry(1, "launch"), RttEntry(1, "load_config")])
+        """A HostBridge may provide 16 entries, not 17; as a mapping, the
+        table cannot hold one opcode twice."""
+        from test_machine import STANDARD, build_with, provider
+
+        def machine(entries):
+            rtt = {op: "launch" for op in range(entries)}
+            return read_machine(build_with(STANDARD, provider("HostBridge", HOST_RTT, rtt)))
+
+        assert len(machine(16).rtt) == 16
+        with pytest.raises(ValidationError,
+                           match="^host-rtt: must hold at most 16 entries, found 17$"):
+            machine(17)
 
     def test_script_rejects_non_hex(self):
         from windmill.errors import ParseError
@@ -364,6 +371,26 @@ class TestStreaming:
         assert stats.pingpong_toggles == phases
         # serial lower bound comparison: D + max-overlapped phases
         assert stats.total_cycles < (phases + 1) * length * 3
+
+    def test_staging_batch_behind_a_waiting_stream_does_not_hold_the_launch(self):
+        """The second streamed batch waits for phase 1's flip, so the staging
+        batch queued behind it streams after the phase, not before it: the
+        launch waits for neither, and the staged words land in the half the
+        array owns after the flip."""
+        # a launch held for the staging batch would spin to the 16x guard: 1,600 cycles
+        system = SystemSim(arch(), list(range(1, 65)), cycle_limit=100)
+        system.register_config(0, [(0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
+                                             iter_count=8), W(opcode=Opcode.HALT)])])
+        system.submit_script(parse_script("01 1 0\n02 1 0 0 4 0\n02 1 4 0 4 0\n"
+                                          "02 1 8 a 4 1\n03 1\n"))
+        stats = system.run()
+        rpu = system.rpus[0]
+        assert rpu.action_log == ["load_config"] + ["load_data"] * 3 + ["launch"]
+        assert stats.pingpong_toggles == 1 and rpu.dma.idle()
+        half = rpu.half_words
+        assert rpu.sram.data[half:half + 4] == [1, 2, 3, 4]      # phase 1's stream
+        assert rpu.sram.data[:4] == [5, 6, 7, 8]                 # phase 2's stream
+        assert rpu.sram.data[half + 10:half + 14] == [9, 10, 11, 12]
 
 
 def cfg_word(action_nibble, operand):
