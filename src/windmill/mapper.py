@@ -116,37 +116,32 @@ def _lower(dfg: Dfg) -> list[_LNode]:
             srcs.append(src)
         return srcs
 
+    def memory_op(nid: str, opcode: Opcode, data: tuple, addr):
+        """A bound address (an int), or a constant one in 0..0xFFFF, makes an
+        affine op; any other address is an operand, evaluated after ``data``."""
+        if addr in consts and 0 <= consts[addr] <= 0xFFFF:
+            addr = consts[addr]
+        if isinstance(addr, int):
+            lnodes.append(_LNode(nid, opcode, [data, ("none",)], imm=addr, affine=True))
+        else:
+            lnodes.append(_LNode(nid, opcode, [data, operand(addr, False)]))
+
     for kind, key in units:
         if kind == "out":
             nid, addr = dfg.outputs[key]
-            lnodes.append(_LNode(f"$out{key}", Opcode.STORE,
-                                 [operand(nid, False), ("none",)],
-                                 imm=addr, affine=True))
+            memory_op(f"$out{key}", Opcode.STORE, operand(nid, False), addr)
             continue
         node = dfg.nodes[key]
         nid = node.id
         if node.op == "const":
             continue  # folded or materialized on demand
         if node.op == "in":
-            lnodes.append(_LNode(nid, Opcode.LOAD, [("none",), ("none",)],
-                                 imm=node.addr, affine=True))
+            memory_op(nid, Opcode.LOAD, ("none",), node.addr)
         elif node.op == "load":
-            (ref,) = node.operands
-            if ref in consts and 0 <= consts[ref] <= 0xFFFF:
-                lnodes.append(_LNode(nid, Opcode.LOAD, [("none",), ("none",)],
-                                     imm=consts[ref], affine=True))
-            else:
-                lnodes.append(_LNode(nid, Opcode.LOAD,
-                                     [("none",), operand(ref, False)]))
+            memory_op(nid, Opcode.LOAD, ("none",), node.operands[0])
         elif node.op == "store":
             addr_ref, val_ref = node.operands
-            val_src = operand(val_ref, False)
-            if addr_ref in consts and 0 <= consts[addr_ref] <= 0xFFFF:
-                lnodes.append(_LNode(nid, Opcode.STORE, [val_src, ("none",)],
-                                     imm=consts[addr_ref], affine=True))
-            else:
-                lnodes.append(_LNode(nid, Opcode.STORE,
-                                     [val_src, operand(addr_ref, False)]))
+            memory_op(nid, Opcode.STORE, operand(val_ref, False), addr_ref)
         elif node.op == "sel":
             # sel p a b -> (a if p != 0) | (b if p == 0); the predicate is
             # normalized to 0/1 first since p may be any 32-bit value

@@ -33,10 +33,7 @@ class BankedSram:
 
     def _check(self, addr: int):
         if not 0 <= addr < self.words:
-            raise self._out_of_range(addr)
-
-    def _out_of_range(self, addr: int) -> AddressOutOfRange:
-        return AddressOutOfRange(f"address {addr} outside {self.words} words")
+            raise AddressOutOfRange(f"address {addr} outside {self.words} words")
 
     def bank_of(self, addr: int) -> int:
         self._check(addr)
@@ -47,9 +44,8 @@ class BankedSram:
         return addr // self.banks
 
     def read(self, addr: int) -> int:
-        if 0 <= addr < self.words:
-            return self.data[addr]
-        raise self._out_of_range(addr)
+        self._check(addr)
+        return self.data[addr]
 
     def write(self, addr: int, value: int):
         self._check(addr)
@@ -83,7 +79,6 @@ class PaiArbiter:
         self.pending: dict[object, Request] = {}
         self.grant_counts: dict[object, int] = dict.fromkeys(order, 0)
         self.conflicts = 0
-        self.total_grants = 0
         self.total_requests = 0
 
     def post(self, request: Request):
@@ -102,7 +97,6 @@ class PaiArbiter:
             bank = sram.bank_of(req.addr)
             self.rr_pointer[bank] = self._pos[requester]
             self.grant_counts[requester] += 1
-            self.total_grants += 1
             return [(bank, req)]
         by_bank: dict[int, list[int]] = {}
         for req in self.pending.values():
@@ -118,7 +112,6 @@ class PaiArbiter:
             requester = self.order[winner_pos]
             req = self.pending.pop(requester)
             self.grant_counts[requester] += 1
-            self.total_grants += 1
             grants.append((bank, req))
         return grants
 
@@ -214,11 +207,13 @@ class DmaController:
             if self.active is None:
                 return None
         batch = self.active
-        bank = sram.bank_of(self._addr(batch.progress))
-        if bank in blocked_banks:
-            self.stall_cycles += 1
-            return None
-        self.stream(sram, 1)
+        bank = None
+        if batch.progress < batch.length:   # a zero-length batch writes nothing
+            bank = sram.bank_of(self._addr(batch.progress))
+            if bank in blocked_banks:
+                self.stall_cycles += 1
+                return None
+            self.stream(sram, 1)
         if batch.progress >= batch.length:
             self.active = None
             self.completed += 1
@@ -236,4 +231,4 @@ class DmaController:
 
     def _addr(self, i: int) -> int:
         """Physical scratchpad address of word ``i`` of the active batch."""
-        return (self.active.sm_addr + i) % self.half_words + self._active_half * self.half_words
+        return self.active.sm_addr + i + self._active_half * self.half_words

@@ -22,9 +22,10 @@ a producer stalls in write-back until the consumer latch is free, which is
 what lets statically scheduled programs tolerate dynamic memory stalls.
 
 The Iteration Control Block repeats the word at pc ``iter_count`` times
-(each instance carries its iteration index, used by affine LSU addressing),
-then jumps to ``next_step``. HALT drains the pipeline, freezes the PE and
-raises its done flag; walking past the last context word does the same.
+(each instance carries its iteration index, from 0 on every entry to the
+step, used by affine LSU addressing), then jumps to ``next_step``. HALT
+drains the pipeline, freezes the PE and raises its done flag; walking past
+the last context word does the same.
 """
 
 from __future__ import annotations
@@ -456,7 +457,7 @@ class PE:
     irrelevant. Pipeline slots hold pre-decoded words (see ``_predecode``).
     """
 
-    __slots__ = ("coord", "ports", "_code", "pc", "iter_index", "remaining", "latch",
+    __slots__ = ("coord", "ports", "_code", "pc", "iteration", "latch",
                  "acc", "f_slot", "d_slot", "x_slot", "w_slot", "done", "active_cycles")
 
     def __init__(self, coord, ports: dict[Direction, tuple]):
@@ -464,8 +465,7 @@ class PE:
         self.ports = ports  # outgoing direction -> destination coord
         self._code: list[tuple] = []   # the loaded context, pre-decoded
         self.pc = 0
-        self.iter_index: list[int] = []
-        self.remaining: list[int] = []
+        self.iteration = 0   # of the word at pc; back to 0 whenever pc moves
         # input latches: entry direction -> value (present = occupied)
         self.latch: dict[Direction, int] = {}
         self.acc = 0
@@ -489,10 +489,8 @@ class PE:
         self._code = list(map(_predecode, words))
 
     def launch_reset(self):
-        """Start of a compute phase: arm the ICB and clear data-flow state."""
-        self.pc = 0
-        self.iter_index = [0] * len(self._code)
-        self.remaining = [dec[7] for dec in self._code]
+        """Start of a compute phase: rewind the ICB and clear data-flow state."""
+        self.pc = self.iteration = 0
         self.latch.clear()
         self.acc = 0
         self.f_slot = self.d_slot = self.x_slot = self.w_slot = None
@@ -555,17 +553,13 @@ class PE:
         if dec[0] == _K_HALT and (self.d_slot is not None or self.x_slot is not None
                                   or self.w_slot is not None):
             return moved  # let the pipeline drain before the freeze enters it
-        iter_index, remaining = self.iter_index, self.remaining
-        self.f_slot = (dec, iter_index[pc])
-        iter_index[pc] += 1
-        remaining[pc] -= 1
-        if remaining[pc] == 0:
-            pc = pc + 1 if dec[8] == 0 else dec[8]
-            self.pc = pc
-            if pc < len(code) and remaining[pc] == 0:
-                # re-entering a step on a loop back-edge re-arms its counter
-                remaining[pc] = code[pc][7]
-                iter_index[pc] = 0
+        iteration = self.iteration
+        self.f_slot = (dec, iteration)
+        if iteration + 1 < dec[7]:
+            self.iteration = iteration + 1
+        else:   # a step is left only after its last iteration, so each is entered at 0
+            self.pc = pc + 1 if dec[8] == 0 else dec[8]
+            self.iteration = 0
         return True
 
     def _execute(self, bus) -> bool:
@@ -598,11 +592,6 @@ class PE:
                     if not valid:
                         return False
                     vals.append(value)
-            if kind == _K_LOAD or kind == _K_STORE:
-                self._mem_request(dec, iter_idx, vals, bus)
-                self.d_slot = None
-                self.active_cycles += 1
-                return True
             for direction in dec[3]:
                 bus.consume_latch(self.coord, direction)
             if kind == _K_ALU:
@@ -612,10 +601,13 @@ class PE:
             elif kind == _K_SEL:
                 result = vals[1] if vals[0] != 0 else 0
             else:
-                result = None   # NOP
+                result = None   # NOP, or a memory op
+        if kind == _K_LOAD or kind == _K_STORE:
+            self._mem_request(dec, iter_idx, vals, bus)   # a faulting post counts no cycle
+        else:
+            self._complete(dec, result)
         self.d_slot = None
         self.active_cycles += 1
-        self._complete(dec, result)
         return True
 
     def waiting_on(self, bus) -> str:
@@ -652,8 +644,6 @@ class PE:
         word = dec[9]
         addr = lsu_addr(word, iter_idx, vals[-1] if word.src1 != SrcSel.NONE else None)
         store = dec[0] == _K_STORE
-        for direction in dec[3]:
-            bus.consume_latch(self.coord, direction)
         bus.mem_request(self.coord, "write" if store else "read", addr,
                         vals[0] if store else None)
         self.x_slot = ("mem", dec)

@@ -191,10 +191,14 @@ def _as_built(ctx: BuildContext) -> tuple[ArchParams, Mapping, Mapping]:
 def read_machine(ctx: BuildContext) -> MachineRecord:
     """The machine a sealed build describes. Raises ValidationError when a
     cell has no PE or no port row, a link has no way back, or the RTT holds
-    more than 16 entries."""
+    more than 16 entries or an action the simulator does not carry out."""
     params, ports, rtt = _as_built(ctx)
     if len(rtt) > 16:
         raise ValidationError([f"host-rtt: must hold at most 16 entries, found {len(rtt)}"])
+    unknown = [f"host-rtt: unknown action {a!r}" for a in rtt.values()
+               if a not in DEFAULT_RTT.values()]
+    if unknown:
+        raise ValidationError(unknown)
     cells = tuple((rc, params.pe_type(*rc), ports.get(rc)) for rc in params.coords())
     # a port row per cell, each link with a way back: a consumed latch wakes its
     # driver through the opposite port, and route distances search from the goal

@@ -202,14 +202,14 @@ class Rpu:
     def store_results(self, sm_addr: int, length: int) -> list[int]:
         """Read a half-relative region out of the DMA-owned half (after the
         finish toggle that is where the results of the last phase live)."""
-        base = self.dma.half * self.half_words
-        out = []
-        for i in range(length):
-            if sm_addr + i >= self.half_words:
-                raise AddressOutOfRange(
-                    f"results region {sm_addr}+{length} outside half space")
-            out.append(self.sram.read(base + sm_addr + i))
-        return out
+        self.check_region("results", sm_addr, length)
+        base = self.dma.half * self.half_words + sm_addr
+        return [self.sram.read(base + i) for i in range(length)]
+
+    def check_region(self, what: str, sm_addr: int, length: int):
+        """A host transfer's half-relative region must lie in the half space."""
+        if length and sm_addr + length > self.half_words:
+            raise AddressOutOfRange(f"{what} region {sm_addr}+{length} outside half space")
 
     # -- bus facade for PE.tick -------------------------------------------
 
@@ -369,7 +369,6 @@ class SystemSim:
         self.machine = machine
         self.params = machine.params
         self.ext_memory = list(data_image or [])
-        self.rtt = machine.rtt
         self.cycle_limit = cycle_limit
         self.rpus = [Rpu(i, machine, self.ext_memory) for i in range(self.params.rpu_count)]
         self._active: list[Rpu] = []
@@ -408,15 +407,16 @@ class SystemSim:
         origin.ring_wait = None
 
     def _step_ring(self):
+        # only this RPU posts to its clockwise neighbor's ring port, and its ring_wait
+        # is set from that post to the grant: the port is free exactly when it is None
         for rpu in tuple(self._active):   # a post activates the neighbor
             if rpu.ring_out and rpu.ring_wait is None:
                 neighbor = self.clockwise(rpu.id)
-                if ("ring",) not in neighbor.pai.pending:
-                    coord, rel = rpu.ring_out.pop(0)
-                    rpu.ring_wait = coord
-                    phys = rel + neighbor.dma.array_half * neighbor.half_words
-                    neighbor.pai.post(Request(("ring",), "read", phys))
-                    self._activate(neighbor)
+                coord, rel = rpu.ring_out.pop(0)
+                rpu.ring_wait = coord
+                phys = rel + neighbor.dma.array_half * neighbor.half_words
+                neighbor.pai.post(Request(("ring",), "read", phys))
+                self._activate(neighbor)
 
     def _activate(self, rpu: Rpu):
         if rpu not in self._active:
@@ -428,7 +428,7 @@ class SystemSim:
         cmd = self.script[self._script_pos]
         self._script_pos += 1
         self.stats.host_commands += 1
-        action, mask, a = decode(self.rtt, cmd)
+        action, mask, a = decode(self.machine.rtt, cmd)
         if action == "load_manifest":
             if not a or len(a) < 1 + 4 * a[0]:
                 raise UnknownOpcode("load_manifest operand stream too short")
@@ -456,7 +456,8 @@ class SystemSim:
                 operands = rpu.manifest[operand]
             else:
                 raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
-            action, _, args = decode(self.rtt, HostCommand(nibble, (1 << rpu.id, *operands)))
+            command = HostCommand(nibble, (1 << rpu.id, *operands))
+            action, _, args = decode(self.machine.rtt, command)
             rpu.queue.append((action, args))
         rpu._cpe_actions.clear()
         if not rpu.queue or rpu.status == RpuStatus.RUNNING or rpu.head_waits():
@@ -470,6 +471,7 @@ class SystemSim:
             rpu.load_config(records)
         elif action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
+            rpu.check_region("data", sm, length)
             rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging)))
         elif action == "launch":
             rpu.launch()
@@ -551,7 +553,7 @@ class SystemSim:
     def _finalize_stats(self):
         st = self.stats
         st.bank_conflicts = sum(r.pai.conflicts for r in self.rpus)
-        st.arbiter_grants = sum(r.pai.total_grants for r in self.rpus)
+        st.arbiter_grants = sum(sum(r.pai.grant_counts.values()) for r in self.rpus)
         st.dma_stall_cycles = sum(r.dma.stall_cycles for r in self.rpus)
         st.pingpong_toggles = sum(r.dma.toggles for r in self.rpus)
         st.sreg_conflicts = sum(r.sregs.conflicts for r in self.rpus)

@@ -376,8 +376,10 @@ class TestSim:
         (None, "01 1 0\n03\n", "command 0x03 missing the RPU mask"),
         # 0x7f8 = 2040: 16 words from there cross the end of the 2048-word half
         (None, "01 1 0\n03 1\n04 1 7f8 0 10\n", "results region 2040+16 outside half space"),
+        # 0x7fc = 2044: 8 words from there would wrap into the half's first words
+        (None, "01 1 0\n02 1 0 7fc 8 1\n03 1\n", "data region 2044+8 outside half space"),
     ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done",
-            "missing-rpu-mask", "results-past-the-half"])
+            "missing-rpu-mask", "results-past-the-half", "data-past-the-half"])
     def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
                                                               imm16, script, message):
         """A protocol fault met after cycles have run is a run-time fault:

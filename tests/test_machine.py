@@ -209,7 +209,7 @@ def test_the_machine_reads_every_service():
     assert (params.shared_reg_mode, params.shared_reg_count) == (SharedRegScope.ROW, 2)
     assert (params.sm_banks, params.bank_depth) == (4, 64)
     system = SystemSim(machine)
-    assert system.rtt is rtt
+    assert system.machine.rtt is rtt
     assert system.rpus[0].sram.words == 256
 
 
@@ -220,6 +220,15 @@ def test_a_roster_without_a_service_has_no_machine():
     with pytest.raises(MissingService) as err:
         read_machine(elaborate_arch(STANDARD, plugins))
     assert err.value.unmet == [("machine", "host-rtt")]
+
+
+def test_an_rtt_action_the_simulator_does_not_carry_out_has_no_machine():
+    """Only the five actions of the standard table may be decoded to: a
+    misspelt one would be queued, logged and never carried out."""
+    rtt = {0x01: "load_config", 0x03: "lunch", 0x04: "store"}
+    with pytest.raises(ValidationError, match="^host-rtt: unknown action 'lunch'; "
+                                              "host-rtt: unknown action 'store'$"):
+        read_machine(build_with(STANDARD, provider("HostBridge", HOST_RTT, rtt)))
 
 
 def test_a_cell_without_a_pe_has_no_machine():

@@ -452,6 +452,26 @@ class TestPipeline:
         assert pe.acc == 8
         assert pe.done
 
+    def test_loop_back_edge_reenters_its_target_at_iteration_0(self):
+        """Every step is entered at iteration 0, a back-edge's target too, so
+        a looped affine LOAD replays its address stream. A next_step of 0
+        falls through, so the loop's target is step 1, behind a NOP."""
+        words = [ConfigWord(opcode=Opcode.NOP),
+                 ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
+                            imm16=4, iter_count=3, shared_reg_idx=2),
+                 ConfigWord(opcode=Opcode.NOP, next_step=1)]
+        pe = make_pe(words)
+        bus = FakeBus({(0, 0): pe})
+        posted = []
+        while len(posted) < 6:
+            pe.tick(bus)
+            for coord, op, addr, data in bus.mem_requests:
+                bus._next_responses[coord] = addr
+                posted.append(addr)
+            bus.mem_requests.clear()
+            bus.end_cycle()
+        assert posted == [4, 6, 8, 4, 6, 8]
+
     def test_invalid_operand_stalls_and_preserves_acc(self):
         word = ConfigWord(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.ACC, imm16=10)
         pe = make_pe([word])

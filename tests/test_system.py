@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from windmill.arch import ArchParams, ExecMode, perimeter_lsu_map, validate
-from windmill.errors import (CycleLimitExceeded, DeadlockDetected, ProtocolOrderViolation,
-                             UnknownOpcode, ValidationError)
+from windmill.arch import ArchParams, ExecMode, perimeter_lsu_map, standard_preset, validate
+from windmill.errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected,
+                             ProtocolOrderViolation, UnknownOpcode, ValidationError)
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.plugins import DEFAULT_RTT, HOST_RTT, read_machine
@@ -259,7 +259,7 @@ class TestProtocol:
         _, stats = run_protocol(system, records, image, base, n)
         assert sum(stats.grants_per_lsu.values()) == stats.arbiter_grants
         pai = system.rpus[0].pai
-        assert pai.total_grants <= pai.total_requests
+        assert sum(pai.grant_counts.values()) <= pai.total_requests
         n_pes = 64
         assert stats.pe_active_cycles + stats.pe_idle_cycles \
             == stats.total_cycles * n_pes
@@ -391,6 +391,25 @@ class TestStreaming:
         assert rpu.sram.data[half:half + 4] == [1, 2, 3, 4]      # phase 1's stream
         assert rpu.sram.data[:4] == [5, 6, 7, 8]                 # phase 2's stream
         assert rpu.sram.data[half + 10:half + 14] == [9, 10, 11, 12]
+
+    def test_load_data_past_the_half_is_a_machine_fault(self):
+        """A region crossing the end of the half is refused when the command
+        is carried out; the DMA never wraps it into the half's first words."""
+        system = SystemSim(standard_preset(), list(range(1, 9)))
+        system.submit_script(parse_script("02 1 0 7fc 8 1\n"))
+        with pytest.raises(AddressOutOfRange, match=r"^data region 2044\+8 outside half space$"):
+            system.run()
+        assert not any(system.rpus[0].sram.data) and system.stats.total_cycles == 0
+
+    def test_zero_length_load_data_writes_nothing(self):
+        """A zero-length batch writes no word and completes in its queue
+        place, ahead of the batch behind it."""
+        system = SystemSim(standard_preset(), [77, 88])
+        system.submit_script(parse_script("02 1 0 10 0 1\n02 1 1 11 1 1\n"))
+        system.run()
+        rpu = system.rpus[0]
+        assert rpu.dma.completed == 2
+        assert rpu.sram.data[0x10:0x12] == [0, 88] and sum(rpu.sram.data) == 88
 
 
 def cfg_word(action_nibble, operand):
@@ -632,7 +651,7 @@ class TestRing:
         system.run()
         summaries = []
         for rpu in system.rpus:
-            summaries.append((rpu.pai.total_grants, rpu.dma.toggles,
+            summaries.append((sum(rpu.pai.grant_counts.values()), rpu.dma.toggles,
                               sum(pe.active_cycles for pe in rpu.pes.values())))
         assert len(set(summaries)) == 1
 
