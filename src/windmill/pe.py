@@ -448,6 +448,11 @@ def _predecode(word: ConfigWord) -> tuple:
             word.iterations, word.next_step, word)
 
 
+def predecode(words) -> tuple:
+    """``words`` as a context ``PE.load_context`` takes: their runtime tuples."""
+    return tuple(map(_predecode, words))
+
+
 class PE:
     """One processing element's architectural and pipeline state.
 
@@ -463,7 +468,7 @@ class PE:
     def __init__(self, coord, ports: dict[Direction, tuple]):
         self.coord = coord
         self.ports = ports  # outgoing direction -> destination coord
-        self._code: list[tuple] = []   # the loaded context, pre-decoded
+        self._code: tuple = ()   # the loaded context, pre-decoded
         self.pc = 0
         self.iteration = 0   # of the word at pc; back to 0 whenever pc moves
         # input latches: entry direction -> value (present = occupied)
@@ -484,9 +489,10 @@ class PE:
         """The loaded words, read back from their pre-decoded form."""
         return [dec[9] for dec in self._code]
 
-    def load_context(self, words: list[ConfigWord]):
-        """Load validated ``words`` in pre-decoded form; ``launch_reset`` arms them."""
-        self._code = list(map(_predecode, words))
+    def load_context(self, code: tuple):
+        """Load a validated context, pre-decoded by ``predecode``, by
+        reference; ``launch_reset`` arms it."""
+        self._code = code
 
     def launch_reset(self):
         """Start of a compute phase: rewind the ICB and clear data-flow state."""

@@ -34,13 +34,14 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 from .arch import ArchParams
 from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, ParseError,
                      ProtocolOrderViolation, SimulationError, UnknownOpcode)
 from .interconnect import SharedRegFile
 from .memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
-from .pe import PE, ConfigWord, record_holders, validate_bitstream
+from .pe import PE, predecode, record_holders, validate_bitstream
 
 DEFAULT_CYCLE_LIMIT = 1_000_000
 
@@ -174,16 +175,17 @@ class Rpu:
 
     # -- configuration actions -------------------------------------------
 
-    def load_config(self, records: list[tuple[int, int, list[ConfigWord]]]):
-        """Load a registered config; SystemSim.register_config validated it."""
+    def load_config(self, config: tuple):
+        """Load a config in the form ``SystemSim.register_config`` keeps: each
+        holder takes its record's code by reference."""
         if not self.pes:
             self.pes = {rc: PE(rc, ports) for rc, _, ports in self.machine.cells}
         for pe in self.pes.values():
             if pe._code:
-                pe.load_context([])
-        for row, col, words in records:
-            for rc in record_holders(self.params, row, col):
-                self.pes[rc].load_context(words)
+                pe.load_context(())
+        for holders, code in config:
+            for rc in holders:
+                self.pes[rc].load_context(code)
         self.status = RpuStatus.CONFIGURED
 
     def launch(self):
@@ -232,10 +234,10 @@ class Rpu:
         if addr >= self.sram.words:
             # remote window: read-only access to the clockwise neighbor
             rel = addr - self.sram.words
+            if rel >= self.half_words:   # past the window: its range is the fault
+                raise AddressOutOfRange(f"remote address {rel} outside half space")
             if op != "read":
                 raise AddressOutOfRange(f"remote window is read-only (addr {addr})")
-            if rel >= self.half_words:
-                raise AddressOutOfRange(f"remote address {rel} outside half space")
             self.ring_out.append((coord, rel))
             return
         if addr >= self.half_words:
@@ -372,7 +374,7 @@ class SystemSim:
         self.cycle_limit = cycle_limit
         self.rpus = [Rpu(i, machine, self.ext_memory) for i in range(self.params.rpu_count)]
         self._active: list[Rpu] = []
-        self.configs: dict[int, list] = {}
+        self.configs: dict[int, tuple] = {}   # config id -> the form ``Rpu.load_config`` loads
         self.script: list[HostCommand] = []
         self._script_pos = 0
         self.results_buffer: dict[int, int] = {}
@@ -383,9 +385,10 @@ class SystemSim:
     # -- host-side setup ----------------------------------------------------
 
     def register_config(self, config_id: int, records: list):
-        """Validate a config once, against the machine every RPU shares."""
-        validate_bitstream(self.machine, records)
-        self.configs[config_id] = records
+        """Validate a config against the machine every RPU shares, once per
+        machine and config content, and keep the form it loads in."""
+        self.configs[config_id] = _loadable(
+            self.machine, tuple((row, col, tuple(words)) for row, col, words in records))
 
     def submit_script(self, commands: list[HostCommand]):
         self.script.extend(commands)
@@ -465,10 +468,10 @@ class SystemSim:
         action, args = rpu.queue[0]
         if action == "load_config":
             config_id = args[0] if args else 0
-            records = self.configs.get(config_id)
-            if records is None:
+            config = self.configs.get(config_id)
+            if config is None:
                 raise UnknownOpcode(f"config {config_id} never registered")
-            rpu.load_config(records)
+            rpu.load_config(config)
         elif action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
             rpu.check_region("data", sm, length)
@@ -484,7 +487,8 @@ class SystemSim:
 
     # -- main loop -------------------------------------------------------------
 
-    def tick(self):
+    def tick(self) -> bool:
+        """One cycle; True when an RPU is still running after it."""
         if self._script_pos < len(self.script):
             self._dispatch_one_command()
         active = self._active
@@ -500,8 +504,11 @@ class SystemSim:
         for rpu in active:
             if rpu.live:
                 rpu.tick_pes()
+        running = False
         for rpu in active:
             rpu.end_cycle(self)
+            if rpu.status == RpuStatus.RUNNING:
+                running = True
         for origin_id, coord, value in self._ring_staging:
             # one transit cycle back; the staging boundary adds the other
             self.rpus[origin_id]._responses_next[coord] = value
@@ -513,6 +520,7 @@ class SystemSim:
         for rpu in [r for r in active if r.status != RpuStatus.RUNNING and r.quiescent()]:
             active.remove(rpu)   # and from the next cycle on touches no half
             rpu.cycle_pea_halves, rpu.cycle_dma_half = _NO_HALVES, None
+        return running
 
     def quiescent(self) -> bool:
         return self._script_pos >= len(self.script) and not self._active
@@ -521,17 +529,18 @@ class SystemSim:
         """Tick until quiescent; the stats cover the cycles run, also when a
         run-time fault ends the run."""
         guard = max_cycles or (self.cycle_limit * 16)
+        running = False   # a running RPU keeps the system busy and streams no DMA alone
         try:
-            while not self.quiescent():
+            while running or not self.quiescent():
                 if self.stats.total_cycles >= guard:
                     raise CycleLimitExceeded(f"system made no progress in {guard} cycles")
-                skip = self._dma_only_cycles(guard)
+                skip = 0 if running else self._dma_only_cycles(guard)
                 if skip:
                     for rpu in self._active:
                         rpu.dma.stream(rpu.sram, skip)
                     self.stats.total_cycles += skip
                 else:
-                    self.tick()
+                    running = self.tick()
         finally:
             self._finalize_stats()
         return self.stats
@@ -568,6 +577,18 @@ class SystemSim:
 
     def results_words(self, length: int, base: int = 0) -> list[int]:
         return [self.results_buffer.get(base + i, 0) for i in range(length)]
+
+
+# bounded, since it holds each machine it keys: a host registering a few configs
+# per machine, such as six kernels on two machines, hits it on every fresh
+# SystemSim; a failed validation raises and is never kept
+@lru_cache(maxsize=8)
+def _loadable(machine, records: tuple) -> tuple:
+    """``records``, validated against ``machine``, in the form ``Rpu.load_config``
+    loads: per record, its holders and one shared tuple of pre-decoded words."""
+    validate_bitstream(machine, records)
+    return tuple((record_holders(machine.params, row, col), predecode(words))
+                 for row, col, words in records)
 
 
 def four_step_script(load_len: int, result_addr: int, result_len: int) -> list[HostCommand]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from windmill import cli, dfg, mapper
-from windmill.system import SystemSim, run_protocol
+from windmill.system import SystemSim, _loadable, run_protocol
 
 from test_sim_golden import pingpong_config, standard_arch
 
@@ -42,6 +42,7 @@ def test_every_target_resolves(tracing):
 
 
 def test_traced_run_records_the_system_layers(tracing):
+    _loadable.cache_clear()   # a config seen before on this machine is not validated again
     tracer = tracing.Tracer()
     run = SystemSim.__dict__["run"]
     tracer.install()

@@ -9,7 +9,7 @@ from windmill.errors import IndexOutOfRange
 from windmill.interconnect import (Direction, SharedRegFile, neighbor_map, neighbors,
                                    scope_of)
 from windmill.mapper import _route_tables, _Scheduler
-from windmill.pe import PE, ConfigWord, DstSel, Opcode, SrcSel
+from windmill.pe import PE, ConfigWord, DstSel, Opcode, SrcSel, predecode
 from windmill.plugins import standard_machine
 from windmill.system import SystemSim
 
@@ -105,7 +105,7 @@ def drive(topology, dims, sends):
     for coord, (direction, value) in sends.items():
         word = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel[direction.name],
                           imm16=value)
-        pes[coord].load_context([word])
+        pes[coord].load_context(predecode([word]))
     for pe in pes.values():
         pe.launch_reset()
     bus = FakeBus(pes)

@@ -15,7 +15,7 @@ from windmill.interconnect import Direction
 from windmill.pe import (PE, BINARY_OPS, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
                          _predecode, _required, _undefined_field, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
-                         unpack_bitstream, validate_bitstream)
+                         predecode, unpack_bitstream, validate_bitstream)
 from windmill.plugins import standard_machine
 from windmill.system import SystemSim
 
@@ -361,7 +361,7 @@ class FakeBus:
 
 def make_pe(words, coord=(0, 0), ports=None):
     pe = PE(coord, ports or {})
-    pe.load_context(words)
+    pe.load_context(predecode(words))
     pe.launch_reset()
     return pe
 
@@ -504,7 +504,7 @@ class TestPipeline:
         pe.latch[Direction.N] = 1234
         frozen = (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                   pe.x_slot, pe.w_slot)
-        pe.load_context([ConfigWord()] * 2)
+        pe.load_context(predecode([ConfigWord()] * 2))
         assert (dict(pe.latch), pe.acc, pe.f_slot, pe.d_slot,
                 pe.x_slot, pe.w_slot) == frozen
 

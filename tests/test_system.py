@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from windmill.arch import ArchParams, ExecMode, perimeter_lsu_map, standard_preset, validate
-from windmill.errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected,
+from windmill.arch import (ArchParams, ExecMode, TopologyKind, perimeter_lsu_map,
+                           standard_preset, validate)
+from windmill.errors import (AddressOutOfRange, BitstreamTargetInvalid, CycleLimitExceeded,
+                             DeadlockDetected,
                              ProtocolOrderViolation, UnknownOpcode, ValidationError)
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
-from windmill.plugins import DEFAULT_RTT, HOST_RTT, read_machine
-from windmill.system import HostCommand, SystemSim, decode, parse_script, run_protocol
+from windmill.plugins import DEFAULT_RTT, HOST_RTT, elaborate_arch, read_machine
+from windmill.system import (HostCommand, SystemSim, _loadable, decode, parse_script,
+                             run_protocol)
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH, vecadd
 
@@ -686,3 +689,165 @@ class TestVecadd64:
         results, _ = run_protocol(system, records, image, base, n)
         assert results == [(image[i] + image[64 + i]) & 0xFFFFFFFF
                            for i in range(64)]
+
+
+def load_and_launch(system, mask=0x1):
+    system.submit_script([HostCommand(0x01, (mask, 0)), HostCommand(0x03, (mask,))])
+    system.run()
+
+
+class TestConfigMemo:
+    """A config is validated once per machine and content, and every PE it
+    configures, on any system of that machine, holds one shared code tuple."""
+
+    ADD = W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=11)
+    HALT = W(opcode=Opcode.HALT)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _loadable.cache_clear()
+
+    @pytest.fixture()
+    def validations(self, monkeypatch):
+        """The machines ``validate_bitstream`` is called with, in order."""
+        import windmill.system as system_mod
+        calls = []
+        real = system_mod.validate_bitstream
+
+        def counting(machine, records):
+            calls.append(machine)
+            return real(machine, records)
+
+        monkeypatch.setattr(system_mod, "validate_bitstream", counting)
+        return calls
+
+    def test_equal_config_on_a_fresh_system_validates_nothing_again(self, validations):
+        params = arch(rpus=2)
+        words = [self.ADD, self.HALT]
+        int_twin = [W(*map(int, w)) for w in words]
+        systems = []
+        for twin in (words, list(words), int_twin):
+            system = SystemSim(params)
+            system.register_config(0, [(2, 2, twin), (5, 5, twin)])
+            load_and_launch(system, 0x3)
+            systems.append(system)
+        assert validations == [systems[0].machine]
+        for coord in ((2, 2), (5, 5)):
+            pes = [rpu.pes[coord] for system in systems for rpu in system.rpus]
+            assert all(pe._code is pes[0]._code for pe in pes)
+            assert [pe.acc for pe in pes] == [11] * 6
+            assert pes[0].context == words
+        # an equal machine built again is another machine
+        SystemSim(read_machine(elaborate_arch(params))).register_config(0, [(2, 2, words)])
+        assert len(validations) == 2
+
+    def test_invalid_config_raises_at_every_registration(self, validations):
+        params = arch()
+        for _ in range(3):
+            system = SystemSim(params)
+            with pytest.raises(BitstreamTargetInvalid, match=r"^PE \(1,2\) word 0: LOAD on a GPE$"):
+                system.register_config(0, [(1, 2, [W(opcode=Opcode.LOAD)])])
+            assert 0 not in system.configs
+        assert len(validations) == 3
+
+    @pytest.mark.parametrize("word, legal, illegal, problem", [
+        (W(Opcode.ROUTE, SrcSel.N2, SrcSel.NONE, DstSel.ACC),
+         {"topology": TopologyKind.ONE_HOP}, {}, "reads N2, but the machine has no N2 link"),
+        (W(Opcode.ADD, SrcSel.SREG, SrcSel.IMM, DstSel.ACC, shared_reg_idx=5),
+         {"shared_reg_count": 8}, {"shared_reg_count": 4}, "shared register 5 (count 4)"),
+    ], ids=["directional-read", "shared-register"])
+    def test_word_legal_on_one_machine_is_checked_on_another(self, word, legal, illegal,
+                                                              problem):
+        records = [(3, 3, [word, self.HALT])]
+        SystemSim(arch(**legal)).register_config(0, records)
+        system = SystemSim(arch(**illegal))
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            system.register_config(0, records)
+        assert str(exc.value) == f"PE (3,3) word 0: {problem}"
+
+    def test_records_mutated_after_registration_do_not_change_what_loads(self):
+        words = [self.ADD, self.HALT]
+        records = [(2, 2, words)]
+        system = SystemSim(arch())
+        system.register_config(0, records)
+        words[0] = W(opcode=Opcode.LOAD)   # illegal on the GPE, and never validated
+        records.append((3, 3, [self.ADD]))
+        load_and_launch(system)
+        pes = system.rpus[0].pes
+        assert pes[(2, 2)].context == [self.ADD, self.HALT] and pes[(2, 2)].acc == 11
+        assert pes[(3, 3)].context == [] and pes[(3, 3)].acc == 0
+
+    def test_memo_is_bounded(self):
+        system = SystemSim(arch())
+        for k in range(20):
+            system.register_config(k, [(2, 2, [self.ADD._replace(imm16=k)])])
+        info = _loadable.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        assert len(system.configs) == 20   # a system keeps what it registered
+
+
+class TestFastForwardProbe:
+    """``run`` asks for DMA-only cycles to stream only while no RPU runs."""
+
+    def test_every_ticked_cycle_is_one_the_fast_forward_would_tick(self, monkeypatch):
+        """Each ticked cycle is checked against the probe, so a run skips no
+        cycle the fast-forward would stream, and the probe runs far less often
+        than the cycles tick."""
+        import test_sim_golden
+        from test_fast_forward import ring_run
+        probe, tick = SystemSim._dma_only_cycles, SystemSim.tick
+        counts = {"ticks": 0, "probes": 0}
+
+        def checked_tick(self):
+            assert probe(self, self.cycle_limit * 16) == 0
+            counts["ticks"] += 1
+            return tick(self)
+
+        def counted_probe(self, guard):
+            counts["probes"] += 1
+            return probe(self, guard)
+
+        monkeypatch.setattr(SystemSim, "tick", checked_tick)
+        monkeypatch.setattr(SystemSim, "_dma_only_cycles", counted_probe)
+        for name in sorted(ALL_KERNELS):
+            text, _, base, n = ALL_KERNELS[name]()
+            params = test_sim_golden.standard_arch(context_depth_mcmd=KERNEL_CONTEXT_DEPTH[name])
+            dfg = parse_dfg(text)
+            records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+            image = list(range(base)) + [0] * n
+            results, _ = run_protocol(SystemSim(params), records, image, base, n)
+            assert results == reference_execute(dfg, image)[base:base + n]
+        results, _, want = test_sim_golden.run_pingpong()
+        assert results == want
+        ring_run(False)
+        # a short phase ends while a long streamed batch still runs: the cycle
+        # after it is the first the fast-forward may take
+        system = SystemSim(arch(), list(range(400)))
+        system.register_config(0, [(2, 2, [W(opcode=Opcode.HALT)])])
+        system.submit_script([HostCommand(0x02, (0x1, 0, 0, 4, 1)),
+                              HostCommand(0x02, (0x1, 4, 0, 300, 0))])
+        load_and_launch(system)
+        assert system.rpus[0].sram.read(2048 + 299) == 303   # the DMA half
+        assert counts["probes"] * 4 < counts["ticks"]
+
+
+class TestRemoteWindow:
+    @pytest.mark.parametrize("word, message", [
+        (W(Opcode.STORE, SrcSel.IMM, SrcSel.NONE, DstSel.NONE, imm16=4096),
+         "remote window is read-only (addr 4096)"),
+        (W(Opcode.STORE, SrcSel.IMM, SrcSel.NONE, DstSel.NONE, imm16=6144),
+         "remote address 2048 outside half space"),
+        # a dynamic address: IMM 0xFFFF sign-extends to 0xFFFFFFFF
+        (W(Opcode.STORE, SrcSel.IMM, SrcSel.IMM, DstSel.NONE, imm16=0xFFFF),
+         "remote address 4294963199 outside half space"),
+    ], ids=["in-the-window", "past-the-window", "far-past-the-window"])
+    def test_store_past_the_window_names_the_range(self, word, message):
+        """The scratchpad holds 4096 words, 2048 per half: addresses
+        4096..6143 are the clockwise neighbour's read-only array half."""
+        system = SystemSim(arch(rpus=2))
+        assert system.params.sm_words == 4096
+        system.register_config(0, [(0, 1, [word])])   # (0, 1) is an LSU
+        with pytest.raises(AddressOutOfRange) as exc:
+            load_and_launch(system)
+        assert str(exc.value) == message
+        assert system.stats.total_cycles > 0
