@@ -58,7 +58,7 @@ class BankedSram:
 
 @dataclass(slots=True)
 class Request:
-    requester: object          # LSU coord, or ("ring", rpu_id)
+    requester: object          # LSU coord, or ("ring",) for the ring port
     op: str                    # "read" | "write"
     addr: int                  # physical word address
     data: int | None = None

@@ -163,8 +163,8 @@ class Rpu:
         # staged cycle effects
         self._consumes: list = []
         self._deliveries: list = []
-        self._responses_now: dict = {}    # LSU coord -> word read or written, read this cycle
-        self._responses_next: dict = {}   # ... and next cycle
+        self._responses: dict = {}   # LSU coord -> (cycle it is readable in, word read or written)
+        self.now = 0   # the cycle the PEs tick in
         self._cpe_actions: list[int] = []
         # ring: outgoing read requests and the LSU awaiting a remote value
         self.ring_out: list = []
@@ -247,16 +247,22 @@ class Rpu:
         self.pai.post(Request(coord, op, phys, data))
 
     def mem_response(self, coord):
-        return self._responses_now.pop(coord, None)
+        response = self._responses.get(coord)
+        if response is None or response[0] > self.now:
+            return None
+        del self._responses[coord]
+        return response[1]
 
     def rtt_action(self, coord, imm16):
         self._cpe_actions.append(imm16)   # validation kept RTT destinations on the CPE
 
     # -- cycle advance ------------------------------------------------------
 
-    def tick_pes(self):
-        """Tick the awake live PEs in coordinate order; drop those that finish.
-        A PE whose tick changes nothing sleeps until an event wakes it."""
+    def tick_pes(self, now: int):
+        """Tick the awake live PEs in coordinate order in cycle ``now``; drop
+        those that finish. A PE whose tick changes nothing sleeps until an
+        event wakes it."""
+        self.now = now
         asleep = self.asleep
         finished = False
         for pe in self.live:
@@ -288,15 +294,11 @@ class Rpu:
             self.sregs.commit()
             asleep.clear()
 
-        # a grant's response is read the next cycle, a ring response's one later;
-        # the two dicts swap roles, and a response left unread is dropped
-        responses = self._responses_next
-        self._responses_next = self._responses_now
-        self._responses_next.clear()
-        self._responses_now = responses
+        # a grant's response is readable the next cycle, a ring grant's one
+        # transit cycle later at its origin, the counterclockwise neighbor
         blocked = halves = _NO_HALVES
         if self.pai.pending:
-            sram = self.sram
+            sram, now = self.sram, system.stats.total_cycles
             blocked, halves = set(), set()
             for bank, req in self.pai.arbitrate(sram):
                 blocked.add(bank)
@@ -304,12 +306,16 @@ class Rpu:
                 if req.op == "read":
                     value = sram.read(req.addr)
                     if req.requester == ("ring",):
-                        system.ring_response(self.id, value)
+                        origin = system.rpus[self.id - 1]
+                        if origin.ring_wait is None:   # only _step_ring posts one, setting it
+                            raise SimulationError("ring response with no waiting LSU")
+                        origin._responses[origin.ring_wait] = (now + 2, value)
+                        origin.ring_wait = None
                         continue
                 else:
                     value = req.data
                     sram.write(req.addr, value)
-                responses[req.requester] = value
+                self._responses[req.requester] = (now + 1, value)
         self.cycle_pea_halves = halves
 
         dma = self.dma
@@ -340,9 +346,8 @@ class Rpu:
         memory response, ring transfer or controller action; and any queued
         head waits on the DMA."""
         return (self.status != RpuStatus.RUNNING and not self.pai.pending
-                and not self._responses_now and not self._responses_next
-                and not self.ring_out and self.ring_wait is None and not self._cpe_actions
-                and (not self.queue or self.head_waits()))
+                and not self._responses and not self.ring_out and self.ring_wait is None
+                and not self._cpe_actions and (not self.queue or self.head_waits()))
 
     def quiescent(self) -> bool:
         return not self.queue and self.dma.idle() and self.only_dma_pending()
@@ -380,7 +385,6 @@ class SystemSim:
         self.results_buffer: dict[int, int] = {}
         self.stats = SimStats()
         self.trace_hook = None
-        self._ring_staging: list = []
 
     # -- host-side setup ----------------------------------------------------
 
@@ -397,17 +401,6 @@ class SystemSim:
 
     def clockwise(self, rpu_id: int) -> "Rpu":
         return self.rpus[(rpu_id + 1) % len(self.rpus)]
-
-    def ring_response(self, serving_rpu_id: int, value: int):
-        """A ring grant at the serving RPU routes data back to the origin
-        (its counterclockwise neighbor) with one extra transit cycle."""
-        origin = self.rpus[(serving_rpu_id - 1) % len(self.rpus)]
-        if origin.ring_wait is None:   # only _step_ring posts a ring read, setting ring_wait
-            raise SimulationError("ring response with no waiting LSU")
-        # staged at the system level so delivery timing does not depend on
-        # the relative tick order of the two RPUs
-        self._ring_staging.append((origin.id, origin.ring_wait, value))
-        origin.ring_wait = None
 
     def _step_ring(self):
         # only this RPU posts to its clockwise neighbor's ring port, and its ring_wait
@@ -501,19 +494,15 @@ class SystemSim:
             if rpu.ring_out:
                 self._step_ring()
                 break
+        now = self.stats.total_cycles
         for rpu in active:
             if rpu.live:
-                rpu.tick_pes()
+                rpu.tick_pes(now)
         running = False
         for rpu in active:
             rpu.end_cycle(self)
             if rpu.status == RpuStatus.RUNNING:
                 running = True
-        for origin_id, coord, value in self._ring_staging:
-            # one transit cycle back; the staging boundary adds the other
-            self.rpus[origin_id]._responses_next[coord] = value
-            self._activate(self.rpus[origin_id])
-        self._ring_staging.clear()
         self.stats.total_cycles += 1
         if self.trace_hook is not None:
             self.trace_hook(self)
@@ -599,8 +588,7 @@ def four_step_script(load_len: int, result_addr: int, result_len: int) -> list[H
 
 
 def run_protocol(system: SystemSim, records: list, image: list[int],
-                 result_addr: int, result_len: int,
-                 load_len: int | None = None) -> tuple[list[int], SimStats]:
+                 result_addr: int, result_len: int) -> tuple[list[int], SimStats]:
     """The canonical 4-step host flow against RPU 0.
 
     Loads the bitstream, streams the image into the scratchpad, launches
@@ -609,7 +597,6 @@ def run_protocol(system: SystemSim, records: list, image: list[int],
     system.ext_memory.clear()
     system.ext_memory.extend(image)
     system.register_config(0, records)
-    n = load_len if load_len is not None else len(image)
-    system.submit_script(four_step_script(n, result_addr, result_len))
+    system.submit_script(four_step_script(len(image), result_addr, result_len))
     stats = system.run()
     return system.results_words(result_len), stats

@@ -50,7 +50,7 @@ def test_traced_run_records_the_system_layers(tracing):
         tracer.active = True
         tracer.phase = "jobs"
         system = SystemSim(standard_arch())
-        run_protocol(system, pingpong_config(), list(range(16)), 0, 1, load_len=8)
+        run_protocol(system, pingpong_config(), list(range(8)), 0, 1)
     finally:
         tracer.uninstall()
     assert SystemSim.__dict__["run"] is run

@@ -1,6 +1,7 @@
 """RPU composition, host protocol, CPE offload, ring access, ping-pong."""
 
 import random
+from bisect import insort
 
 import pytest
 
@@ -332,7 +333,7 @@ class TestStreaming:
         gpe = [W(Opcode.ADD, SrcSel.ACC, SrcSel.W, DstSel.ACC, iter_count=n),
                W(opcode=Opcode.HALT)]
         records = [(1, 0, lsu), (1, 1, gpe)]
-        results, stats = run_protocol(system, records, image, 0, 1, load_len=n)
+        results, stats = run_protocol(system, records, image, 0, 1)
         assert system.rpus[0].pes[(1, 1)].acc == sum(image) & 0xFFFFFFFF
 
     def test_ping_pong_two_phase_overlap(self):
@@ -622,7 +623,7 @@ class TestRing:
                           imm16=1, iter_count=40),
                         W(opcode=Opcode.HALT)])]
 
-    def _run_stages(self, mask, launches):
+    def _stage_system(self, mask, launches):
         params = arch(rpus=4)
         system = SystemSim(params)
         system.register_config(0, self._stage_config(params))
@@ -631,7 +632,11 @@ class TestRing:
             script.append(HostCommand(0x01, (mask, 0)))
             script.append(HostCommand(0x03, (mask,)))
         system.submit_script(script)
-        return system.run().total_cycles
+        system.run()
+        return system
+
+    def _run_stages(self, mask, launches):
+        return self._stage_system(mask, launches).stats.total_cycles
 
     def test_four_rpu_task_throughput(self):
         """16 stage executions spread over the ring complete in well under
@@ -657,6 +662,50 @@ class TestRing:
             summaries.append((sum(rpu.pai.grant_counts.values()), rpu.dma.toggles,
                               sum(pe.active_cycles for pe in rpu.pes.values())))
         assert len(set(summaries)) == 1
+
+    def _observed(self, run):
+        import test_sim_golden
+        if run == "pingpong":
+            results, stats, _ = test_sim_golden.run_pingpong()
+        else:
+            system = self._stage_system(0xF, run)
+            stats = system.stats
+            results = {(rpu.id, rc): pe.acc for rpu in system.rpus for rc, pe in rpu.pes.items()}
+        return stats.csv_row(), stats.grants_per_lsu, stats.pe_active, results
+
+    @pytest.mark.parametrize("run", [4, 5, "pingpong"])
+    def test_rpu_visit_order_does_not_change_a_run(self, run, monkeypatch):
+        """A cycle visits the busy RPUs by ascending id; visiting them by
+        descending id changes no count and no result, ring reads included."""
+        ascending = self._observed(run)
+        orders = []
+
+        def descending(self, rpu):
+            if rpu not in self._active:
+                insort(self._active, rpu, key=lambda r: -r.id)
+            orders.append([r.id for r in self._active])
+
+        monkeypatch.setattr(SystemSim, "_activate", descending)
+        assert self._observed(run) == ascending
+        assert [3, 2, 1, 0] in orders
+
+    def test_concurrent_ring_reads_from_one_rpu(self):
+        """Three LSUs of one RPU read over the ring at once: the one ring
+        port serves them in turn, each two cycles slower than a local read."""
+        params = arch(rpus=2)
+        system = SystemSim(params)
+        for i in range(8):
+            system.rpus[1].sram.write(i, 100 + i)
+        system.register_config(0, [
+            (0, col, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
+                        imm16=params.sm_words + 2 + col),
+                      W(opcode=Opcode.HALT)])
+            for col in (1, 2, 3)])
+        load_and_launch(system)
+        lsus = [system.rpus[0].pes[(0, col)] for col in (1, 2, 3)]
+        assert [pe.acc for pe in lsus] == [103, 104, 105]
+        assert [pe.active_cycles for pe in lsus] == [4, 5, 6]
+        assert system.stats.total_cycles == 11
 
 
 class TestSharedRegsInSystem:

@@ -34,8 +34,9 @@ class ReadOnlyBus:
     """An RPU's start-of-next-cycle view, read with ``.get`` only; every
     effect method records its call instead of staging it."""
 
-    def __init__(self, rpu):
+    def __init__(self, rpu, now):
         self.rpu = rpu
+        self.now = now   # the cycle about to tick
         self.effects = []
 
     def latch_free(self, coord, direction):
@@ -45,7 +46,8 @@ class ReadOnlyBus:
         return self.rpu.sregs.read(coord, idx)
 
     def mem_response(self, coord):
-        return self.rpu._responses_now.get(coord)
+        due, value = self.rpu._responses.get(coord, (self.now, None))
+        return value if due <= self.now else None
 
     def __getattr__(self, name):
         if name not in ("deliver", "consume_latch", "sreg_write", "mem_request",
@@ -71,7 +73,7 @@ class SleepOracle:
             for pe in rpu.asleep:
                 # the port table and the decoded context are read-only
                 twin = copy.deepcopy(pe, {id(pe.ports): pe.ports, id(pe._code): pe._code})
-                bus = ReadOnlyBus(rpu)
+                bus = ReadOnlyBus(rpu, system.stats.total_cycles)
                 assert twin.tick(bus) is False, pe.coord
                 assert pe_state(twin) == pe_state(pe), pe.coord
                 assert bus.effects == [], pe.coord
