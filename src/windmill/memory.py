@@ -91,13 +91,6 @@ class PaiArbiter:
     def arbitrate(self, sram: BankedSram) -> list[tuple[int, Request]]:
         """Pick one winner per contested bank and advance its pointer; each
         grant is the bank and the posted request itself."""
-        if len(self.pending) == 1:
-            # a lone request wins its bank outright: no conflict, same pointer move
-            requester, req = self.pending.popitem()
-            bank = sram.bank_of(req.addr)
-            self.rr_pointer[bank] = self._pos[requester]
-            self.grant_counts[requester] += 1
-            return [(bank, req)]
         by_bank: dict[int, list[int]] = {}
         for req in self.pending.values():
             by_bank.setdefault(sram.bank_of(req.addr), []).append(self._pos[req.requester])

@@ -166,8 +166,8 @@ class Rpu:
         self._responses: dict = {}   # LSU coord -> (cycle it is readable in, word read or written)
         self.now = 0   # the cycle the PEs tick in
         self._cpe_actions: list[int] = []
-        # ring: outgoing read requests and the LSU awaiting a remote value
-        self.ring_out: list = []
+        # ring: outgoing reads, sorted, and the LSU awaiting a remote value
+        self.ring_out: list = []   # (cycle posted, LSU coord, relative address)
         self.ring_wait = None
         # per-cycle access halves, for the ping-pong safety assertion
         self.cycle_pea_halves: set[int] | frozenset = _NO_HALVES
@@ -238,7 +238,8 @@ class Rpu:
                 raise AddressOutOfRange(f"remote address {rel} outside half space")
             if op != "read":
                 raise AddressOutOfRange(f"remote window is read-only (addr {addr})")
-            self.ring_out.append((coord, rel))
+            # the port forwards the earliest posted read first, then the lowest LSU
+            insort(self.ring_out, (self.now, coord, rel))
             return
         if addr >= self.half_words:
             raise AddressOutOfRange(
@@ -259,9 +260,10 @@ class Rpu:
     # -- cycle advance ------------------------------------------------------
 
     def tick_pes(self, now: int):
-        """Tick the awake live PEs in coordinate order in cycle ``now``; drop
-        those that finish. A PE whose tick changes nothing sleeps until an
-        event wakes it."""
+        """Tick the awake live PEs in cycle ``now``; drop those that finish. A
+        PE whose tick changes nothing sleeps until an event wakes it. Every
+        effect of a tick is staged until ``end_cycle`` or sorted on arrival,
+        so the order the PEs are visited in changes no run."""
         self.now = now
         asleep = self.asleep
         finished = False
@@ -307,7 +309,7 @@ class Rpu:
                     value = sram.read(req.addr)
                     if req.requester == ("ring",):
                         origin = system.rpus[self.id - 1]
-                        if origin.ring_wait is None:   # only _step_ring posts one, setting it
+                        if origin.ring_wait is None:   # only tick posts one, setting it
                             raise SimulationError("ring response with no waiting LSU")
                         origin._responses[origin.ring_wait] = (now + 2, value)
                         origin.ring_wait = None
@@ -402,18 +404,6 @@ class SystemSim:
     def clockwise(self, rpu_id: int) -> "Rpu":
         return self.rpus[(rpu_id + 1) % len(self.rpus)]
 
-    def _step_ring(self):
-        # only this RPU posts to its clockwise neighbor's ring port, and its ring_wait
-        # is set from that post to the grant: the port is free exactly when it is None
-        for rpu in tuple(self._active):   # a post activates the neighbor
-            if rpu.ring_out and rpu.ring_wait is None:
-                neighbor = self.clockwise(rpu.id)
-                coord, rel = rpu.ring_out.pop(0)
-                rpu.ring_wait = coord
-                phys = rel + neighbor.dma.array_half * neighbor.half_words
-                neighbor.pai.post(Request(("ring",), "read", phys))
-                self._activate(neighbor)
-
     def _activate(self, rpu: Rpu):
         if rpu not in self._active:
             insort(self._active, rpu, key=lambda r: r.id)
@@ -485,15 +475,19 @@ class SystemSim:
         if self._script_pos < len(self.script):
             self._dispatch_one_command()
         active = self._active
-        for rpu in active:
+        for rpu in tuple(active):   # a forwarded read activates the neighbor
             # a running RPU's queue waits for its finish
             if rpu._cpe_actions or (rpu.queue and rpu.status != RpuStatus.RUNNING):
                 self._controller_step(rpu)
-        # forward ring requests enqueued on previous cycles (1 transit cycle)
-        for rpu in active:
-            if rpu.ring_out:
-                self._step_ring()
-                break
+            # only this RPU posts to its clockwise neighbor's ring port, and its ring_wait
+            # is set from that post to the grant: the port is free exactly when it is None.
+            # A read posted in an earlier cycle crosses the ring in this one.
+            if rpu.ring_out and rpu.ring_wait is None:
+                _, rpu.ring_wait, rel = rpu.ring_out.pop(0)
+                neighbor = self.clockwise(rpu.id)
+                phys = rel + neighbor.dma.array_half * neighbor.half_words
+                neighbor.pai.post(Request(("ring",), "read", phys))
+                self._activate(neighbor)
         now = self.stats.total_cycles
         for rpu in active:
             if rpu.live:

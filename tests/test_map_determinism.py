@@ -1,11 +1,13 @@
 """Map output must not depend on the interpreter's hash seed.
 
 ``str`` hashes are salted per process and ``IdentityEnum`` hashes by address,
-so a set iterated into the mapper's output would pass every in-process test
-and still change the bitstream a fresh process emits. This module maps the
-fixture graphs and seeded ``test_e2e.random_dfg`` graphs over the three
-topologies in two subprocesses with different ``PYTHONHASHSEED`` values and
-compares their digests. Run as a script, it prints the digest.
+so a set iterated into the mapper's output, or into the order the simulator
+acts on its sets of PEs, banks and halves, would pass every in-process test
+and still change what a fresh process emits or simulates. This module maps
+the fixture graphs and seeded ``test_e2e.random_dfg`` graphs over the three
+topologies, and simulates each mapped graph over a seeded image, in two
+subprocesses with different ``PYTHONHASHSEED`` values and compares their
+digests. Run as a script, it prints the digest.
 """
 
 import hashlib
@@ -19,13 +21,17 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
 RANDOM_CASES = 30
+IMAGE_WORDS = 64   # covers every fixture's and random graph's in and out addresses
 
 
 def digest() -> str:
-    """SHA-256 over every case's bitstream, or its ``Unmappable`` message."""
+    """SHA-256 over every case's bitstream, or its ``Unmappable`` message, and
+    its run's stats row, per-PE activity, per-LSU grants and results."""
     from windmill.arch import TopologyKind, parse_arch_file, validate
     from windmill.errors import Unmappable
     from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
+    from windmill.pe import unpack_bitstream
+    from windmill.system import SystemSim, run_protocol
 
     from test_e2e import make_arch, random_dfg
 
@@ -38,11 +44,19 @@ def digest() -> str:
         text, *_ = random_dfg(rng, n_ops=rng.randint(14, 40))
         cases.append((text, make_arch(topology=topologies[k % 3])))
     sha = hashlib.sha256()
-    for text, params in cases:
+    for k, (text, params) in enumerate(cases):
         try:
-            sha.update(emit_bitstream(map_dfg(parse_dfg(text), params)))
+            bitstream = emit_bitstream(map_dfg(parse_dfg(text), params))
         except Unmappable as exc:
             sha.update(str(exc).encode())
+            continue
+        sha.update(bitstream)
+        rng = random.Random(4000 + k)
+        image = [rng.getrandbits(32) for _ in range(IMAGE_WORDS)]
+        results, stats = run_protocol(SystemSim(params), unpack_bitstream(bitstream),
+                                      image, 0, IMAGE_WORDS)
+        sha.update(repr((stats.csv_row(), stats.pe_active, stats.grants_per_lsu,
+                         results)).encode())
     return sha.hexdigest()
 
 

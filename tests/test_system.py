@@ -13,7 +13,7 @@ from windmill.errors import (AddressOutOfRange, BitstreamTargetInvalid, CycleLim
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.plugins import DEFAULT_RTT, HOST_RTT, elaborate_arch, read_machine
-from windmill.system import (HostCommand, SystemSim, _loadable, decode, parse_script,
+from windmill.system import (HostCommand, Rpu, SystemSim, _loadable, decode, parse_script,
                              run_protocol)
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH, vecadd
@@ -667,8 +667,13 @@ class TestRing:
         import test_sim_golden
         if run == "pingpong":
             results, stats, _ = test_sim_golden.run_pingpong()
+        elif run in ALL_KERNELS:
+            results, stats, _ = test_sim_golden.run_kernel(run)
         else:
-            system = self._stage_system(0xF, run)
+            if run == "ring":
+                system = self._concurrent_ring_system()
+            else:
+                system = self._stage_system(0xF, run)
             stats = system.stats
             results = {(rpu.id, rc): pe.acc for rpu in system.rpus for rc, pe in rpu.pes.items()}
         return stats.csv_row(), stats.grants_per_lsu, stats.pe_active, results
@@ -689,9 +694,29 @@ class TestRing:
         assert self._observed(run) == ascending
         assert [3, 2, 1, 0] in orders
 
-    def test_concurrent_ring_reads_from_one_rpu(self):
-        """Three LSUs of one RPU read over the ring at once: the one ring
-        port serves them in turn, each two cycles slower than a local read."""
+    @pytest.mark.parametrize("run", ["ring", 4, 5, "pingpong", *sorted(ALL_KERNELS)])
+    def test_pe_visit_order_does_not_change_a_run(self, run, monkeypatch):
+        """Visiting the awake PEs of each RPU in reverse coordinate order, or
+        in a seeded shuffle each cycle, changes no count and no result."""
+        raster = self._observed(run)
+        tick_pes = Rpu.tick_pes
+
+        def visiting(order):
+            def permuted(self, now):
+                live = self.live
+                self.live = order(list(live))
+                tick_pes(self, now)
+                self.live = [pe for pe in live if not pe.done]
+            return permuted
+
+        shuffle = random.Random(f"pe-order-{run}").shuffle
+        for order in (lambda pes: pes[::-1], lambda pes: shuffle(pes) or pes):
+            monkeypatch.setattr(Rpu, "tick_pes", visiting(order))
+            assert self._observed(run) == raster
+
+    @staticmethod
+    def _concurrent_ring_system():
+        # three LSUs of RPU 0 read their neighbor's words 3..5 over the ring at once
         params = arch(rpus=2)
         system = SystemSim(params)
         for i in range(8):
@@ -702,6 +727,12 @@ class TestRing:
                       W(opcode=Opcode.HALT)])
             for col in (1, 2, 3)])
         load_and_launch(system)
+        return system
+
+    def test_concurrent_ring_reads_from_one_rpu(self):
+        """Three LSUs of one RPU read over the ring at once: the one ring
+        port serves them in turn, each two cycles slower than a local read."""
+        system = self._concurrent_ring_system()
         lsus = [system.rpus[0].pes[(0, col)] for col in (1, 2, 3)]
         assert [pe.acc for pe in lsus] == [103, 104, 105]
         assert [pe.active_cycles for pe in lsus] == [4, 5, 6]
