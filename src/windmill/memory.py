@@ -91,21 +91,20 @@ class PaiArbiter:
     def arbitrate(self, sram: BankedSram) -> list[tuple[int, Request]]:
         """Pick one winner per contested bank and advance its pointer; each
         grant is the bank and the posted request itself."""
-        by_bank: dict[int, list[int]] = {}
-        for req in self.pending.values():
-            by_bank.setdefault(sram.bank_of(req.addr), []).append(self._pos[req.requester])
+        pointer, n = self.rr_pointer, len(self.order)
+        nearest: dict[int, int] = {}   # bank -> winner's distance past its pointer
+        for requester, req in self.pending.items():
+            bank = sram.bank_of(req.addr)
+            distance = (self._pos[requester] - pointer[bank] - 1) % n
+            if distance < nearest.get(bank, n):
+                nearest[bank] = distance
+        self.conflicts += len(self.pending) - len(nearest)   # each contender past a winner
         grants = []
-        for bank in sorted(by_bank):
-            contenders = by_bank[bank]
-            self.conflicts += len(contenders) - 1
-            start = self.rr_pointer[bank]
-            n = len(self.order)
-            winner_pos = min(contenders, key=lambda p: (p - start - 1) % n)
-            self.rr_pointer[bank] = winner_pos
+        for bank in sorted(nearest):
+            winner_pos = pointer[bank] = (pointer[bank] + 1 + nearest[bank]) % n
             requester = self.order[winner_pos]
-            req = self.pending.pop(requester)
             self.grant_counts[requester] += 1
-            grants.append((bank, req))
+            grants.append((bank, self.pending.pop(requester)))
         return grants
 
 

@@ -477,7 +477,7 @@ class PE:
         # pipeline slots
         self.f_slot: tuple | None = None   # (decoded word, iter)
         self.d_slot: tuple | None = None   # (decoded word, iter)
-        self.x_slot: tuple | None = None   # ("mem", decoded) | ("out", decoded, value)
+        self.x_slot: tuple | None = None   # (decoded word, value), None while memory answers
         self.w_slot: tuple | None = None   # (decoded word, value)
         self.done = True
         self.active_cycles = 0
@@ -529,16 +529,16 @@ class PE:
         # execute
         x = self.x_slot
         if x is not None:
-            if x[0] == "mem":
+            dec, value = x
+            if value is None:
                 value = bus.mem_response(self.coord)  # None until the reply arrives
                 if value is not None:
-                    self._complete(x[1], value)   # a STORE writes no destination
+                    self._complete(dec, value)   # a STORE writes no destination
                 self.active_cycles += 1
                 moved = True
             elif self.w_slot is None:
-                # "out": the result waited for the write-back slot to drain
-                self.w_slot = (x[1], x[2])
-                self.x_slot = None
+                # the result waited for the write-back slot to drain
+                self.w_slot, self.x_slot = x, None
                 moved = True
         elif self.d_slot is not None and self._execute(bus):
             moved = True
@@ -652,7 +652,7 @@ class PE:
         store = dec[0] == _K_STORE
         bus.mem_request(self.coord, "write" if store else "read", addr,
                         vals[0] if store else None)
-        self.x_slot = ("mem", dec)
+        self.x_slot = (dec, None)
 
     def _complete(self, dec, result):
         """Execute-stage completion: accumulator updates land here; outbound
@@ -667,7 +667,7 @@ class PE:
         elif self.w_slot is None:
             self.w_slot = (dec, value)
         else:
-            self.x_slot = ("out", dec, value)
+            self.x_slot = (dec, value)
 
 
 _STALLED = object()

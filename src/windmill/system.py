@@ -32,6 +32,7 @@ commands only for the initial setup.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -143,7 +144,7 @@ class Rpu:
 
     def __init__(self, rpu_id: int, machine, ext_memory: list[int]):
         self.id = rpu_id
-        self.params = params = machine.params
+        params = machine.params
         self.machine = machine
         dims = (params.rows, params.cols)
         self.pes: dict[tuple[int, int], PE] = {}
@@ -382,8 +383,7 @@ class SystemSim:
         self.rpus = [Rpu(i, machine, self.ext_memory) for i in range(self.params.rpu_count)]
         self._active: list[Rpu] = []
         self.configs: dict[int, tuple] = {}   # config id -> the form ``Rpu.load_config`` loads
-        self.script: list[HostCommand] = []
-        self._script_pos = 0
+        self.script: deque[HostCommand] = deque()   # the commands not yet dispatched
         self.results_buffer: dict[int, int] = {}
         self.stats = SimStats()
         self.trace_hook = None
@@ -411,8 +411,7 @@ class SystemSim:
     # -- command dispatch -----------------------------------------------------
 
     def _dispatch_one_command(self):
-        cmd = self.script[self._script_pos]
-        self._script_pos += 1
+        cmd = self.script.popleft()
         self.stats.host_commands += 1
         action, mask, a = decode(self.machine.rtt, cmd)
         if action == "load_manifest":
@@ -472,7 +471,7 @@ class SystemSim:
 
     def tick(self) -> bool:
         """One cycle; True when an RPU is still running after it."""
-        if self._script_pos < len(self.script):
+        if self.script:
             self._dispatch_one_command()
         active = self._active
         for rpu in tuple(active):   # a forwarded read activates the neighbor
@@ -506,7 +505,7 @@ class SystemSim:
         return running
 
     def quiescent(self) -> bool:
-        return self._script_pos >= len(self.script) and not self._active
+        return not self.script and not self._active
 
     def run(self, max_cycles: int | None = None):
         """Tick until quiescent; the stats cover the cycles run, also when a
@@ -532,7 +531,7 @@ class SystemSim:
         """Coming cycles that only stream one DMA word per busy RPU, short of
         the guard and of the last word of a batch, which ``tick`` writes.
         None under a ``trace_hook``, which observes every cycle."""
-        if self.trace_hook is not None or self._script_pos < len(self.script):
+        if self.trace_hook is not None or self.script:
             return 0
         skip = guard - self.stats.total_cycles
         for rpu in self._active:
@@ -562,10 +561,11 @@ class SystemSim:
         return [self.results_buffer.get(base + i, 0) for i in range(length)]
 
 
-# bounded, since it holds each machine it keys: a host registering a few configs
-# per machine, such as six kernels on two machines, hits it on every fresh
-# SystemSim; a failed validation raises and is never kept
-@lru_cache(maxsize=8)
+# bounded, since it holds each machine it keys; 16 covers a host that cycles a
+# handful of configs per machine on fresh SystemSims, such as six kernels on two
+# machines or nine ring-stage configs on one (an LRU smaller than such a cycle never
+# hits); a failed validation raises and is never kept
+@lru_cache(maxsize=16)
 def _loadable(machine, records: tuple) -> tuple:
     """``records``, validated against ``machine``, in the form ``Rpu.load_config``
     loads: per record, its holders and one shared tuple of pre-decoded words."""

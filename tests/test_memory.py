@@ -83,8 +83,9 @@ class BruteForceArbiter:
 
 
 def general_arbitrate(pai, sram):
-    """``PaiArbiter.arbitrate`` as written before its one-request path: the
-    reference the arbiter must match on every pending set."""
+    """The by-bank reference that ``PaiArbiter.arbitrate``'s one scan must
+    match on every pending set: each bank's contenders gathered in a list,
+    the winner the one nearest past the bank's pointer."""
     by_bank = {}
     for req in pai.pending.values():
         by_bank.setdefault(sram.bank_of(req.addr), []).append(pai._pos[req.requester])

@@ -862,8 +862,18 @@ class TestConfigMemo:
         for k in range(20):
             system.register_config(k, [(2, 2, [self.ADD._replace(imm16=k)])])
         info = _loadable.cache_info()
-        assert info.maxsize == 8 and info.currsize == 8
+        assert info.maxsize == 16 and info.currsize == 16
         assert len(system.configs) == 20   # a system keeps what it registered
+
+    def test_nine_configs_cycled_over_fresh_systems_validate_once_each(self, validations):
+        """The ``stream_ring`` bench traffic: one machine cycles nine configs,
+        each registered on a fresh system."""
+        params = arch()
+        configs = [[(2, 2, [self.ADD._replace(imm16=k), self.HALT])] for k in range(9)]
+        for _ in range(2):
+            for records in configs:
+                SystemSim(params).register_config(0, records)
+        assert len(validations) == 9
 
 
 class TestFastForwardProbe:
