@@ -141,6 +141,8 @@ def perimeter_lsu_map(rows: int, cols: int, cpe_at: tuple[int, int] | None = (1,
 def with_default_type_map(params: ArchParams) -> ArchParams:
     """``params`` with the perimeter-LSU map for its size; the CPE sits at
     (1, 1) when enabled."""
+    if errs := _size_errors(params):   # refused first: a rows x cols map could fill memory
+        raise ValidationError(errs)
     cpe_at = (1, 1) if params.cpe_enabled else None
     return replace(params, pe_type_map=perimeter_lsu_map(params.rows, params.cols, cpe_at))
 
@@ -151,12 +153,14 @@ def standard_preset() -> ArchParams:
     return ArchParams(pe_type_map=perimeter_lsu_map(8, 8))
 
 
+def _size_errors(params: ArchParams) -> list[str]:
+    return [f"{name}: must be in 2..256 (8-bit bitstream header field)"
+            for name in ("rows", "cols") if not 2 <= getattr(params, name) <= 256]
+
+
 def validate(params: ArchParams) -> ArchParams:
     """Check every invariant; raise ValidationError listing all violations."""
-    errs = []
-    for name in ("rows", "cols"):
-        if not 2 <= getattr(params, name) <= 256:
-            errs.append(f"{name}: must be in 2..256 (8-bit bitstream header field)")
+    errs = _size_errors(params)
     if len(params.pe_type_map) != params.rows:
         errs.append(f"pe_type_map: {len(params.pe_type_map)} rows, expected {params.rows}")
     else:

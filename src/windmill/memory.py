@@ -11,7 +11,9 @@ Double buffering splits every bank in half on the top row-address bit. The
 DMA controller owns one half (initially half 1) and streams queued batches
 into it one word per cycle; the compute array only ever touches the other
 half. The array's finish signal flips ownership; a flip requested mid-batch
-is deferred until the batch completes.
+is deferred until the batch completes. The DMA also owns the launch rule: a
+phase may launch unless a flip is deferred or a staging batch streams before
+the next flip.
 """
 
 from __future__ import annotations
@@ -121,32 +123,35 @@ class TransferBatch:
 
 
 class DmaController:
-    """Streams transfer batches into the DMA-owned scratchpad half.
+    """Streams transfer batches into the scratchpad and owns the launch rule.
 
     Staging batches (pre-launch loads) target the array's half and start
-    immediately. The j-th streamed batch (phase-j data, 1-based) is gated on
-    j-1 completed ping-pong toggles, which is exactly "the half I own now is
-    the half this batch belongs in". The array's finish signal flips
-    ownership; a flip requested mid-batch is deferred until the batch
-    completes, never dropped.
+    immediately. The j-th streamed batch (the data of phase j+1) is gated on
+    j-1 ping-pong toggles, which is exactly "the half I own now is the half
+    this batch belongs in". The array's finish signal flips ownership; a
+    flip requested mid-batch is deferred until the batch completes. A phase
+    waits for a deferred flip (``launch_waits``), so no second finish comes
+    while one is deferred and no flip is dropped.
     """
 
     def __init__(self, ext_memory: list[int], half_words: int):
         self.ext = ext_memory
         self.half_words = half_words
-        self.half = 1                     # DMA-owned half at reset
         self.queue: list[TransferBatch] = []
         self.active: TransferBatch | None = None
-        self._active_half = 0
         self.streamed_started = 0
-        self.completed = 0
         self.toggles = 0
-        self._toggle_pending = False
+        self.flip_pending = False         # a finish signal waits for the active batch
         self.stall_cycles = 0
 
     @property
+    def half(self) -> int:
+        """The DMA-owned half: half 1 at reset, flipped by each toggle."""
+        return 1 - self.toggles % 2
+
+    @property
     def array_half(self) -> int:
-        return 1 - self.half
+        return self.toggles % 2
 
     def enqueue(self, batch: TransferBatch):
         self.queue.append(batch)
@@ -168,59 +173,55 @@ class DmaController:
             free = False
         return False
 
+    def launch_waits(self) -> bool:
+        """A phase waits for a deferred flip and for staging due before the next flip."""
+        return self.flip_pending or self.stages_before_flip()
+
     def request_toggle(self):
         """Finish signal from the array; deferred while a batch is in flight."""
         if self.active is not None:
-            self._toggle_pending = True
+            self.flip_pending = True
         else:
-            self._apply_toggle()
-
-    def _apply_toggle(self):
-        self.half = 1 - self.half
-        self.toggles += 1
-        self._toggle_pending = False
+            self.toggles += 1
 
     def step(self, sram: BankedSram, blocked_banks: set[int]) -> int | None:
-        """Advance one cycle. Returns the bank written this cycle, if any.
+        """Advance one cycle. Returns the half written this cycle, if any.
 
         ``blocked_banks`` are banks already granted to the array this cycle;
         the array wins same-bank ties, the DMA stalls and retries.
         """
-        if self.active is None:
-            if self.queue:
-                head = self.queue[0]
-                if head.staging:
-                    self.active = self.queue.pop(0)
-                    self._active_half = self.array_half
-                elif self.toggles >= self.streamed_started:
-                    self.active = self.queue.pop(0)
-                    self._active_half = self.half
-                    self.streamed_started += 1
-            if self.active is None:
-                return None
         batch = self.active
-        bank = None
+        if batch is None:   # the j-th streamed batch starts after j-1 flips
+            if not self.queue or (not self.queue[0].staging
+                                  and self.toggles < self.streamed_started):
+                return None
+            batch = self.active = self.queue.pop(0)
+            if not batch.staging:
+                self.streamed_started += 1
+        half = None
         if batch.progress < batch.length:   # a zero-length batch writes nothing
-            bank = sram.bank_of(self._addr(batch.progress))
-            if bank in blocked_banks:
+            half = self._half_of(batch)
+            if sram.bank_of(batch.sm_addr + batch.progress + half * self.half_words) in blocked_banks:
                 self.stall_cycles += 1
                 return None
             self.stream(sram, 1)
         if batch.progress >= batch.length:
             self.active = None
-            self.completed += 1
-            if self._toggle_pending:
-                self._apply_toggle()
-        return bank
+            if self.flip_pending:   # the deferred flip lands
+                self.flip_pending = False
+                self.toggles += 1
+        return half
 
     def stream(self, sram: BankedSram, n: int):
         """What ``n`` unblocked ``step`` calls write, short of the batch end."""
         batch = self.active
+        base = batch.sm_addr + self._half_of(batch) * self.half_words
         for i in range(batch.progress, batch.progress + n):
             ext_idx = batch.ext_addr + i
-            sram.write(self._addr(i), self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
+            sram.write(base + i, self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
         batch.progress += n
 
-    def _addr(self, i: int) -> int:
-        """Physical scratchpad address of word ``i`` of the active batch."""
-        return self.active.sm_addr + i + self._active_half * self.half_words
+    def _half_of(self, batch: TransferBatch) -> int:
+        """The half a batch fills: a staging batch the array's, a streamed one
+        the DMA's. No flip lands while a batch is active, so it is one half."""
+        return self.array_half if batch.staging else self.half

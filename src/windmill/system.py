@@ -158,7 +158,6 @@ class Rpu:
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
         self.asleep: set[PE] = set()   # live PEs whose last tick changed nothing
-        self.launch_count = 0
         self.running_cycles = 0
         self.action_log: list[str] = []
         # staged cycle effects
@@ -199,7 +198,6 @@ class Rpu:
         self.asleep.clear()
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
-        self.launch_count += 1
         self.running_cycles = 0
 
     def store_results(self, sm_addr: int, length: int) -> list[int]:
@@ -322,13 +320,11 @@ class Rpu:
         self.cycle_pea_halves = halves
 
         dma = self.dma
-        self.cycle_dma_half = None
-        if not dma.idle() and dma.step(self.sram, blocked) is not None:
-            self.cycle_dma_half = dma._active_half
-            # a phase starts no staging batch (see head_waits), a streamed one fills the DMA's half
-            if self.status == RpuStatus.RUNNING and dma._active_half in halves:
-                raise SimulationError(
-                    f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
+        self.cycle_dma_half = None if dma.idle() else dma.step(self.sram, blocked)
+        # the launch rule keeps staging out of a phase; a streamed batch fills the DMA's half
+        if self.cycle_dma_half in halves and self.status == RpuStatus.RUNNING:
+            raise SimulationError(
+                f"rpu {self.id}: DMA and array touched half {self.cycle_dma_half}")
 
         if self.status == RpuStatus.RUNNING:
             self.running_cycles += 1
@@ -356,14 +352,12 @@ class Rpu:
         return not self.queue and self.dma.idle() and self.only_dma_pending()
 
     def head_waits(self) -> bool:
-        """A launch waits for the staging batches the DMA streams before the
-        phase's flip and for its phase's data, a store for a deferred toggle."""
+        """A launch waits as the DMA's launch rule says, a store for a deferred
+        flip: the results it reads land in the DMA's half at that flip."""
         head = self.queue[0][0]
         if head == "launch":
-            dma = self.dma
-            return dma.stages_before_flip() or (
-                not dma.idle() and dma.completed <= self.launch_count)
-        return head == "store_results" and self.dma._toggle_pending
+            return self.dma.launch_waits()
+        return head == "store_results" and self.dma.flip_pending
 
 
 class SystemSim:
@@ -507,10 +501,10 @@ class SystemSim:
     def quiescent(self) -> bool:
         return not self.script and not self._active
 
-    def run(self, max_cycles: int | None = None):
-        """Tick until quiescent; the stats cover the cycles run, also when a
-        run-time fault ends the run."""
-        guard = max_cycles or (self.cycle_limit * 16)
+    def run(self):
+        """Tick until quiescent, at most 16 cycle limits; the stats cover the
+        cycles run, also when a run-time fault ends the run."""
+        guard = self.cycle_limit * 16
         running = False   # a running RPU keeps the system busy and streams no DMA alone
         try:
             while running or not self.quiescent():

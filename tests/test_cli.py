@@ -130,6 +130,24 @@ class TestGenerate:
         assert main(["generate", "--arch", str(std_arch), "--sweep", "Voltage=1,2"]) == 2
         assert capsys.readouterr() == ("", "error: --sweep key 'voltage' not sweepable\n")
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["file", "sweep"])
+    def test_huge_grid_refused_before_its_type_map(self, std_arch, tmp_path, capsys, sweep):
+        """A 30000 x 30000 grid with no type map exits 2 with validate's size
+        message before a map of its 9e8 cells is built."""
+        import time
+        from windmill.cli import main
+        huge = tmp_path / "huge.arch"
+        huge.write_text("[array]\nrows=30000\ncols=30000\n")
+        assert huge.stat().st_size == 30
+        argv = (["--arch", str(std_arch), "--sweep", "rows=30000"] if sweep
+                else ["--arch", str(huge)])
+        start = time.perf_counter()
+        assert main(["generate", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        size = "must be in 2..256 (8-bit bitstream header field)"
+        message = f"rows: {size}" + ("" if sweep else f"; cols: {size}")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_timestamps_line_leads_the_report(self, std_arch, capsys):
         from windmill.cli import main
         assert main(["generate", "--arch", str(std_arch), "--timestamps"]) == 0

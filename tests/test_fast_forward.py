@@ -146,19 +146,22 @@ def test_random_graphs(seed):
     both_ways(protocol_run(params, records, image, base, n_out))
 
 
-@pytest.mark.parametrize("limit", [3, 50, 398, 399, 400, 401, 402])
-def test_cycle_limit_during_a_long_batch(limit):
-    """The guard stops a fast-forward at the same cycle as a ticked run."""
+@pytest.mark.parametrize("length", [3, 50, 398, 399, 400, 401, 402])
+def test_cycle_limit_during_a_long_batch(length):
+    """The guard stops a fast-forward at the same cycle as a ticked run, while
+    RPU 1 streams a long batch: long after RPU 0's ``length``-word batch
+    ends, and after, at and before its last word."""
     def run(traced):
         system = new_system(replace(test_sim_golden.standard_arch(), rpu_count=2), traced,
                             list(range(1000)))
-        system.submit_script([HostCommand(0x02, (0x3, 0, 0, 400, 1)),
-                              HostCommand(0x02, (0x2, 10, 0, 300, 1))])
-        with pytest.raises(CycleLimitExceeded, match=f"in {limit} cycles"):
-            system.run(max_cycles=limit)
+        system.cycle_limit = 25   # the guard is 16 cycle limits: 400 cycles
+        system.submit_script([HostCommand(0x02, (0x3, 0, 0, length, 1)),
+                              HostCommand(0x02, (0x2, 10, 0, 600, 1))])
+        with pytest.raises(CycleLimitExceeded, match="in 400 cycles"):
+            system.run()
         return system.stats.total_cycles, [rpu.sram.data for rpu in system.rpus]
 
-    assert both_ways(run)[0] == limit
+    assert both_ways(run)[0] == 400
 
 
 def test_rpu_leaving_the_active_set_touches_no_half():

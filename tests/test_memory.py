@@ -250,7 +250,7 @@ class TestDma:
         dma.enqueue(TransferBatch(0, 0, 10, staging=True))
         for _ in range(10):
             dma.step(sram, set())
-        assert dma.completed == 1
+        assert dma.idle() and dma.toggles == 0
         assert [sram.read(i) for i in range(10)] == ext   # array half = 0
 
     def test_toggle_deferred_until_batch_completes(self):
@@ -262,8 +262,8 @@ class TestDma:
         assert dma.half == 1                      # deferred mid-batch
         for _ in range(7):
             dma.step(sram, set())
-        assert dma.completed == 1
-        assert dma.half == 0                      # applied at completion
+        assert dma.idle() and [sram.read(i) for i in range(8)] == ext
+        assert dma.half == 0 and dma.toggles == 1   # applied at completion
 
     def test_streamed_batch_waits_for_its_half(self):
         ext = list(range(64))
@@ -273,14 +273,16 @@ class TestDma:
         dma.enqueue(TransferBatch(8, 0, 4))       # phase-2 data
         for _ in range(8):
             dma.step(sram, set())
-        assert dma.completed == 2                 # staging + first streamed
+        half = sram.words // 2
+        # staging + first streamed done, the phase-2 batch still queued
+        assert sram.data[:half + 4] == [0, 1, 2, 3] + [0] * (half - 4) + [4, 5, 6, 7]
+        assert dma.active is None and len(dma.queue) == 1 and dma.toggles == 0
         assert dma.step(sram, set()) is None      # phase-2 gated on a toggle
         dma.request_toggle()
         for _ in range(4):
             dma.step(sram, set())
-        assert dma.completed == 3
+        assert dma.idle() and dma.toggles == 1
         # phase-1 words went to the DMA-owned half 1, phase-2 to half 0
-        half = sram.words // 2
         assert [sram.read(half + i) for i in range(4)] == [4, 5, 6, 7]
         assert [sram.read(i) for i in range(4)] == [8, 9, 10, 11]
 
@@ -296,7 +298,10 @@ class TestDma:
             assert dma.stages_before_flip()
             dma.step(sram, set())
         # the second streamed batch waits for the flip, the staging one behind it too
-        assert dma.completed == 3 and not dma.stages_before_flip()
+        half = sram.words // 2
+        assert sram.data[:2] == [4, 5] and sram.data[half:half + 2] == [2, 3]
+        assert dma.active is None and len(dma.queue) == 2 and dma.toggles == 0
+        assert not dma.stages_before_flip()
         dma.request_toggle()
         assert dma.stages_before_flip()
 

@@ -1,17 +1,20 @@
 """Parser fuzzing: arbitrary text and bytes, and byte mutations of the
-fixtures, make the four input parsers raise nothing but toolkit errors.
+fixtures, make the four input parsers and the image reader raise nothing but
+toolkit errors, and ``cli.main`` return a documented exit code.
 
 The CLI maps every ``WindmillError`` other than ``Unmappable`` onto exit 2,
 so any other exception a parser lets escape would turn bad input into a
 crash with a traceback instead of an input error.
 """
 
+import struct
 from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windmill import cli
 from windmill.arch import parse_arch_file, standard_preset
 from windmill.dfg import parse_dfg
 from windmill.errors import Unmappable, WindmillError
@@ -99,3 +102,60 @@ def test_arbitrary_bytes(name, blob):
 def test_mutated_fixtures(name, data):
     parse, from_bytes, _ = PARSERS[name]
     parses_or_refuses(parse, from_bytes(data.draw(mutations(seeds(name)))))
+
+
+@FUZZ
+@given(blob=st.binary())
+def test_image_reader_on_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("image") / "image.bin"
+    path.write_bytes(blob)
+    try:
+        words = cli._read_image(str(path))
+    except WindmillError as exc:
+        assert not isinstance(exc, Unmappable)
+    else:
+        assert len(words) == len(blob) // 4 and all(0 <= w < 1 << 32 for w in words)
+
+
+# the files one CLI run reads: the standard array, vecadd16 mapped on it, the
+# boot script and the 0x30-word image it stages
+CLI_FILES = {"arch": "arch", "dfg": "dfg", "bitstream": "bitstream",
+             "script": "script", "image": "data"}
+
+
+@cache
+def cli_inputs() -> dict[str, bytes]:
+    arch = (FIXTURES / "standard.arch").read_bytes()
+    dfg = (FIXTURES / "vecadd16.dfg").read_bytes()
+    return {"arch": arch, "dfg": dfg,
+            "bitstream": emit_bitstream(map_dfg(parse_dfg(dfg.decode()),
+                                                parse_arch_file(arch.decode()))),
+            "script": (FIXTURES / "boot.script").read_bytes(),
+            "image": struct.pack("<48I", *range(1, 49))}
+
+
+# each command, its documented exit codes, the files it reads and its other
+# options; a phase of vecadd16 runs 85 cycles, so a 50-cycle limit ends a
+# looping config quickly
+CLI_RUNS = {"map": ((0, 2, 3), ("arch", "dfg"), ()),
+            "sim": ((0, 2, 4), ("arch", "bitstream", "script", "image"),
+                    ("--result-len", "16", "--cycle-limit", "50"))}
+CLI_CASES = [(command, name) for command, (_, names, _) in CLI_RUNS.items() for name in names]
+
+
+@pytest.mark.parametrize("command, name", CLI_CASES, ids=[f"{c}-{n}" for c, n in CLI_CASES])
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+def test_cli_exit_code_on_a_mutated_file(tmp_path_factory, command, name, data):
+    """``cli.main`` over one mutated input file returns an exit code its
+    docstring names, and raises nothing."""
+    codes, names, options = CLI_RUNS[command]
+    workdir = tmp_path_factory.mktemp("cli")
+    argv = [command, "--out", str(workdir / "out.bin"), *options]
+    for each in names:
+        blob = cli_inputs()[each]
+        if each == name:
+            blob = data.draw(mutations([blob]))
+        (workdir / each).write_bytes(blob)
+        argv += [f"--{CLI_FILES[each]}", str(workdir / each)]
+    assert cli.main(argv) in codes

@@ -2,6 +2,7 @@
 
 import random
 from bisect import insort
+from dataclasses import replace
 
 import pytest
 
@@ -412,8 +413,69 @@ class TestStreaming:
         system.submit_script(parse_script("02 1 0 10 0 1\n02 1 1 11 1 1\n"))
         system.run()
         rpu = system.rpus[0]
-        assert rpu.dma.completed == 2
+        assert rpu.dma.idle() and rpu.dma.toggles == 0
         assert rpu.sram.data[0x10:0x12] == [0, 88] and sum(rpu.sram.data) == 88
+
+    @staticmethod
+    def load_store_phase(store_at):
+        """LSU (0, 0) loads word 0 of the array's half and stores it at ``store_at``."""
+        return [(0, 0, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=0),
+                        W(Opcode.STORE, SrcSel.ACC, SrcSel.NONE, DstSel.NONE, imm16=store_at),
+                        W(opcode=Opcode.HALT)])]
+
+    def test_launch_waits_for_a_deferred_flip(self):
+        """Two staging batches and one 200-word streamed batch: phase 1 ends
+        while the streamed batch is in flight, so its flip is deferred. Phase 2
+        waits for that flip and computes on the streamed words; a launch that
+        did not wait would run on phase 1's half (1000) and drop its own flip
+        (1 toggle)."""
+        system = SystemSim(replace(standard_preset(), rpu_count=1),
+                           [1000 + i for i in range(300)])
+        system.register_config(0, self.load_store_phase(16))
+        system.submit_script(parse_script("01 1 0\n02 1 0 0 4 1\n02 1 4 4 4 1\n02 1 8 0 c8 0\n"
+                                          "03 1\n01 1 0\n03 1\n04 1 10 0 1\n"))
+        stats = system.run()
+        assert system.results_words(1) == [1008]
+        assert stats.pingpong_toggles == 2
+
+    def test_random_phase_scripts_compute_on_their_data(self):
+        """Seeded scripts of 1-3 staging batches, 2-4 phases and a store after
+        a random subset of phases, each streamed batch queued before the
+        launch it overlaps: every phase loads its own data, every finish
+        flips once, and the DMA never writes the half the array touches."""
+        rng = random.Random(2525)
+        image = [1000 + i for i in range(4096)]
+        for _ in range(200):
+            phases = rng.randint(2, 4)
+            staging = [(rng.randrange(4000), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+            streamed = [(rng.randrange(4000), rng.randint(1, 64)) for _ in range(phases - 1)]
+            data = [1000 + staging[-1][0]] + [1000 + ext for ext, _ in streamed]
+            # slot p: the commands queued before launch p; batch j fills phase j+1's half
+            slots = [[] for _ in range(phases + 1)]
+            slots[1] = [f"02 1 {ext:x} 0 {n:x} 1" for ext, n in staging]
+            slot = 1
+            for j, (ext, n) in enumerate(streamed, start=1):
+                slot = rng.randint(slot, j)   # behind batch j-1 and the staging batches
+                at = rng.randint(0, len(slots[1])) if j == 1 else len(slots[slot])
+                slots[slot].insert(at, f"02 1 {ext:x} 0 {n:x} 0")
+            lines, stored = ["01 1 0"], {}
+            for p in range(1, phases + 1):
+                lines += slots[p] + ["03 1"]
+                if rng.random() < 0.5:
+                    lines.append(f"04 1 100 {p:x} 1")
+                    stored[p] = data[p - 1]
+                if p < phases:
+                    lines.append("01 1 0")
+            system = SystemSim(arch(), image)
+            system.register_config(0, self.load_store_phase(0x100))
+            system.submit_script(parse_script("\n".join(lines)))
+            collisions = []
+            system.trace_hook = lambda s: collisions.append(
+                s.rpus[0].cycle_dma_half in s.rpus[0].cycle_pea_halves)
+            stats = system.run()
+            assert {p: system.results_buffer[p] for p in stored} == stored, lines
+            assert stats.pingpong_toggles == phases, lines
+            assert not any(collisions), lines
 
 
 def cfg_word(action_nibble, operand):
