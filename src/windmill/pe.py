@@ -517,9 +517,10 @@ class PE:
             dec, value = w
             to = dec[4]
             dest = self.ports.get(dec[5]) if to == _TO_LATCH else None
-            if dest is None or bus.latch_free(dest, dec[6]):
-                if dest is not None:
-                    bus.deliver(dest, dec[6], value)
+            receiver = None if dest is None else bus.pes[dest]
+            if receiver is None or dec[6] not in receiver.latch:
+                if receiver is not None:
+                    bus.deliver(receiver, dec[6], value)
                 elif to == _TO_SREG:
                     bus.sreg_write(self.coord, dec[5], value)
                 elif to == _TO_RTT:
@@ -599,7 +600,7 @@ class PE:
                         return False
                     vals.append(value)
             for direction in dec[3]:
-                bus.consume_latch(self.coord, direction)
+                bus.consume_latch(self, direction)
             if kind == _K_ALU:
                 result = dec[1](vals[0], vals[1])
             elif kind == _K_ROUTE:
@@ -642,7 +643,7 @@ class PE:
             return _STALLED
         src, arg = srcs[0] if ok0 else srcs[1]
         if src == _S_LATCH:
-            bus.consume_latch(self.coord, arg)
+            bus.consume_latch(self, arg)
         return v0 if ok0 else v1
 
     def _mem_request(self, dec, iter_idx: int, vals: list, bus):

@@ -138,8 +138,10 @@ class Rpu:
 
     Also the bus facade the PEs tick against: latch, shared-register and
     memory accesses all go through this object using start-of-cycle
-    snapshots, with effects applied together at the end of the cycle. The
-    PEs are built at the first ``load_config``: ring reads need none.
+    snapshots, with effects applied together at the end of the cycle. Only
+    the live PEs in the awake set tick; an event that can move a PE wakes it
+    (``end_cycle``). The PEs are built at the first ``load_config``: ring
+    reads need none.
     """
 
     def __init__(self, rpu_id: int, machine, ext_memory: list[int]):
@@ -157,7 +159,7 @@ class Rpu:
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
-        self.asleep: set[PE] = set()   # live PEs whose last tick changed nothing
+        self.awake: dict[PE, None] = {}   # the live PEs that tick next cycle, in wake order
         self.running_cycles = 0
         self.action_log: list[str] = []
         # staged cycle effects
@@ -195,7 +197,7 @@ class Rpu:
         for pe in self.pes.values():
             pe.launch_reset()
         self.live = [pe for pe in self.pes.values() if not pe.done]   # raster order
-        self.asleep.clear()
+        self.awake = dict.fromkeys(self.live)
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
         self.running_cycles = 0
@@ -214,14 +216,11 @@ class Rpu:
 
     # -- bus facade for PE.tick -------------------------------------------
 
-    def latch_free(self, coord, direction) -> bool:
-        return direction not in self.pes[coord].latch
+    def deliver(self, pe, direction, value):
+        self._deliveries.append((pe, direction, value))
 
-    def deliver(self, coord, direction, value):
-        self._deliveries.append((coord, direction, value))
-
-    def consume_latch(self, coord, direction):
-        self._consumes.append((coord, direction))
+    def consume_latch(self, pe, direction):
+        self._consumes.append((pe, direction))
 
     def sreg_read(self, coord, idx):
         return self.sregs.read(coord, idx)
@@ -259,41 +258,43 @@ class Rpu:
     # -- cycle advance ------------------------------------------------------
 
     def tick_pes(self, now: int):
-        """Tick the awake live PEs in cycle ``now``; drop those that finish. A
-        PE whose tick changes nothing sleeps until an event wakes it. Every
-        effect of a tick is staged until ``end_cycle`` or sorted on arrival,
-        so the order the PEs are visited in changes no run."""
+        """Tick a snapshot of the awake PEs in cycle ``now``. A PE whose tick
+        changes nothing leaves the awake set until ``end_cycle`` wakes it; one
+        that finishes leaves it and ``live``. Every effect of a tick is staged
+        until ``end_cycle`` or sorted on arrival, so the order the PEs are
+        visited in changes no run."""
         self.now = now
-        asleep = self.asleep
-        finished = False
-        for pe in self.live:
-            if pe in asleep:
-                continue
+        awake = self.awake
+        for pe in list(awake):   # a list: tuple snapshots measured ~0.3 MB more peak RSS
             if not pe.tick(self):
-                asleep.add(pe)
+                del awake[pe]
             elif pe.done:
-                finished = True
-        if finished:
-            self.live = [pe for pe in self.live if not pe.done]
+                del awake[pe]
+                self.live.remove(pe)
 
     def end_cycle(self, system):
-        # wakes: a delivery its receiver, a consume its driver (symmetric ports), a commit all
-        pes, asleep = self.pes, self.asleep
-        for coord, direction in self._consumes:   # a word pulls each latch once
-            pe = pes[coord]
+        """Apply the cycle's staged effects, then step memory and the DMA. A
+        wake is precise: a delivery wakes its receiver only if the decoded
+        word waiting to fire pulls that latch, a consume wakes the driver
+        (symmetric ports) only if its write-back waits on that latch, and a
+        shared-register commit wakes every live PE."""
+        awake = self.awake
+        for pe, direction in self._consumes:   # a word pulls each latch once
             del pe.latch[direction]
-            asleep.discard(pes[pe.ports[direction]])
+            driver = self.pes[pe.ports[direction]]
+            if driver.w_slot is not None and driver.w_slot[0][6] is direction:
+                awake[driver] = None
         self._consumes.clear()
-        for coord, direction, value in self._deliveries:
-            pe = pes[coord]
-            if direction in pe.latch:   # symmetric ports: one driver, and it asked latch_free
-                raise SimulationError(f"latch overrun at {coord} {direction}")
+        for pe, direction, value in self._deliveries:
+            if direction in pe.latch:   # symmetric ports: one driver, and it found the latch free
+                raise SimulationError(f"latch overrun at {pe.coord} {direction}")
             pe.latch[direction] = value
-            asleep.discard(pe)
+            if pe.d_slot is not None and direction in pe.d_slot[0][3]:
+                awake[pe] = None
         self._deliveries.clear()
         if self.sregs.pending:
             self.sregs.commit()
-            asleep.clear()
+            self.awake = dict.fromkeys(self.live)
 
         # a grant's response is readable the next cycle, a ring grant's one
         # transit cycle later at its origin, the counterclockwise neighbor
@@ -319,8 +320,8 @@ class Rpu:
                 self._responses[req.requester] = (now + 1, value)
         self.cycle_pea_halves = halves
 
-        dma = self.dma
-        self.cycle_dma_half = None if dma.idle() else dma.step(self.sram, blocked)
+        dma = self.dma   # not dma.idle(): inline on the hot path
+        self.cycle_dma_half = dma.step(self.sram, blocked) if dma.active or dma.queue else None
         # the launch rule keeps staging out of a phase; a streamed batch fills the DMA's half
         if self.cycle_dma_half in halves and self.status == RpuStatus.RUNNING:
             raise SimulationError(
@@ -331,7 +332,7 @@ class Rpu:
             if not self.live:
                 self.status = RpuStatus.DONE
                 self.dma.request_toggle()
-            elif len(asleep) == len(self.live):
+            elif not self.awake:
                 # no PE waits on memory, and only a PE can wake another
                 raise DeadlockDetected(
                     f"rpu {self.id}: deadlock after {self.running_cycles} cycles: "
@@ -483,20 +484,20 @@ class SystemSim:
                 self._activate(neighbor)
         now = self.stats.total_cycles
         for rpu in active:
-            if rpu.live:
+            if rpu.awake:
                 rpu.tick_pes(now)
-        running = False
+        running = 0
         for rpu in active:
             rpu.end_cycle(self)
-            if rpu.status == RpuStatus.RUNNING:
-                running = True
+            running += rpu.status == RpuStatus.RUNNING
         self.stats.total_cycles += 1
         if self.trace_hook is not None:
             self.trace_hook(self)
-        for rpu in [r for r in active if r.status != RpuStatus.RUNNING and r.quiescent()]:
-            active.remove(rpu)   # and from the next cycle on touches no half
-            rpu.cycle_pea_halves, rpu.cycle_dma_half = _NO_HALVES, None
-        return running
+        if running < len(active):   # a running RPU is never quiescent
+            for rpu in [r for r in active if r.status != RpuStatus.RUNNING and r.quiescent()]:
+                active.remove(rpu)   # and from the next cycle on touches no half
+                rpu.cycle_pea_halves, rpu.cycle_dma_half = _NO_HALVES, None
+        return running > 0
 
     def quiescent(self) -> bool:
         return not self.script and not self._active

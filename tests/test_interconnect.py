@@ -113,9 +113,9 @@ def drive(topology, dims, sends):
     for _ in range(8):
         for pe in pes.values():
             pe.tick(bus)
-        for coord, entry, value in bus._deliveries:
-            assert (coord, entry) not in delivered
-            delivered[(coord, entry)] = value
+        for receiver, entry, value in bus._deliveries:
+            assert (receiver.coord, entry) not in delivered
+            delivered[(receiver.coord, entry)] = value
         bus.end_cycle()
     assert all(pe.done for pe in pes.values())
     return delivered, pes

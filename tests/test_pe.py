@@ -311,7 +311,9 @@ class TestByValue:
 
 
 class FakeBus:
-    """Single-PE test double implementing the array-side bus protocol."""
+    """Single-PE test double implementing the array-side bus protocol:
+    write-back reads a receiver's latch through ``pes``, and deliveries and
+    consumes are staged by PE object until ``end_cycle``."""
 
     def __init__(self, pes):
         self.pes = dict(pes)
@@ -323,14 +325,11 @@ class FakeBus:
         self.sreg = {}
         self.rtt_actions = []
 
-    def latch_free(self, coord, direction):
-        return direction not in self.pes[coord].latch
+    def deliver(self, pe, direction, value):
+        self._deliveries.append((pe, direction, value))
 
-    def deliver(self, coord, direction, value):
-        self._deliveries.append((coord, direction, value))
-
-    def consume_latch(self, coord, direction):
-        self._consumes.append((coord, direction))
+    def consume_latch(self, pe, direction):
+        self._consumes.append((pe, direction))
 
     def sreg_read(self, coord, idx):
         return self.sreg.get(idx, (0, False))
@@ -348,12 +347,12 @@ class FakeBus:
         self.rtt_actions.append((coord, imm16))
 
     def end_cycle(self):
-        for coord, direction in set(self._consumes):
-            del self.pes[coord].latch[direction]
+        for pe, direction in set(self._consumes):
+            del pe.latch[direction]
         self._consumes.clear()
-        for coord, direction, value in self._deliveries:
-            assert direction not in self.pes[coord].latch
-            self.pes[coord].latch[direction] = value
+        for pe, direction, value in self._deliveries:
+            assert direction not in pe.latch
+            pe.latch[direction] = value
         self._deliveries.clear()
         self.responses = self._next_responses
         self._next_responses = {}

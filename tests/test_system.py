@@ -758,23 +758,26 @@ class TestRing:
 
     @pytest.mark.parametrize("run", ["ring", 4, 5, "pingpong", *sorted(ALL_KERNELS)])
     def test_pe_visit_order_does_not_change_a_run(self, run, monkeypatch):
-        """Visiting the awake PEs of each RPU in reverse coordinate order, or
-        in a seeded shuffle each cycle, changes no count and no result."""
-        raster = self._observed(run)
+        """Visiting the awake PEs of each RPU in reverse order, or in a seeded
+        shuffle each cycle, changes no count and no result: the awake set is
+        reordered before ``tick_pes`` takes the snapshot it ticks."""
+        unpermuted = self._observed(run)
         tick_pes = Rpu.tick_pes
 
         def visiting(order):
             def permuted(self, now):
-                live = self.live
-                self.live = order(list(live))
+                pes = list(self.awake)
+                self.awake = dict.fromkeys(order(list(pes)))
+                reordered.append(list(self.awake) != pes)
                 tick_pes(self, now)
-                self.live = [pe for pe in live if not pe.done]
             return permuted
 
         shuffle = random.Random(f"pe-order-{run}").shuffle
         for order in (lambda pes: pes[::-1], lambda pes: shuffle(pes) or pes):
+            reordered = []
             monkeypatch.setattr(Rpu, "tick_pes", visiting(order))
-            assert self._observed(run) == raster
+            assert self._observed(run) == unpermuted
+            assert any(reordered)
 
     @staticmethod
     def _concurrent_ring_system():

@@ -1,11 +1,14 @@
-"""Event-driven PE scheduling: an asleep PE could not have progressed.
+"""Event-driven PE scheduling: a PE outside the awake set could not progress.
 
-An RPU ticks a live PE only while it is awake. A tick that changes nothing
-puts the PE to sleep; a delivery into its latch, the consumption of a latch
-it drives into, a shared-register commit or a launch wakes it. The oracle
-below checks, after every simulated cycle, that each asleep PE would still
-change nothing if ticked now: a copy of it is ticked against a read-only
-bus that sees the RPU's current latches, shared registers and responses.
+An RPU ticks only the live PEs in its awake set. A tick that changes nothing
+takes the PE out of the set. A launch or a shared-register commit puts every
+live PE back; otherwise a wake is precise: a delivery wakes its receiver only
+if the decoded word waiting to fire pulls that latch, and a consume wakes the
+latch's driver only if its write-back waits on that latch. The oracle below
+checks, after every simulated cycle, that each live PE outside the awake set
+would still change nothing if ticked now: a copy of it is ticked against a
+read-only bus that sees the RPU's current latches, shared registers and
+responses.
 """
 
 import copy
@@ -36,11 +39,9 @@ class ReadOnlyBus:
 
     def __init__(self, rpu, now):
         self.rpu = rpu
+        self.pes = rpu.pes   # write-back reads a receiver's latch through it
         self.now = now   # the cycle about to tick
         self.effects = []
-
-    def latch_free(self, coord, direction):
-        return direction not in self.rpu.pes[coord].latch
 
     def sreg_read(self, coord, idx):
         return self.rpu.sregs.read(coord, idx)
@@ -62,15 +63,18 @@ def pe_state(pe):
 
 
 class SleepOracle:
-    """A ``trace_hook`` that checks every asleep PE after every cycle."""
+    """A ``trace_hook`` that checks, after every cycle, every live PE that is
+    not in its RPU's awake set."""
 
     def __init__(self):
         self.checks = 0
 
     def __call__(self, system):
         for rpu in system.rpus:
-            assert rpu.asleep <= set(rpu.live)
-            for pe in rpu.asleep:
+            assert set(rpu.awake) <= set(rpu.live)
+            for pe in rpu.live:
+                if pe in rpu.awake:
+                    continue
                 # the port table and the decoded context are read-only
                 twin = copy.deepcopy(pe, {id(pe.ports): pe.ports, id(pe._code): pe._code})
                 bus = ReadOnlyBus(rpu, system.stats.total_cycles)
@@ -119,11 +123,18 @@ def test_random_graphs_keep_the_sleep_invariant(k):
     assert checks > 0
 
 
-def run_config(records):
-    """Load config 0 into RPU 0 of an 8x8 array and launch it, under the oracle."""
+def run_config(records, observe=None):
+    """Load config 0 into RPU 0 of an 8x8 array and launch it, under the
+    oracle; ``observe(rpu)`` also runs after every cycle."""
     system = SystemSim(arch("standard.arch"))
     oracle = SleepOracle()
-    system.trace_hook = oracle
+
+    def hook(system):
+        oracle(system)
+        if observe is not None:
+            observe(system.rpus[0])
+
+    system.trace_hook = hook
     system.register_config(0, records)
     system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
     system.run()
@@ -152,6 +163,58 @@ def test_shared_register_reader_keeps_the_sleep_invariant():
               W(opcode=Opcode.HALT)]
     rpu, checks = run_config([(1, 1, writer), (6, 6, reader)])
     assert rpu.pes[(6, 6)].acc == 78
+    assert checks > 0
+
+
+def test_delivery_wakes_only_a_pe_whose_word_pulls_the_latch():
+    """(2,2)'s word pulls W and N. It falls asleep lacking both; the value
+    (2,3) drives into its E latch leaves it asleep, the one (1,2) drives
+    into N wakes it, and the one (2,1) drives into W lets it fire."""
+    target = [W(Opcode.ADD, SrcSel.W, SrcSel.N, DstSel.ACC), W(opcode=Opcode.HALT)]
+    east = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.W, imm16=1), W(opcode=Opcode.HALT)]
+    north = [W(opcode=Opcode.NOP, iter_count=4),
+             W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.S, imm16=20), W(opcode=Opcode.HALT)]
+    west = [W(opcode=Opcode.NOP, iter_count=10),
+            W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=300), W(opcode=Opcode.HALT)]
+    seen = []   # after each cycle: (2,2)'s filled latches, and whether it is awake
+
+    def observe(rpu):
+        pe = rpu.pes[(2, 2)]
+        seen.append((set(pe.latch), pe in rpu.awake))
+
+    rpu, checks = run_config([(2, 2, target), (2, 3, east), (1, 2, north), (2, 1, west)],
+                             observe)
+    assert rpu.pes[(2, 2)].acc == 320
+    first_e = next(i for i, (latches, _) in enumerate(seen) if Direction.E in latches)
+    first_n = next(i for i, (latches, _) in enumerate(seen) if Direction.N in latches)
+    assert 0 < first_e < first_n
+    assert not any(awake for _, awake in seen[first_e - 1:first_n])
+    assert seen[first_n][1]
+    assert checks > 0
+
+
+def test_consume_does_not_wake_a_driver_with_an_empty_write_back():
+    """(3,2) drives one value into (3,3)'s W latch and then sleeps, its
+    write-back empty, on a word that waits for (4,2)'s value. (3,3)
+    consumes the W latch while (3,2) sleeps; that consume leaves it asleep."""
+    driver = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=5),
+              W(Opcode.ADD, SrcSel.S, SrcSel.ACC, DstSel.ACC), W(opcode=Opcode.HALT)]
+    consumer = [W(opcode=Opcode.NOP, iter_count=6),
+                W(Opcode.ADD, SrcSel.W, SrcSel.IMM, DstSel.ACC, imm16=1), W(opcode=Opcode.HALT)]
+    south = [W(opcode=Opcode.NOP, iter_count=12),
+             W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.N, imm16=7), W(opcode=Opcode.HALT)]
+    seen = []   # after each cycle: (3,3) holds W, (3,2)'s write-back is empty, (3,2) is awake
+
+    def observe(rpu):
+        driver_pe = rpu.pes[(3, 2)]
+        seen.append((Direction.W in rpu.pes[(3, 3)].latch, driver_pe.w_slot is None,
+                     driver_pe in rpu.awake))
+
+    rpu, checks = run_config([(3, 2, driver), (3, 3, consumer), (4, 2, south)], observe)
+    assert (rpu.pes[(3, 3)].acc, rpu.pes[(3, 2)].acc) == (6, 7)
+    consumed = next(i for i in range(1, len(seen)) if seen[i - 1][0] and not seen[i][0])
+    assert seen[consumed - 1][1:] == (True, False)   # asleep before, write-back empty
+    assert seen[consumed][1:] == (True, False)       # and the consume left it asleep
     assert checks > 0
 
 
