@@ -288,11 +288,11 @@ class _Scheduler:
     def read_floor(self, pe, entry: Direction) -> int:
         return self.last_consume.get((pe, entry), 0)
 
-    def route(self, src, dst, forbidden_final: set) -> list | None:
+    def route(self, src, dst) -> list | None:
         """Deterministic cheapest path src -> dst.
 
-        Every hop must enter a latch with no pending arrival; the final
-        entry must avoid the consumer's already-claimed operand ports;
+        Every hop must enter a latch with no pending arrival, the final one
+        too, so no two unconsumed operands of one consumer share a port;
         transit cells at context capacity are impassable. Among shortest
         paths, the one through the least-occupied cells wins.
 
@@ -336,8 +336,6 @@ class _Scheduler:
                     if to in seen or link[3] in pending:
                         continue
                     if to == dst:
-                        if link[2] in forbidden_final:
-                            continue
                         extra = 0
                     else:
                         extra = op_count.get(to, 0)
@@ -431,7 +429,6 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
     sched = _Scheduler(machine, capacity)
     # (producer, consumer) -> (operand select, entry latch or None, ready step)
     arrivals: dict[tuple[str, str], tuple] = {}
-    claimed_entries: dict[str, set] = {ln.id: set() for ln in lnodes}
     routes: dict[tuple, list] = {}
     node_step: dict[str, int] = {}
     acc_owner: dict[tuple, str] = {}
@@ -439,7 +436,7 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
     def schedule_chain(v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
         """Route and schedule one value chain v -> cid. All or nothing."""
         src_pe, dst_pe = placement[v], placement[cid]
-        path = sched.route(src_pe, dst_pe, claimed_entries[cid])
+        path = sched.route(src_pe, dst_pe)
         if path is None:
             return False
         first = path[0]
@@ -462,7 +459,6 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
             prev_step, prev_entry = s, entry
         final_entry = path[-1][3]
         sched.arrive(dst_pe, final_entry)
-        claimed_entries[cid].add(final_entry)
         arrivals[(v, cid)] = (_SRC_DIR[final_entry], final_entry, prev_step)
         routes[(v, cid)] = [src_pe] + [h[2] for h in path]
         return True

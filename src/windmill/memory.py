@@ -120,18 +120,19 @@ class TransferBatch:
     length: int
     staging: bool = False      # pre-launch load: half chosen by the array side
     progress: int = 0
+    flip: int = 0              # the flips that land before it starts; bound when queued
 
 
 class DmaController:
     """Streams transfer batches into the scratchpad and owns the launch rule.
 
     Staging batches (pre-launch loads) target the array's half and start
-    immediately. The j-th streamed batch (the data of phase j+1) is gated on
-    j-1 ping-pong toggles, which is exactly "the half I own now is the half
-    this batch belongs in". The array's finish signal flips ownership; a
-    flip requested mid-batch is deferred until the batch completes. A phase
-    waits for a deferred flip (``launch_waits``), so no second finish comes
-    while one is deferred and no flip is dropped.
+    immediately. The j-th streamed batch holds phase j+1's data, phases
+    counted from 1: ``enqueue`` binds it to start after flip j-1, in the
+    DMA's half, which flip j hands to phase j+1. The array's finish signal
+    flips ownership; a flip requested mid-batch is deferred until the batch
+    completes. A phase waits for a deferred flip (``launch_waits``), so no
+    second finish comes while one is deferred and no flip is dropped.
     """
 
     def __init__(self, ext_memory: list[int], half_words: int):
@@ -139,7 +140,7 @@ class DmaController:
         self.half_words = half_words
         self.queue: list[TransferBatch] = []
         self.active: TransferBatch | None = None
-        self.streamed_started = 0
+        self.streamed = 0                 # streamed batches queued
         self.toggles = 0
         self.flip_pending = False         # a finish signal waits for the active batch
         self.stall_cycles = 0
@@ -153,8 +154,14 @@ class DmaController:
     def array_half(self) -> int:
         return self.toggles % 2
 
-    def enqueue(self, batch: TransferBatch):
+    def enqueue(self, batch: TransferBatch) -> bool:
+        """Queue ``batch``, binding a streamed one to its flip. True if it is
+        late: the flip that hands its half to the array is already requested."""
+        if not batch.staging:
+            batch.flip = self.streamed
+            self.streamed += 1
         self.queue.append(batch)
+        return not batch.staging and self.toggles + self.flip_pending > batch.flip
 
     def idle(self) -> bool:
         return self.active is None and not self.queue
@@ -164,13 +171,9 @@ class DmaController:
         one queued ahead of a streamed batch that waits for the flip."""
         if self.active is not None and self.active.staging:
             return True
-        free = self.toggles >= self.streamed_started   # one streamed batch may still start
-        for batch in self.queue:
-            if batch.staging:
-                return True
-            if not free:
-                return False
-            free = False
+        for batch in self.queue:   # to the first staging batch or one waiting for its flip
+            if batch.staging or batch.flip > self.toggles:
+                return batch.staging
         return False
 
     def launch_waits(self) -> bool:
@@ -191,13 +194,10 @@ class DmaController:
         the array wins same-bank ties, the DMA stalls and retries.
         """
         batch = self.active
-        if batch is None:   # the j-th streamed batch starts after j-1 flips
-            if not self.queue or (not self.queue[0].staging
-                                  and self.toggles < self.streamed_started):
+        if batch is None:   # a batch starts once its flip has landed
+            if not self.queue or self.queue[0].flip > self.toggles:
                 return None
             batch = self.active = self.queue.pop(0)
-            if not batch.staging:
-                self.streamed_started += 1
         half = None
         if batch.progress < batch.length:   # a zero-length batch writes nothing
             half = self._half_of(batch)

@@ -452,7 +452,11 @@ class SystemSim:
         elif action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
             rpu.check_region("data", sm, length)
-            rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging)))
+            batch = TransferBatch(ext, sm, length, staging=bool(staging))
+            if rpu.dma.enqueue(batch):
+                raise ProtocolOrderViolation(
+                    f"rpu {rpu.id}: late streamed batch (ext {ext}, sm {sm}, len {length}): the "
+                    f"flip that hands its half to phase {batch.flip + 2} is already requested")
         elif action == "launch":
             rpu.launch()
         elif action == "store_results":

@@ -242,8 +242,9 @@ def _cpe_workload(phases, with_cpe):
                                     shared_reg_idx=1),
                          ConfigWord(opcode=Opcode.HALT)])]
     system.register_config(1, phase_cfg)
-    entries = [(0, 0, length, 1)]
-    entries += [(length * (k + 1), 0, length, 0) for k in range(phases - 1)]
+    # phase k+1 reads words length*k..; a controller's batches are carried out
+    # after its own phase ends, too late to stream, so they stage
+    entries = [(length * k, 0, length, int(with_cpe or k == 0)) for k in range(phases)]
     if with_cpe:
         words = []
         for k in range(phases):
@@ -262,11 +263,13 @@ def _cpe_workload(phases, with_cpe):
                   HostCommand(0x01, (0x1, 0)),
                   HostCommand(0x03, (0x1,))]
     else:
-        script = []
+        # streamed batch k fills phase k+1's half, so it queues before launch k
+        script = [HostCommand(0x02, (0x1,) + e) for e in entries[:2]]
         for k in range(phases):
-            script.append(HostCommand(0x02, (0x1,) + entries[k]))
             script.append(HostCommand(0x01, (0x1, 1)))
             script.append(HostCommand(0x03, (0x1,)))
+            if k + 2 < phases:
+                script.append(HostCommand(0x02, (0x1,) + entries[k + 2]))
     system.submit_script(script)
     stats = system.run()
     return system, stats
@@ -288,8 +291,11 @@ def test_criterion_7_detachment_purity():
         sys_c, stats_c = _cpe_workload(phases, with_cpe=True)
         assert sys_c.rpus[0].action_log.count("launch") == phases + 1
         with_counts[phases] = stats_c.host_commands
-        _, stats_h = _cpe_workload(phases, with_cpe=False)
+        sys_h, stats_h = _cpe_workload(phases, with_cpe=False)
         without_counts[phases] = stats_h.host_commands
+        # the last phase loaded its own words: the 8th of length*(phases-1)+1..
+        for system in (sys_c, sys_h):
+            assert system.rpus[0].pes[(0, 1)].acc == 32 * (phases - 1) + 8
     assert with_counts[2] == with_counts[4] == 3            # setup only
     assert without_counts[4] >= without_counts[2] + 2       # >= 1 per phase
     ok(7, f"no controller residue; host commands with CPE = 3 for any n, "

@@ -396,8 +396,13 @@ class TestSim:
         (None, "01 1 0\n03 1\n04 1 7f8 0 10\n", "results region 2040+16 outside half space"),
         # 0x7fc = 2044: 8 words from there would wrap into the half's first words
         (None, "01 1 0\n02 1 0 7fc 8 1\n03 1\n", "data region 2044+8 outside half space"),
+        # phase 2's streamed batch queued behind launch 1, so after phase 1's flip
+        (None, "01 1 0\n02 1 0 0 4 1\n03 1\n02 1 8 0 4 0\n01 1 0\n03 1\n04 1 10 0 1\n",
+         "rpu 0: late streamed batch (ext 8, sm 0, len 4): the flip that hands its half "
+         "to phase 2 is already requested"),
     ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done",
-            "missing-rpu-mask", "results-past-the-half", "data-past-the-half"])
+            "missing-rpu-mask", "results-past-the-half", "data-past-the-half",
+            "late-streamed-batch"])
     def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
                                                               imm16, script, message):
         """A protocol fault met after cycles have run is a run-time fault:

@@ -109,9 +109,10 @@ def ring_run(traced):
                 W(opcode=Opcode.HALT)]),
         (0, 0, [W(Opcode.STORE, SrcSel.E, SrcSel.NONE, DstSel.NONE, imm16=50),
                 W(opcode=Opcode.HALT)])])
+    # the streamed batch queues before the launch it overlaps
     system.submit_script([HostCommand(0x02, (0x1, 0, 0, 100, 1)),
-                          HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,)),
                           HostCommand(0x02, (0x1, 100, 0, 150, 0)),
+                          HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,)),
                           HostCommand(0x04, (0x1, 50, 7, 1))])
     system.run()
     return system, outcome(system, system.results_words(1, 7))

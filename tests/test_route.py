@@ -3,8 +3,8 @@
 ``oracle_route`` is the full Dijkstra over (hops, occupancy, push order)
 that ``_Scheduler.route`` ran before it pruned by free-grid distance. On
 seeded random scheduler states -- pending latches, cells at and near
-context capacity, claimed final entries -- both must return the same path,
-including ``None``.
+context capacity, claimed operand ports of the consumer -- both must return
+the same path, including ``None``.
 """
 
 import heapq
@@ -22,7 +22,7 @@ from test_e2e import make_arch
 TOPOLOGIES = (TopologyKind.MESH2D, TopologyKind.TORUS, TopologyKind.ONE_HOP)
 
 
-def oracle_route(sched, src, dst, forbidden_final):
+def oracle_route(sched, src, dst):
     """The unbounded search: every reachable cell is settled in order."""
     if src == dst:
         return None
@@ -47,8 +47,6 @@ def oracle_route(sched, src, dst, forbidden_final):
             if to in seen or (to, entry) in sched.pending:
                 continue
             if to == dst:
-                if entry in forbidden_final:
-                    continue
                 extra = 0
             else:
                 extra = sched.op_count.get(to, 0)
@@ -61,7 +59,7 @@ def oracle_route(sched, src, dst, forbidden_final):
 
 def random_state(rng, topology):
     """A scheduler mid-map: some latches pending, some cells near or at
-    capacity, and src/dst pairs with claimed final entries."""
+    capacity, and src/dst pairs with claimed operand ports at dst."""
     size = rng.randint(4, 8)
     capacity = rng.randint(2, 8)
     sched = _Scheduler(standard_machine(make_arch(size, size, topology)), capacity)
@@ -92,13 +90,17 @@ def test_bounded_route_matches_unbounded(topology):
         sched, queries = random_state(rng, topology)
         free = _Scheduler(sched.machine, sched.capacity)
         for src, dst, claimed in queries:
-            got = sched.route(src, dst, claimed)
-            assert got == oracle_route(sched, src, dst, claimed), (src, dst, claimed)
+            # a claimed operand port holds an arrival its consumer has not consumed
+            added = {(dst, d) for d in claimed} - sched.pending
+            sched.pending |= added
+            got = sched.route(src, dst)
+            assert got == oracle_route(sched, src, dst), (src, dst, claimed)
+            sched.pending -= added
             if src == dst:
                 continue
             # the table's distance is the length of an unconstrained search
             distance = sched.hops_to(dst)[src]
-            assert distance == len(oracle_route(free, src, dst, set()))
+            assert distance == len(oracle_route(free, src, dst))
             if got is None:
                 unreachable += 1
             elif len(got) > distance:

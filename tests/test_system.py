@@ -1,6 +1,7 @@
 """RPU composition, host protocol, CPE offload, ring access, ping-pong."""
 
 import random
+import re
 from bisect import insort
 from dataclasses import replace
 
@@ -438,13 +439,31 @@ class TestStreaming:
         assert system.results_words(1) == [1008]
         assert stats.pingpong_toggles == 2
 
+    def test_late_streamed_batch_faults(self):
+        """A streamed batch queued behind the launch of the phase it should
+        overlap is carried out once that phase's flip is requested: it would
+        fill the half the array just left, so it faults."""
+        system = SystemSim(replace(standard_preset(), rpu_count=1),
+                           [1000 + i for i in range(300)])
+        system.register_config(0, self.load_store_phase(16))
+        system.submit_script(parse_script("01 1 0\n02 1 0 0 4 1\n03 1\n02 1 8 0 4 0\n"
+                                          "01 1 0\n03 1\n04 1 10 0 1\n"))
+        with pytest.raises(ProtocolOrderViolation, match=re.escape(
+                "rpu 0: late streamed batch (ext 8, sm 0, len 4): the flip that hands "
+                "its half to phase 2 is already requested")):
+            system.run()
+        assert system.rpus[0].action_log == ["load_config", "load_data", "launch"]
+        assert system.stats.total_cycles > 0 and not system.results_buffer
+
     def test_random_phase_scripts_compute_on_their_data(self):
         """Seeded scripts of 1-3 staging batches, 2-4 phases and a store after
-        a random subset of phases, each streamed batch queued before the
-        launch it overlaps: every phase loads its own data, every finish
-        flips once, and the DMA never writes the half the array touches."""
+        a random subset of phases. Where each streamed batch is queued before
+        the launch it overlaps, every phase loads its own data, every finish
+        flips once, and the DMA never writes the half the array touches;
+        where one is queued after it, the first such batch faults."""
         rng = random.Random(2525)
         image = [1000 + i for i in range(4096)]
+        outcomes = set()
         for _ in range(200):
             phases = rng.randint(2, 4)
             staging = [(rng.randrange(4000), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
@@ -453,9 +472,15 @@ class TestStreaming:
             # slot p: the commands queued before launch p; batch j fills phase j+1's half
             slots = [[] for _ in range(phases + 1)]
             slots[1] = [f"02 1 {ext:x} 0 {n:x} 1" for ext, n in staging]
-            slot = 1
+            slot, late = 1, None
             for j, (ext, n) in enumerate(streamed, start=1):
-                slot = rng.randint(slot, j)   # behind batch j-1 and the staging batches
+                if rng.random() < 0.15:   # behind launch j: late
+                    slot = rng.randint(max(slot, j + 1), phases)
+                else:   # behind batch j-1 and the staging batches
+                    slot = rng.randint(slot, max(slot, j))
+                if slot > j and late is None:
+                    late = (f"rpu 0: late streamed batch (ext {ext}, sm 0, len {n}): the flip "
+                            f"that hands its half to phase {j + 1} is already requested")
                 at = rng.randint(0, len(slots[1])) if j == 1 else len(slots[slot])
                 slots[slot].insert(at, f"02 1 {ext:x} 0 {n:x} 0")
             lines, stored = ["01 1 0"], {}
@@ -472,10 +497,16 @@ class TestStreaming:
             collisions = []
             system.trace_hook = lambda s: collisions.append(
                 s.rpus[0].cycle_dma_half in s.rpus[0].cycle_pea_halves)
-            stats = system.run()
-            assert {p: system.results_buffer[p] for p in stored} == stored, lines
-            assert stats.pingpong_toggles == phases, lines
+            outcomes.add(late is None)
+            if late is not None:
+                with pytest.raises(ProtocolOrderViolation, match=re.escape(late)):
+                    system.run()
+            else:
+                stats = system.run()
+                assert {p: system.results_buffer[p] for p in stored} == stored, lines
+                assert stats.pingpong_toggles == phases, lines
             assert not any(collisions), lines
+        assert outcomes == {True, False}
 
 
 def cfg_word(action_nibble, operand):
@@ -496,9 +527,10 @@ class TestCpe:
         image = list(range(1, 1 + length * (phases + 1)))
         system = SystemSim(params, image)
         system.register_config(1, self.make_phase_config(0))
-        manifest_entries = [(0, 0, length, 1)]         # staging descriptor
-        manifest_entries += [(length * (k + 1), 0, length, 0)
-                             for k in range(phases - 1)]
+        # descriptor k holds phase k+1's data; a controller's batches are carried
+        # out after its own phase ends, too late to stream, so they stage
+        manifest_entries = [(length * k, 0, length, int(with_cpe or k == 0))
+                            for k in range(phases)]
         if with_cpe:
             cpe_words = []
             for k in range(phases):
@@ -516,12 +548,13 @@ class TestCpe:
                 HostCommand(0x03, (0x1,)),
             ]
         else:
-            script = []
+            # streamed batch k fills phase k+1's half, so it queues before launch k
+            script = [HostCommand(0x02, (0x1,) + e) for e in manifest_entries[:2]]
             for k in range(phases):
-                e = manifest_entries[k]
-                script.append(HostCommand(0x02, (0x1,) + e))
                 script.append(HostCommand(0x01, (0x1, 1)))
                 script.append(HostCommand(0x03, (0x1,)))
+                if k + 2 < phases:
+                    script.append(HostCommand(0x02, (0x1,) + manifest_entries[k + 2]))
         system.submit_script(script)
         stats = system.run()
         return system, stats
