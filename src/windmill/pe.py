@@ -275,30 +275,29 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
     return records
 
 
-# RTT payload nibbles a controller may emit: host opcodes 01-04 (all but load_manifest)
-_CONTROLLER_ACTIONS = range(1, 5)
-
-
 def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]):
     """Static legality of a bitstream against a ``plugins.MachineRecord``.
 
     Every field a defined value, memory ops only on LSUs, the RTT
-    destination only on the CPE and only with a defined action nibble in
-    the words that emit, a directional select (N..W2) the word reads only
-    where a link of its PE fills that latch, one it drives only when some
-    link of the machine runs that way (a drive off the grid edge is legal
-    and drops its value), shared-register selects the PE reads or writes
-    within the register count, capacity respected, all targets inside the
-    grid. The rules hold on every PE a record configures (under SCMD its
-    whole row: ``record_holders``), and no PE is configured twice. Each
-    word is checked once per process for each PE type, register count and
-    pair of link-direction sets it meets.
+    destination only on the CPE and, in the words that emit, only with a
+    nibble the machine's RTT maps to an action a controller may queue, a
+    directional select (N..W2) the word reads only where a link of its PE
+    fills that latch, one it drives only when some link of the machine runs
+    that way (a drive off the grid edge is legal and drops its value),
+    shared-register selects the PE reads or writes within the register
+    count, capacity respected, all targets inside the grid. The rules hold
+    on every PE a record configures (under SCMD its whole row:
+    ``record_holders``), and no PE is configured twice. Each word is checked
+    once per process for each PE type, register count, pair of
+    link-direction sets and set of controller nibbles it meets.
     """
     params = machine.params
     cap = params.context_capacity()
     n_sregs = params.shared_reg_count
     directions = machine.derived(_link_directions)
     cell_directions = machine.derived(_cell_directions)
+    # the RTT payload nibbles a controller may emit: every action but load_manifest
+    nibbles = frozenset(op for op, action in machine.rtt.items() if action != "load_manifest")
     seen = set()
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
@@ -311,7 +310,7 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
                 raise CapacityExceeded(f"PE ({r},{c}): {len(words)} words > capacity {cap}")
             pe_type, links = params.pe_type(r, c), cell_directions[(r, c)]
             for i, w in enumerate(words):
-                problem = _word_problem(w, pe_type, n_sregs, links, directions)
+                problem = _word_problem(w, pe_type, n_sregs, links, directions, nibbles)
                 if problem is not None:
                     raise BitstreamTargetInvalid(f"PE ({r},{c}) word {i}: {problem}")
 
@@ -332,8 +331,8 @@ def _cell_directions(machine) -> dict:
 # bounded like its sibling memos; a config re-registered per job, or a word
 # many PEs share, is checked once per process
 @lru_cache(maxsize=1024)
-def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
-                  cell_directions: frozenset, directions: frozenset) -> str | None:
+def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions: frozenset,
+                  directions: frozenset, nibbles: frozenset) -> str | None:
     """Why ``w`` may not sit on a PE of that type, if it may not."""
     problem = _undefined_field(w)
     if problem is not None:
@@ -347,7 +346,7 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int,
     # all-zero fields encode N, and the index field is also a memory op's
     # stride selector
     _, _, srcs, pulls, to, to_arg, *_ = _predecode(w)
-    if to == _TO_RTT and to_arg >> 12 not in _CONTROLLER_ACTIONS:
+    if to == _TO_RTT and to_arg >> 12 not in nibbles:
         return f"controller action nibble {to_arg >> 12:#x} undefined"
     used = [("reads", d, cell_directions) for d in pulls]
     if to == _TO_LATCH:

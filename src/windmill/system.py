@@ -23,10 +23,10 @@ finish signal flips the ping-pong half ownership so a queued DMA batch can
 stream the next phase's data behind the next compute phase.
 
 A controller PE drives the same action queue without the host: its RTT
-destination writes ``(opcode << 12) | operand`` words, where the opcode is
-host opcode 01-04, decoded through the same table, and the operand names a
-config or a manifest descriptor, so a multi-phase workload needs host
-commands only for the initial setup.
+destination writes ``(opcode << 12) | operand`` words, the opcode decoded
+through the same table and queued in the cycle it is written, the operand
+read by action as a config id or a manifest descriptor, so a multi-phase
+workload needs host commands only for the initial setup.
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ class Rpu:
         self._deliveries: list = []
         self._responses: dict = {}   # LSU coord -> (cycle it is readable in, word read or written)
         self.now = 0   # the cycle the PEs tick in
-        self._cpe_actions: list[int] = []
         # ring: outgoing reads, sorted, and the LSU awaiting a remote value
         self.ring_out: list = []   # (cycle posted, LSU coord, relative address)
         self.ring_wait = None
@@ -253,7 +252,19 @@ class Rpu:
         return response[1]
 
     def rtt_action(self, coord, imm16):
-        self._cpe_actions.append(imm16)   # validation kept RTT destinations on the CPE
+        """Queue the action the machine's RTT decodes the payload's nibble to, in
+        issue order; validation kept RTT payloads on the CPE and their nibbles
+        on the actions a controller may queue."""
+        action, operand = self.machine.rtt[imm16 >> 12], imm16 & 0xFFF
+        if action == "load_config":
+            operands = (operand,)
+        elif action == "launch":
+            operands = ()
+        elif operand < len(self.manifest):
+            operands = self.manifest[operand]
+        else:
+            raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
+        self.queue.append((action, operands))
 
     # -- cycle advance ------------------------------------------------------
 
@@ -343,11 +354,10 @@ class Rpu:
 
     def only_dma_pending(self) -> bool:
         """Nothing but the DMA can move: not running; no arbiter request,
-        memory response, ring transfer or controller action; and any queued
-        head waits on the DMA."""
+        memory response or ring transfer; and any queued head waits on the DMA."""
         return (self.status != RpuStatus.RUNNING and not self.pai.pending
                 and not self._responses and not self.ring_out and self.ring_wait is None
-                and not self._cpe_actions and (not self.queue or self.head_waits()))
+                and (not self.queue or self.head_waits()))
 
     def quiescent(self) -> bool:
         return not self.queue and self.dma.idle() and self.only_dma_pending()
@@ -424,23 +434,8 @@ class SystemSim:
         return [r for r in self.rpus if mask & (1 << r.id)]
 
     def _controller_step(self, rpu: Rpu):
-        # an RTT payload's nibble is host opcode 01-04 (static validation rejects
-        # the rest), its operand a config id, unused, or a manifest descriptor
-        for imm16 in rpu._cpe_actions:
-            nibble, operand = imm16 >> 12, imm16 & 0xFFF
-            if nibble == 0x1:
-                operands = (operand,)
-            elif nibble == 0x3:
-                operands = ()
-            elif operand < len(rpu.manifest):
-                operands = rpu.manifest[operand]
-            else:
-                raise UnknownOpcode(f"controller descriptor {operand} not in manifest")
-            command = HostCommand(nibble, (1 << rpu.id, *operands))
-            action, _, args = decode(self.machine.rtt, command)
-            rpu.queue.append((action, args))
-        rpu._cpe_actions.clear()
-        if not rpu.queue or rpu.status == RpuStatus.RUNNING or rpu.head_waits():
+        """Carry out the queue head of an RPU that is not running, unless it waits."""
+        if rpu.head_waits():
             return
         action, args = rpu.queue[0]
         if action == "load_config":
@@ -475,7 +470,7 @@ class SystemSim:
         active = self._active
         for rpu in tuple(active):   # a forwarded read activates the neighbor
             # a running RPU's queue waits for its finish
-            if rpu._cpe_actions or (rpu.queue and rpu.status != RpuStatus.RUNNING):
+            if rpu.queue and rpu.status != RpuStatus.RUNNING:
                 self._controller_step(rpu)
             # only this RPU posts to its clockwise neighbor's ring port, and its ring_wait
             # is set from that post to the grant: the port is free exactly when it is None.

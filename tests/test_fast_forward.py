@@ -13,11 +13,11 @@ import pytest
 
 from windmill.errors import CycleLimitExceeded
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
-from windmill.memory import DmaController
 from windmill.pe import ConfigWord as W, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.system import HostCommand, SystemSim, run_protocol
 
 import test_sim_golden
+import test_system
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
 from test_e2e import make_arch, random_dfg
 from test_wake import TOPOLOGIES
@@ -25,15 +25,17 @@ from test_wake import TOPOLOGIES
 
 @pytest.fixture()
 def streamed(monkeypatch):
-    """Counts the words the fast-forward streams."""
+    """Counts the cycles the fast-forward streams past; a ticked DMA word,
+    which also goes through `DmaController.stream`, is not counted."""
     count = [0]
-    stream = DmaController.stream
+    dma_only_cycles = SystemSim._dma_only_cycles
 
-    def counting(self, sram, n):
-        count[0] += n
-        return stream(self, sram, n)
+    def counting(self, guard):
+        skip = dma_only_cycles(self, guard)
+        count[0] += skip
+        return skip
 
-    monkeypatch.setattr(DmaController, "stream", counting)
+    monkeypatch.setattr(SystemSim, "_dma_only_cycles", counting)
     return count
 
 
@@ -91,6 +93,21 @@ def test_pingpong(monkeypatch):
         return outcome(systems[0], results)
 
     both_ways(run)
+
+
+@pytest.mark.parametrize("phases", [2, 4])
+def test_controller_workload(phases, streamed, monkeypatch):
+    """``TestCpe``'s controller run: the actions the controller queues while
+    its phase runs hold the fast-forward until they are carried out, and the
+    staging batch each queues is fast-forwarded behind its phase."""
+    def run(traced):
+        monkeypatch.setattr(test_system, "SystemSim",
+                            lambda params, image: new_system(params, traced, image))
+        system, _ = test_system.TestCpe().run_workload(phases, with_cpe=True)
+        return outcome(system, system.rpus[0].action_log)
+
+    both_ways(run)
+    assert streamed[0] > 0
 
 
 def ring_run(traced):

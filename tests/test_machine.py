@@ -26,9 +26,10 @@ from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execut
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.plugins import (HOST_RTT, SHARED_MEMORY, SHARED_REGS, TOPOLOGY, build_system,
                               elaborate_arch, read_machine, standard_plugins)
-from windmill.system import HostCommand, SystemSim, run_protocol
+from windmill.system import HostCommand, SystemSim, parse_script, run_protocol
 
 import kernels
+from test_system import cfg_word
 
 ROOT = Path(__file__).resolve().parent.parent
 STANDARD = parse_arch_file((ROOT / "fixtures" / "standard.arch").read_text())
@@ -229,6 +230,24 @@ def test_an_rtt_action_the_simulator_does_not_carry_out_has_no_machine():
     with pytest.raises(ValidationError, match="^host-rtt: unknown action 'lunch'; "
                                               "host-rtt: unknown action 'store'$"):
         read_machine(build_with(STANDARD, provider("HostBridge", HOST_RTT, rtt)))
+
+
+def test_a_controller_decodes_its_writes_through_the_machines_rtt():
+    """A HostBridge that swaps the opcodes of load_config and launch: the
+    controller's nibble 3 is load_config too, its operand config 7, not a
+    launch nor a load of config 0."""
+    rtt = {0x01: "launch", 0x02: "load_data", 0x03: "load_config", 0x04: "store_results",
+           0x05: "load_manifest"}
+    system = build_system(build_with(STANDARD, provider("HostBridge", HOST_RTT, rtt)))
+    seven = [(2, 2, [ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=7),
+                     ConfigWord(opcode=Opcode.HALT)])]
+    system.register_config(0, [(1, 1, [cfg_word(0x3, 7), ConfigWord(opcode=Opcode.HALT)])])
+    system.register_config(7, seven)
+    system.submit_script(parse_script("03 1 0\n01 1\n"))
+    system.run()
+    rpu = system.rpus[0]
+    assert rpu.action_log == ["load_config", "launch", "load_config"]
+    assert rpu.pes[(2, 2)].context == seven[0][2] and rpu.pes[(1, 1)].context == []
 
 
 def test_a_cell_without_a_pe_has_no_machine():

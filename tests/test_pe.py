@@ -16,8 +16,10 @@ from windmill.pe import (PE, BINARY_OPS, MEMORY_OPS, ConfigWord, DstSel, Opcode,
                          _predecode, _required, _undefined_field, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
                          predecode, unpack_bitstream, validate_bitstream)
-from windmill.plugins import standard_machine
+from windmill.plugins import DEFAULT_RTT, HOST_RTT, read_machine, standard_machine
 from windmill.system import SystemSim
+
+from test_machine import build_with, provider
 
 # --- encode / decode -----------------------------------------------------------
 
@@ -266,17 +268,24 @@ class TestByValue:
         assert str(exc.value) == "PE (2,2) word 0: RTT destination on a GPE"
 
     @pytest.mark.parametrize("opcode", [op for op in Opcode if op not in MEMORY_OPS])
-    @pytest.mark.parametrize("nibble", [0x0, 0x5, 0xF])
-    def test_undefined_controller_action_rejected(self, opcode, nibble):
-        """Words that emit carry an RTT payload whose nibble is a host opcode
-        01-04; NOP and HALT never emit, so their payload is free."""
+    @pytest.mark.parametrize("nibble, rtt", [
+        pytest.param(0x0, DEFAULT_RTT, id="0"), pytest.param(0x5, DEFAULT_RTT, id="5"),
+        pytest.param(0xF, DEFAULT_RTT, id="15"),
+        pytest.param(0x2, {**DEFAULT_RTT, 0x02: "load_manifest", 0x05: "load_data"},
+                     id="2-load_manifest")])
+    def test_undefined_controller_action_rejected(self, opcode, nibble, rtt):
+        """Words that emit carry an RTT payload whose nibble the machine's RTT
+        maps to an action a controller may queue, any but load_manifest; NOP
+        and HALT never emit, so their payload is free."""
+        machine = read_machine(build_with(standard_preset(), provider("HostBridge", HOST_RTT, rtt)))
         word = ConfigWord(opcode, SrcSel.IMM, SrcSel.IMM, DstSel.RTT, imm16=nibble << 12 | 7)
-        good = word._replace(imm16=0x4007)
+        load_data = next(op for op, action in rtt.items() if action == "load_data")
+        good = word._replace(imm16=load_data << 12 | 7)
         if opcode in (Opcode.NOP, Opcode.HALT):
-            validate_bitstream(standard_machine(standard_preset()), [(1, 1, [word])])   # the CPE
+            SystemSim(machine).register_config(0, [(1, 1, [word])])   # the CPE
             return
         with pytest.raises(BitstreamTargetInvalid) as exc:
-            validate_bitstream(standard_machine(standard_preset()), [(1, 1, [good, word])])
+            SystemSim(machine).register_config(0, [(1, 1, [good, word])])
         assert str(exc.value) == f"PE (1,1) word 1: controller action nibble {nibble:#x} undefined"
 
     @pytest.mark.parametrize("word, problem", [

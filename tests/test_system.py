@@ -601,6 +601,26 @@ class TestCpe:
         assert rpu.pes[(3, 3)].context == [] and rpu.pes[(3, 3)].acc == 0
         assert rpu.pes[(1, 1)].context == []
 
+    def test_controller_actions_queue_in_issue_order_with_host_commands(self):
+        """The controller writes load_config 1 in the cycle before the host's
+        load_config 2 is dispatched, so config 2 is carried out last."""
+        system = SystemSim(standard_preset())
+        halt = W(opcode=Opcode.HALT)
+        system.register_config(0, [(1, 1, [cfg_word(0x1, 1), halt])])
+        for config_id in (1, 2):
+            system.register_config(config_id, [(2, 2, [
+                W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=config_id), halt])])
+        written = []
+        system.trace_hook = lambda s: written.append(
+            (s.stats.total_cycles, s.stats.host_commands, list(s.rpus[0].queue)))
+        # three load_configs of RPU 1 pad the script to the controller's write
+        system.submit_script(parse_script("01 1 0\n03 1\n01 2 1\n01 2 1\n01 2 1\n01 1 2\n"))
+        system.run()
+        assert (5, 5, [("load_config", (1,))]) in written   # its write, before the 6th command
+        rpu = system.rpus[0]
+        assert rpu.action_log == ["load_config", "launch", "load_config", "load_config"]
+        assert rpu.pes[(2, 2)].context[0].imm16 == 2
+
     def run_controller(self, cpe_words, manifest, image=()):
         """Stage ``image`` into RPU 0, load ``manifest`` and let the
         controller run ``cpe_words`` as config 0."""
