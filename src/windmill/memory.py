@@ -12,8 +12,8 @@ DMA controller owns one half (initially half 1) and streams queued batches
 into it one word per cycle; the compute array only ever touches the other
 half. The array's finish signal flips ownership; a flip requested mid-batch
 is deferred until the batch completes. The DMA also owns the launch rule: a
-phase may launch unless a flip is deferred or a staging batch streams before
-the next flip.
+phase may launch unless a flip is deferred or a batch due in its half has
+not landed.
 """
 
 from __future__ import annotations
@@ -118,21 +118,22 @@ class TransferBatch:
     ext_addr: int
     sm_addr: int               # half-relative word address
     length: int
-    staging: bool = False      # pre-launch load: half chosen by the array side
+    staging: bool = False      # pre-launch load, into the half its epoch's phase runs on
     progress: int = 0
-    flip: int = 0              # the flips that land before it starts; bound when queued
+    epoch: int = 0             # the flips landed before it streams; bound when queued
+    half: int = 0              # the half it fills; bound when queued
 
 
 class DmaController:
     """Streams transfer batches into the scratchpad and owns the launch rule.
 
-    Staging batches (pre-launch loads) target the array's half and start
-    immediately. The j-th streamed batch holds phase j+1's data, phases
-    counted from 1: ``enqueue`` binds it to start after flip j-1, in the
-    DMA's half, which flip j hands to phase j+1. The array's finish signal
-    flips ownership; a flip requested mid-batch is deferred until the batch
-    completes. A phase waits for a deferred flip (``launch_waits``), so no
-    second finish comes while one is deferred and no flip is dropped.
+    ``enqueue`` binds each batch to its epoch, the flips landed before it
+    streams: the max of the last batch's, the flips requested so far and, for
+    the j-th streamed batch (phase j+1's data), flip j-1. A staging batch
+    fills its epoch's array half, a streamed one the DMA's, which the next
+    flip hands to the array. A flip requested mid-batch is deferred until the
+    batch completes; a phase waits for it and for each batch that fills its
+    half (``launch_waits``), so no second finish comes while one is deferred.
     """
 
     def __init__(self, ext_memory: list[int], half_words: int):
@@ -140,7 +141,8 @@ class DmaController:
         self.half_words = half_words
         self.queue: list[TransferBatch] = []
         self.active: TransferBatch | None = None
-        self.streamed = 0                 # streamed batches queued
+        self.streamed: list[TransferBatch] = []   # by the flip each follows
+        self.epoch = 0                    # the last queued batch's
         self.toggles = 0
         self.flip_pending = False         # a finish signal waits for the active batch
         self.stall_cycles = 0
@@ -155,30 +157,25 @@ class DmaController:
         return self.toggles % 2
 
     def enqueue(self, batch: TransferBatch) -> bool:
-        """Queue ``batch``, binding a streamed one to its flip. True if it is
-        late: the flip that hands its half to the array is already requested."""
+        """Queue ``batch``, bound to its epoch and half. True if it is late: a
+        streamed batch queued once the flip that hands its half to the array is requested."""
+        flip = 0
         if not batch.staging:
-            batch.flip = self.streamed
-            self.streamed += 1
+            flip = len(self.streamed)
+            self.streamed.append(batch)
+        batch.epoch = self.epoch = max(self.epoch, self.toggles + self.flip_pending, flip)
+        batch.half = batch.epoch % 2 if batch.staging else 1 - batch.epoch % 2
         self.queue.append(batch)
-        return not batch.staging and self.toggles + self.flip_pending > batch.flip
+        return not batch.staging and batch.epoch > flip
 
     def idle(self) -> bool:
         return self.active is None and not self.queue
 
-    def stages_before_flip(self) -> bool:
-        """A staging batch streams before the next flip: the active batch, or
-        one queued ahead of a streamed batch that waits for the flip."""
-        if self.active is not None and self.active.staging:
-            return True
-        for batch in self.queue:   # to the first staging batch or one waiting for its flip
-            if batch.staging or batch.flip > self.toggles:
-                return batch.staging
-        return False
-
     def launch_waits(self) -> bool:
-        """A phase waits for a deferred flip and for staging due before the next flip."""
-        return self.flip_pending or self.stages_before_flip()
+        """A phase waits for a deferred flip and for each batch due in its half."""
+        batches = self.queue if self.active is None else [self.active, *self.queue]
+        return self.flip_pending or any(
+            b.epoch <= self.toggles and b.half == self.array_half for b in batches)
 
     def request_toggle(self):
         """Finish signal from the array; deferred while a batch is in flight."""
@@ -194,13 +191,13 @@ class DmaController:
         the array wins same-bank ties, the DMA stalls and retries.
         """
         batch = self.active
-        if batch is None:   # a batch starts once its flip has landed
-            if not self.queue or self.queue[0].flip > self.toggles:
+        if batch is None:   # a batch starts once its epoch has begun
+            if not self.queue or self.queue[0].epoch > self.toggles:
                 return None
             batch = self.active = self.queue.pop(0)
         half = None
         if batch.progress < batch.length:   # a zero-length batch writes nothing
-            half = self._half_of(batch)
+            half = batch.half
             if sram.bank_of(batch.sm_addr + batch.progress + half * self.half_words) in blocked_banks:
                 self.stall_cycles += 1
                 return None
@@ -215,13 +212,8 @@ class DmaController:
     def stream(self, sram: BankedSram, n: int):
         """What ``n`` unblocked ``step`` calls write, short of the batch end."""
         batch = self.active
-        base = batch.sm_addr + self._half_of(batch) * self.half_words
+        base = batch.sm_addr + batch.half * self.half_words
         for i in range(batch.progress, batch.progress + n):
             ext_idx = batch.ext_addr + i
             sram.write(base + i, self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
         batch.progress += n
-
-    def _half_of(self, batch: TransferBatch) -> int:
-        """The half a batch fills: a staging batch the array's, a streamed one
-        the DMA's. No flip lands while a batch is active, so it is one half."""
-        return self.array_half if batch.staging else self.half

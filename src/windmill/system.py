@@ -202,10 +202,18 @@ class Rpu:
         self.running_cycles = 0
 
     def store_results(self, sm_addr: int, length: int) -> list[int]:
-        """Read a half-relative region out of the DMA-owned half (after the
-        finish toggle that is where the results of the last phase live)."""
+        """Read a half-relative region out of the DMA-owned half: after the
+        finish toggle, the last phase's results. The streamed batch bound to
+        that toggle refills the half; one queued ahead may not overlap it."""
         self.check_region("results", sm_addr, length)
-        base = self.dma.half * self.half_words + sm_addr
+        dma = self.dma
+        b = dma.streamed[dma.toggles] if dma.toggles < len(dma.streamed) else None
+        if b is not None and max(sm_addr, b.sm_addr) < min(sm_addr + length, b.sm_addr + b.length):
+            raise ProtocolOrderViolation(
+                f"rpu {self.id}: results region {sm_addr}+{length} of phase {dma.toggles} "
+                f"overlaps streamed batch (ext {b.ext_addr}, sm {b.sm_addr}, len {b.length}), "
+                "queued ahead of the store to refill that half")
+        base = dma.half * self.half_words + sm_addr
         return [self.sram.read(base + i) for i in range(length)]
 
     def check_region(self, what: str, sm_addr: int, length: int):
@@ -447,11 +455,11 @@ class SystemSim:
         elif action == "load_data":
             ext, sm, length, staging = (*args, 1)[:4]   # staging defaults to 1
             rpu.check_region("data", sm, length)
-            batch = TransferBatch(ext, sm, length, staging=bool(staging))
-            if rpu.dma.enqueue(batch):
+            if rpu.dma.enqueue(TransferBatch(ext, sm, length, staging=bool(staging))):
                 raise ProtocolOrderViolation(
                     f"rpu {rpu.id}: late streamed batch (ext {ext}, sm {sm}, len {length}): the "
-                    f"flip that hands its half to phase {batch.flip + 2} is already requested")
+                    f"flip that hands its half to phase {len(rpu.dma.streamed) + 1} is "
+                    "already requested")
         elif action == "launch":
             rpu.launch()
         elif action == "store_results":

@@ -400,9 +400,13 @@ class TestSim:
         (None, "01 1 0\n02 1 0 0 4 1\n03 1\n02 1 8 0 4 0\n01 1 0\n03 1\n04 1 10 0 1\n",
          "rpu 0: late streamed batch (ext 8, sm 0, len 4): the flip that hands its half "
          "to phase 2 is already requested"),
+        # phase 1's store, queued behind the streamed batch that refills its half
+        (None, "01 1 0\n02 1 0 0 1 1\n02 1 40 0 10 0\n02 1 80 0 20 0\n03 1\n04 1 10 0 1\n",
+         "rpu 0: results region 16+1 of phase 1 overlaps streamed batch (ext 128, sm 0, "
+         "len 32), queued ahead of the store to refill that half"),
     ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done",
             "missing-rpu-mask", "results-past-the-half", "data-past-the-half",
-            "late-streamed-batch"])
+            "late-streamed-batch", "store-over-a-queued-refill"])
     def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
                                                               imm16, script, message):
         """A protocol fault met after cycles have run is a run-time fault:

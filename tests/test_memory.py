@@ -287,23 +287,45 @@ class TestDma:
         assert [sram.read(i) for i in range(4)] == [8, 9, 10, 11]
 
     def test_stages_before_flip(self):
-        """A staging batch counts while it is active or queued ahead of a
-        streamed batch that waits for the flip; one streamed batch may start
-        before the flip, so a staging batch behind it still counts."""
+        """A staging batch holds the launch while it is active or queued in the
+        epoch that has begun; one streamed batch may start before the flip, so
+        a staging batch behind it still holds it. The second streamed batch
+        follows the flip, and the staging batch behind it takes that epoch."""
         sram, dma = self.make(list(range(64)))
-        assert not dma.stages_before_flip()
+        assert not dma.launch_waits()
         for ext in range(0, 10, 2):   # staging, streamed, staging, streamed, staging
             dma.enqueue(TransferBatch(ext, 0, 2, staging=ext % 4 == 0))
         for _ in range(6):   # staging, streamed, staging: two words each
-            assert dma.stages_before_flip()
+            assert dma.launch_waits()
             dma.step(sram, set())
         # the second streamed batch waits for the flip, the staging one behind it too
         half = sram.words // 2
         assert sram.data[:2] == [4, 5] and sram.data[half:half + 2] == [2, 3]
         assert dma.active is None and len(dma.queue) == 2 and dma.toggles == 0
-        assert not dma.stages_before_flip()
+        assert [(b.epoch, b.half) for b in dma.queue] == [(1, 0), (1, 1)]
+        assert not dma.launch_waits()
         dma.request_toggle()
-        assert dma.stages_before_flip()
+        assert dma.launch_waits()
+
+    def test_staging_batch_queued_while_a_flip_is_deferred(self):
+        """It takes the next epoch and fills the half the next phase runs on,
+        and the next launch waits for the flip and then for the batch."""
+        sram, dma = self.make(list(range(64)))
+        dma.enqueue(TransferBatch(0, 0, 4))   # phase 2's data, into the DMA's half 1
+        dma.step(sram, set())
+        dma.request_toggle()                  # phase 1 ends mid-batch
+        staged = TransferBatch(8, 4, 2, staging=True)
+        assert not dma.enqueue(staged) and dma.flip_pending
+        assert (staged.epoch, staged.half) == (1, 1)
+        for _ in range(3):   # the streamed batch's last three words, then the flip lands
+            assert dma.launch_waits()
+            dma.step(sram, set())
+        assert not dma.flip_pending and dma.array_half == 1 and dma.launch_waits()
+        for _ in range(2):
+            dma.step(sram, set())
+        assert dma.idle() and not dma.launch_waits()
+        half = sram.words // 2
+        assert sram.data[half:half + 6] == [0, 1, 2, 3, 8, 9] and not any(sram.data[:half])
 
     def test_blocked_bank_stalls(self):
         ext = [1, 2, 3]

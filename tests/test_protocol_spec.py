@@ -15,11 +15,15 @@ cycles. It reads the rules of ``docs/formats.md`` (Host command script):
 - a launch finds every batch that streams before the flip it follows;
 - a store after launch p reads phase p's result, since it waits for the
   deferred flip and the DMA's half is then the half phase p ran on;
-- a streamed batch queued behind launch j, where j is its index, is late.
+- a streamed batch queued behind launch j, where j is its index, is late;
+- a store after launch p faults if the streamed batch bound to flip p,
+  which refills the half it reads, is queued before it and overlaps its
+  region, however far that batch has streamed.
 
 Every well-formed script of up to ``K`` commands runs on the cycle
 simulator, and the words each phase finds at launch, each stored result,
-``pingpong_toggles`` and each late batch's fault must match the spec.
+``pingpong_toggles`` and each fault must match the spec. A stateful test
+runs longer scripts on four RPUs, each command to a random set of them.
 """
 
 import itertools
@@ -27,6 +31,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from windmill.arch import standard_preset
 from windmill.errors import ProtocolOrderViolation
@@ -36,23 +42,26 @@ from windmill.system import Rpu, SystemSim, decode, parse_script
 import test_system
 
 K = 5         # longest script run
-LONG = 16     # words: longer than a phase, and short of the result word
+STEPS = 30    # longest stateful script, before the launches its teardown adds
 RESULT = 16   # the half word each phase stores the word it loads to
+LONG = RESULT + 1   # words: longer than a phase, and up to the result word
 
 PARAMS = replace(standard_preset(), rpu_count=1)
-IMAGE = [1000 + i for i in range(300)]   # each word names its external address
+IMAGE = [1000 + i for i in range(20 * STEPS)]   # each word names its external address
 ALPHABET = [("load_config",), ("launch",), ("store_results",)] + [
     ("load_data", length, staging) for staging in (1, 0) for length in (0, 1, LONG)]
 
 
-def spec(commands):
-    """``(phases, stored, late)`` for single-RPU host ``commands``. ``phases``
-    holds, per launch, the half it computes on and {half word: external
-    address} of the words it finds written there; ``stored`` maps each
-    result address to the phase whose result it receives (0: before any
-    phase); ``late`` is the first late streamed batch's fault message, or
-    None, and the script ends there."""
-    launches = streamed = epoch = 0   # epoch: the flips landed before the last batch streams
+def spec(commands, rpu=0):
+    """``(phases, stored, fault)`` for RPU ``rpu``'s host ``commands``.
+    ``phases`` holds, per launch, the half it computes on and {half word:
+    external address} of the words it finds written there; ``stored`` maps
+    each result address to the phase whose result it receives (0: before any
+    phase), in store order; ``fault`` is the message of the first late
+    streamed batch or store over a queued refill, or None, and the script
+    ends there."""
+    launches = epoch = 0   # epoch: the flips landed before the last batch streams
+    streamed = []   # per streamed batch, by the flip it follows: (ext, sm, length)
     batches = []   # per queued batch: (epoch, half, {half word: external address})
     phases, stored = [], {}
     for command in commands:
@@ -61,12 +70,12 @@ def spec(commands):
             ext, sm, length, staging = (*args, 1)[:4]
             flip = 0
             if not staging:
-                streamed += 1
-                if launches >= streamed:
+                flip = len(streamed)
+                streamed.append((ext, sm, length))
+                if launches > flip:
                     return phases, stored, (
-                        f"rpu 0: late streamed batch (ext {ext}, sm {sm}, len {length}): the "
-                        f"flip that hands its half to phase {streamed + 1} is already requested")
-                flip = streamed - 1
+                        f"rpu {rpu}: late streamed batch (ext {ext}, sm {sm}, len {length}): the "
+                        f"flip that hands its half to phase {flip + 2} is already requested")
             epoch = max(epoch, launches, flip)
             half = epoch % 2 if staging else 1 - epoch % 2
             batches.append((epoch, half, {sm + i: ext + i for i in range(length)}))
@@ -78,60 +87,83 @@ def spec(commands):
                     words.update(writes)
             phases.append((half, words))
         elif action == "store_results":
-            stored[args[1]] = launches
+            sm, ext, length = args[:3]
+            if launches < len(streamed):
+                refill_ext, refill_sm, refill_length = streamed[launches]
+                if set(range(sm, sm + length)) & set(range(refill_sm, refill_sm + refill_length)):
+                    return phases, stored, (
+                        f"rpu {rpu}: results region {sm}+{length} of phase {launches} overlaps "
+                        f"streamed batch (ext {refill_ext}, sm {refill_sm}, len {refill_length}), "
+                        "queued ahead of the store to refill that half")
+            stored[ext] = launches
     return phases, stored, None
 
 
-def simulate(commands):
-    """``commands`` on one RPU whose config 0 is ``load_store_phase(RESULT)``;
-    per launch, the array's half and its words below the result word as the
-    launch is carried out."""
-    system = SystemSim(PARAMS, IMAGE, cycle_limit=200)
-    system.register_config(0, test_system.TestStreaming.load_store_phase(RESULT))
-    system.submit_script(commands)
-    rpu, seen = system.rpus[0], []
+def observe(rpu):
+    """Wrap ``rpu``'s launch and store: per launch, the array's half and its
+    words below the result word as it is carried out; per store, the words read."""
+    launches, stores = [], []
 
     def launch():
         half = rpu.dma.array_half
         base = half * rpu.half_words
-        seen.append((half, rpu.sram.data[base:base + RESULT]))
+        launches.append((half, rpu.sram.data[base:base + RESULT]))
         Rpu.launch(rpu)
 
-    rpu.launch = launch
-    return system, seen
+    def store_results(sm_addr, length):
+        stores.append(Rpu.store_results(rpu, sm_addr, length))
+        return stores[-1]
+
+    rpu.launch, rpu.store_results = launch, store_results
+    return launches, stores
+
+
+def simulate(commands, params=PARAMS):
+    """``commands`` on RPUs whose config 0 is ``load_store_phase(RESULT)``;
+    per RPU, what ``observe`` sees."""
+    system = SystemSim(params, IMAGE, cycle_limit=200)
+    system.register_config(0, test_system.TestStreaming.load_store_phase(RESULT))
+    system.submit_script(commands)
+    return system, [observe(rpu) for rpu in system.rpus]
+
+
+def expected(phases, stored):
+    """The spec's launches and stores as ``observe`` sees them."""
+    launches = [(half, [IMAGE[words[i]] if i in words else 0 for i in range(RESULT)])
+                for half, words in phases]
+    results = [0] + [held[0] for _, held in launches]   # phase p's LOAD reads word 0
+    return launches, [[results[p]] for p in stored.values()]
 
 
 def check(lines):
-    """Run ``lines`` against the spec; the spec's (phases, stored, late)."""
+    """Run ``lines`` against the spec; the spec's (phases, stored, fault)."""
     commands = parse_script("\n".join(lines))
-    phases, stored, late = spec(commands)
-    system, seen = simulate(commands)
-    if late is not None:
-        with pytest.raises(ProtocolOrderViolation, match=f"^{re.escape(late)}$"):
+    phases, stored, fault = spec(commands)
+    system, [seen] = simulate(commands)
+    if fault is not None:
+        with pytest.raises(ProtocolOrderViolation, match=f"^{re.escape(fault)}$"):
             system.run()
-        return phases, stored, late
+        return phases, stored, fault
     stats = system.run()
-    want = [(half, [IMAGE[words[i]] if i in words else 0 for i in range(RESULT)])
-            for half, words in phases]
-    assert seen == want, lines
+    launches, stores = expected(phases, stored)
+    assert seen == (launches, stores), lines
     assert stats.pingpong_toggles == len(phases), lines
-    results = [0] + [held[0] for _, held in want]   # phase p's LOAD reads word 0
-    assert system.results_buffer == {ext: results[p] for ext, p in stored.items()}, lines
-    return phases, stored, late
+    assert system.results_buffer == {ext: w for ext, [w] in zip(stored, stores)}, lines
+    return phases, stored, fault
 
 
-def command(symbol, position):
-    """The script line of ``symbol`` at ``position``: each transfer gets its
-    own external region, so a word names its batch."""
+def command(symbol, position, mask):
+    """The script line of ``symbol`` at ``position``, to the RPUs in ``mask``:
+    each transfer gets its own external region, so a word names its batch."""
     action = symbol[0]
     if action == "load_config":
-        return "01 1 0"
+        return f"01 {mask:x} 0"
     if action == "launch":
-        return "03 1"
+        return f"03 {mask:x}"
     if action == "store_results":
-        return f"04 1 {RESULT:x} {position:x} 1"
+        return f"04 {mask:x} {RESULT:x} {position:x} 1"
     _, length, staging = symbol
-    return f"02 1 {20 * position:x} 0 {length:x} {staging}"
+    return f"02 {mask:x} {20 * position:x} 0 {length:x} {staging}"
 
 
 def well_formed(symbols):
@@ -161,28 +193,95 @@ def test_a_long_batch_outlasts_a_phase():
 
 
 def test_every_short_script_matches_the_spec():
-    counts = {"scripts": 0, "late": 0, "phases": 0, "stores": 0}
+    counts = {"scripts": 0, "late": 0, "faults": 0, "phases": 0, "stores": 0}
     for n in range(1, K + 1):
         for symbols in itertools.product(ALPHABET, repeat=n):
             if not well_formed(symbols):
                 continue
-            phases, stored, late = check([command(s, i) for i, s in enumerate(symbols)])
+            phases, stored, fault = check([command(s, i, 1) for i, s in enumerate(symbols)])
             counts["scripts"] += 1
-            if late is not None:
-                counts["late"] += 1
-            else:
+            if fault is None:
                 counts["phases"] += len(phases)
                 counts["stores"] += len(stored)
-    assert counts == {"scripts": 19820, "late": 1089, "phases": 3723, "stores": 13730}
+            else:
+                counts["late" if "late" in fault else "faults"] += 1
+    assert counts == {"scripts": 19820, "late": 1089, "faults": 1286, "phases": 3607,
+                      "stores": 11941}
 
 
-@pytest.mark.parametrize("lines, late", [
+@pytest.mark.parametrize("lines, faults", [
     # two staging batches, then a 200-word streamed one: phase 2 waits for
     # the flip phase 1's finish requests while that batch streams
     ("01 1 0/02 1 0 0 4 1/02 1 4 4 4 1/02 1 8 0 c8 0/03 1/01 1 0/03 1/04 1 10 0 1", False),
     # a streamed batch queued behind the launch of the phase it should overlap
     ("01 1 0/02 1 0 0 4 1/03 1/02 1 8 0 4 0/01 1 0/03 1/04 1 10 0 1", True),
-], ids=["deferred-flip", "late-streamed-batch"])
-def test_named_scripts_match_the_spec(lines, late):
-    """Two scripts longer than ``K``: the launch rule's and the late batch's repros."""
-    assert (check(lines.split("/"))[2] is not None) == late
+    # phase 1's store queued behind the streamed batch that refills its half,
+    # carried out once that batch has streamed past the result word
+    ("01 1 0/02 1 0 0 1 1/02 1 40 0 10 0/02 1 80 0 20 0/03 1/" + "01 1 0/" * 40 + "04 1 10 0 1",
+     True),
+], ids=["deferred-flip", "late-streamed-batch", "store-over-a-queued-refill"])
+def test_named_scripts_match_the_spec(lines, faults):
+    """Scripts longer than ``K``: the launch rule's, the late batch's and the
+    store fault's repros."""
+    assert (check(lines.split("/"))[2] is not None) == faults
+
+
+RPUS = 4
+
+
+class FourRpuScripts(RuleBasedStateMachine):
+    """Scripts over ``ALPHABET`` on four RPUs, each command to a random set of
+    them. Per RPU, what each launch finds, each stored word and the DMA's
+    toggles must equal ``spec`` of the commands its mask selects, and a raised
+    fault must be the spec's message of an RPU whose script faults; the run
+    ends there, and what each RPU saw up to it must begin its spec's."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+        self.symbols = [[] for _ in range(RPUS)]   # per RPU, the symbols it is sent
+        self.configured = 0   # the RPUs that loaded a config since their last launch
+
+    @rule(symbol=st.sampled_from(ALPHABET), mask=st.integers(1, 2 ** RPUS - 1))
+    def send(self, symbol, mask):
+        self.add(symbol, mask & self.configured if symbol[0] == "launch" else mask)
+
+    def add(self, symbol, mask):
+        if symbol[0] == "load_config":
+            self.configured |= mask
+        elif symbol[0] == "launch":
+            self.configured &= ~mask
+        if mask:
+            for r in range(RPUS):
+                if mask >> r & 1:
+                    self.symbols[r].append(symbol)
+            self.lines.append(command(symbol, len(self.lines), mask))
+
+    def teardown(self):
+        """Run the script, once a launch requests each flip a streamed batch
+        waits for: it would hold the run otherwise."""
+        while mask := sum(1 << r for r in range(RPUS) if not well_formed(self.symbols[r])):
+            self.add(("load_config",), mask)
+            self.add(("launch",), mask)
+        commands = parse_script("\n".join(self.lines))
+        specs = [spec([c for c in commands if decode(DEFAULT_RTT, c)[1] >> r & 1], r)
+                 for r in range(RPUS)]
+        faults = {fault for _, _, fault in specs if fault is not None}
+        system, seen = simulate(commands, replace(PARAMS, rpu_count=RPUS))
+        try:
+            system.run()
+            raised = None
+        except ProtocolOrderViolation as e:
+            raised = str(e)
+        assert raised in faults if raised else not faults, self.lines
+        for rpu, (phases, stored, _), observed in zip(system.rpus, specs, seen):
+            launches, stores = expected(phases, stored)
+            if raised:   # the run ends at the fault, so each RPU saw a prefix of its spec
+                launches, stores = launches[:len(observed[0])], stores[:len(observed[1])]
+            assert observed == (launches, stores), self.lines
+            assert raised or rpu.dma.toggles == len(phases), self.lines
+
+
+TestFourRpuScripts = FourRpuScripts.TestCase
+TestFourRpuScripts.settings = settings(derandomize=True, max_examples=100,
+                                       stateful_step_count=STEPS, deadline=None)
