@@ -31,6 +31,7 @@ class BankedSram:
         self.depth = depth
         self.width = width
         self.words = banks * depth
+        self.mask = (1 << width) - 1
         self.data = [0] * self.words
 
     def _check(self, addr: int):
@@ -51,7 +52,7 @@ class BankedSram:
 
     def write(self, addr: int, value: int):
         self._check(addr)
-        self.data[addr] = value & ((1 << self.width) - 1)
+        self.data[addr] = value & self.mask
 
     def half_of(self, addr: int) -> int:
         """Ping-pong half: top bit of the row address."""
@@ -92,11 +93,12 @@ class PaiArbiter:
 
     def arbitrate(self, sram: BankedSram) -> list[tuple[int, Request]]:
         """Pick one winner per contested bank and advance its pointer; each
-        grant is the bank and the posted request itself."""
-        pointer, n = self.rr_pointer, len(self.order)
+        grant is the bank and the posted request itself. Posted addresses are
+        in range, so the bank is taken unchecked."""
+        pointer, n, banks = self.rr_pointer, len(self.order), sram.banks
         nearest: dict[int, int] = {}   # bank -> winner's distance past its pointer
         for requester, req in self.pending.items():
-            bank = sram.bank_of(req.addr)
+            bank = req.addr % banks
             distance = (self._pos[requester] - pointer[bank] - 1) % n
             if distance < nearest.get(bank, n):
                 nearest[bank] = distance

@@ -505,11 +505,15 @@ class PE:
 
     def tick(self, bus) -> bool:
         """Advance one cycle; False exactly when it changed no slot, counter
-        or flag and staged no bus effect. A PE waiting on memory counts an
-        active cycle, so it always returns True."""
+        or flag and staged no bus effect, or held its decoded word for a
+        missing operand: either way it cannot move next cycle unless woken.
+        A held tick still runs its write-back and a fetch into an empty fetch
+        slot. A PE waiting on memory counts an active cycle, so it always
+        returns True. Latch effects are appended to the bus's ``deliveries``
+        and ``consumes`` lists."""
         if self.done:
             return False
-        moved = False
+        moved = held = False
         # write back: drive the outbound value, or stall on a full latch
         w = self.w_slot
         if w is not None:
@@ -519,7 +523,7 @@ class PE:
             receiver = None if dest is None else bus.pes[dest]
             if receiver is None or dec[6] not in receiver.latch:
                 if receiver is not None:
-                    bus.deliver(receiver, dec[6], value)
+                    bus.deliveries.append((receiver, dec[6], value))
                 elif to == _TO_SREG:
                     bus.sreg_write(self.coord, dec[5], value)
                 elif to == _TO_RTT:
@@ -540,8 +544,15 @@ class PE:
                 # the result waited for the write-back slot to drain
                 self.w_slot, self.x_slot = x, None
                 moved = True
-        elif self.d_slot is not None and self._execute(bus):
-            moved = True
+        elif self.d_slot is not None:
+            if self._execute(bus):
+                moved = True
+            else:
+                # held: decode cannot pass the word, and only a delivery into a
+                # latch it pulls, a shared-register commit or the consume a
+                # blocked write-back waits on can move the PE next cycle. The
+                # tick still fetches into an empty slot, and reports no move.
+                moved, held = False, True
         # decode
         if self.d_slot is None and self.f_slot is not None:
             self.d_slot, self.f_slot = self.f_slot, None
@@ -566,7 +577,7 @@ class PE:
         else:   # a step is left only after its last iteration, so each is entered at 0
             self.pc = pc + 1 if dec[8] == 0 else dec[8]
             self.iteration = 0
-        return True
+        return not held
 
     def _execute(self, bus) -> bool:
         """Fire the decoded word and return True when every required operand
@@ -599,7 +610,7 @@ class PE:
                         return False
                     vals.append(value)
             for direction in dec[3]:
-                bus.consume_latch(self, direction)
+                bus.consumes.append((self, direction))
             if kind == _K_ALU:
                 result = dec[1](vals[0], vals[1])
             elif kind == _K_ROUTE:
@@ -642,7 +653,7 @@ class PE:
             return _STALLED
         src, arg = srcs[0] if ok0 else srcs[1]
         if src == _S_LATCH:
-            bus.consume_latch(self, arg)
+            bus.consumes.append((self, arg))
         return v0 if ok0 else v1
 
     def _mem_request(self, dec, iter_idx: int, vals: list, bus):

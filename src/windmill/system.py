@@ -162,9 +162,9 @@ class Rpu:
         self.awake: dict[PE, None] = {}   # the live PEs that tick next cycle, in wake order
         self.running_cycles = 0
         self.action_log: list[str] = []
-        # staged cycle effects
-        self._consumes: list = []
-        self._deliveries: list = []
+        # staged cycle effects; PE.tick appends the latch ones straight to these lists
+        self.consumes: list = []     # (PE, entry direction) of a latch a fired word pulled
+        self.deliveries: list = []   # (receiving PE, entry direction, value)
         self._responses: dict = {}   # LSU coord -> (cycle it is readable in, word read or written)
         self.now = 0   # the cycle the PEs tick in
         # ring: outgoing reads, sorted, and the LSU awaiting a remote value
@@ -223,12 +223,6 @@ class Rpu:
 
     # -- bus facade for PE.tick -------------------------------------------
 
-    def deliver(self, pe, direction, value):
-        self._deliveries.append((pe, direction, value))
-
-    def consume_latch(self, pe, direction):
-        self._consumes.append((pe, direction))
-
     def sreg_read(self, coord, idx):
         return self.sregs.read(coord, idx)
 
@@ -278,10 +272,12 @@ class Rpu:
 
     def tick_pes(self, now: int):
         """Tick a snapshot of the awake PEs in cycle ``now``. A PE whose tick
-        changes nothing leaves the awake set until ``end_cycle`` wakes it; one
-        that finishes leaves it and ``live``. Every effect of a tick is staged
-        until ``end_cycle`` or sorted on arrival, so the order the PEs are
-        visited in changes no run."""
+        changes nothing, or holds its decoded word for a missing operand,
+        leaves the awake set until ``end_cycle`` wakes it; one that finishes
+        leaves it and ``live``. Every effect of a tick is staged until
+        ``end_cycle`` (latch effects on the ``deliveries`` and ``consumes``
+        lists) or sorted on arrival, so the order the PEs are visited in
+        changes no run."""
         self.now = now
         awake = self.awake
         for pe in list(awake):   # a list: tuple snapshots measured ~0.3 MB more peak RSS
@@ -292,40 +288,47 @@ class Rpu:
                 self.live.remove(pe)
 
     def end_cycle(self, system):
-        """Apply the cycle's staged effects, then step memory and the DMA. A
-        wake is precise: a delivery wakes its receiver only if the decoded
-        word waiting to fire pulls that latch, a consume wakes the driver
-        (symmetric ports) only if its write-back waits on that latch, and a
-        shared-register commit wakes every live PE."""
+        """Apply the cycle's staged ``consumes`` and ``deliveries``, then step
+        memory and the DMA. A wake is precise, and covers every event that
+        can move a held or blocked PE: a delivery wakes its receiver only if
+        the decoded word waiting to fire pulls that latch, a consume wakes
+        the driver (symmetric ports) only if its write-back waits on that
+        latch, and a shared-register commit wakes every live PE. A PE holds
+        its word in the tick that finds an operand missing, so a deadlock is
+        reported in the cycle the last live PE is held or blocked."""
         awake = self.awake
-        for pe, direction in self._consumes:   # a word pulls each latch once
+        for pe, direction in self.consumes:   # a word pulls each latch once
             del pe.latch[direction]
             driver = self.pes[pe.ports[direction]]
             if driver.w_slot is not None and driver.w_slot[0][6] is direction:
                 awake[driver] = None
-        self._consumes.clear()
-        for pe, direction, value in self._deliveries:
+        self.consumes.clear()
+        for pe, direction, value in self.deliveries:
             if direction in pe.latch:   # symmetric ports: one driver, and it found the latch free
                 raise SimulationError(f"latch overrun at {pe.coord} {direction}")
             pe.latch[direction] = value
             if pe.d_slot is not None and direction in pe.d_slot[0][3]:
                 awake[pe] = None
-        self._deliveries.clear()
+        self.deliveries.clear()
         if self.sregs.pending:
             self.sregs.commit()
             self.awake = dict.fromkeys(self.live)
 
         # a grant's response is readable the next cycle, a ring grant's one
-        # transit cycle later at its origin, the counterclockwise neighbor
+        # transit cycle later at its origin, the counterclockwise neighbor. A
+        # posted address is in range, so a grant reads and writes the data
+        # unchecked; banks and depth are powers of two, so this is its half
         blocked = halves = _NO_HALVES
         if self.pai.pending:
-            sram, now = self.sram, system.stats.total_cycles
+            sram, now, half_words = self.sram, system.stats.total_cycles, self.half_words
+            data = sram.data
             blocked, halves = set(), set()
             for bank, req in self.pai.arbitrate(sram):
+                addr = req.addr
                 blocked.add(bank)
-                halves.add(sram.half_of(req.addr))
+                halves.add(addr // half_words)
                 if req.op == "read":
-                    value = sram.read(req.addr)
+                    value = data[addr]
                     if req.requester == ("ring",):
                         origin = system.rpus[self.id - 1]
                         if origin.ring_wait is None:   # only tick posts one, setting it
@@ -335,7 +338,7 @@ class Rpu:
                         continue
                 else:
                     value = req.data
-                    sram.write(req.addr, value)
+                    data[addr] = value & sram.mask
                 self._responses[req.requester] = (now + 1, value)
         self.cycle_pea_halves = halves
 
@@ -369,6 +372,13 @@ class Rpu:
 
     def quiescent(self) -> bool:
         return not self.queue and self.dma.idle() and self.only_dma_pending()
+
+    def starved(self) -> bool:
+        """Only the DMA is left, and its next batch waits for a flip that no
+        phase is left to request: no action queued, no phase running."""
+        dma = self.dma
+        return (dma.active is None and bool(dma.queue) and dma.queue[0].epoch > dma.toggles
+                and not self.queue and self.only_dma_pending())
 
     def head_waits(self) -> bool:
         """A launch waits as the DMA's launch rule says, a store for a deferred
@@ -532,8 +542,18 @@ class SystemSim:
     def _dma_only_cycles(self, guard: int) -> int:
         """Coming cycles that only stream one DMA word per busy RPU, short of
         the guard and of the last word of a batch, which ``tick`` writes.
-        None under a ``trace_hook``, which observes every cycle."""
-        if self.trace_hook is not None or self.script:
+        None under a ``trace_hook``, which observes every cycle. Once the
+        script is drained and every busy RPU is starved, nothing can move:
+        that is a protocol fault, raised here in the cycle it begins."""
+        if self.script:
+            return 0
+        if self._active and all(map(Rpu.starved, self._active)):
+            rpu = self._active[0]
+            b = rpu.dma.queue[0]
+            raise ProtocolOrderViolation(
+                f"rpu {rpu.id}: streamed batch (ext {b.ext_addr}, sm {b.sm_addr}, len {b.length}) "
+                f"waits for flip {b.epoch}, but no phase is left to request it")
+        if self.trace_hook is not None:
             return 0
         skip = guard - self.stats.total_cycles
         for rpu in self._active:
@@ -551,11 +571,14 @@ class SystemSim:
         st.pingpong_toggles = sum(r.dma.toggles for r in self.rpus)
         st.sreg_conflicts = sum(r.sregs.conflicts for r in self.rpus)
         m = self.machine
-        st.grants_per_lsu = {(r.id, coord): r.pai.grant_counts[coord]
-                             for r in self.rpus for coord in m.lsu_report_order}
-        # a PE never built (its RPU never configured) was never active
-        st.pe_active = {(r.id, coord): r.pes[coord].active_cycles if r.pes else 0
-                        for r in self.rpus for coord, _, _ in m.cells}
+        st.grants_per_lsu, st.pe_active = {}, {}
+        for r in self.rpus:   # by RPU id, then the machine's cell order
+            counts = r.pai.grant_counts
+            st.grants_per_lsu.update(((r.id, rc), counts[rc]) for rc in m.lsu_report_order)
+            if r.pes:   # built in cell order
+                st.pe_active.update(((r.id, rc), pe.active_cycles) for rc, pe in r.pes.items())
+            else:   # a PE never built (its RPU never configured) was never active
+                st.pe_active.update(dict.fromkeys([(r.id, rc) for rc, _, _ in m.cells], 0))
         st.pe_active_cycles = sum(st.pe_active.values())
         st.pe_idle_cycles = st.total_cycles * len(st.pe_active) - st.pe_active_cycles
 

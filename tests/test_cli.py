@@ -404,9 +404,15 @@ class TestSim:
         (None, "01 1 0\n02 1 0 0 1 1\n02 1 40 0 10 0\n02 1 80 0 20 0\n03 1\n04 1 10 0 1\n",
          "rpu 0: results region 16+1 of phase 1 overlaps streamed batch (ext 128, sm 0, "
          "len 32), queued ahead of the store to refill that half"),
+        # three streamed batches and one launch: the third waits for flip 2
+        (None, "01 1 0\n02 1 0 0 4 1\n02 1 8 0 4 0\n02 1 16 0 4 0\n02 1 24 0 4 0\n03 1\n"
+         "04 1 16 0 1\n",
+         "rpu 0: streamed batch (ext 36, sm 0, len 4) waits for flip 2, but no phase is left "
+         "to request it"),
     ], ids=["descriptor-past-manifest", "unregistered-config", "launch-from-done",
             "missing-rpu-mask", "results-past-the-half", "data-past-the-half",
-            "late-streamed-batch", "store-over-a-queued-refill"])
+            "late-streamed-batch", "store-over-a-queued-refill",
+            "streamed-batch-past-the-last-flip"])
     def test_protocol_fault_mid_run_exit_4_with_partial_stats(self, std_arch, tmp_path,
                                                               imm16, script, message):
         """A protocol fault met after cycles have run is a run-time fault:

@@ -113,7 +113,7 @@ def drive(topology, dims, sends):
     for _ in range(8):
         for pe in pes.values():
             pe.tick(bus)
-        for receiver, entry, value in bus._deliveries:
+        for receiver, entry, value in bus.deliveries:
             assert (receiver.coord, entry) not in delivered
             delivered[(receiver.coord, entry)] = value
         bus.end_cycle()

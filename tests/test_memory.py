@@ -1,11 +1,12 @@
 """Banked SRAM, round-robin arbitration, and the ping-pong DMA."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from windmill.errors import AddressOutOfRange, SimulationError
-from windmill.arch import PeType, standard_preset
+from windmill.errors import AddressOutOfRange, SimulationError, ValidationError
+from windmill.arch import PeType, standard_preset, validate
 from windmill.memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
 
 
@@ -39,6 +40,28 @@ class TestSram:
         assert sram.half_of(16 * 127) == 0
         assert sram.half_of(16 * 128) == 1
         assert sram.half_of(4095) == 1
+
+    def test_unchecked_bank_and_half_match_the_checked_helpers(self):
+        """A memory grant takes the bank as ``addr % banks`` and the half as
+        ``addr // half_words``, unchecked. Over every bank count and depth up
+        to 64 x 256 that ``validate`` accepts (powers of two), and every
+        address in range, both equal the checked ``bank_of`` and ``half_of``."""
+        base = standard_preset()
+        shapes = []
+        for banks in range(1, 65):
+            for depth in range(1, 257):
+                try:
+                    validate(replace(base, sm_banks=banks, bank_depth=depth))
+                except ValidationError:
+                    continue
+                shapes.append((banks, depth))
+        assert len(shapes) == 7 * 8   # banks 1..64, depth 2..256
+        for banks, depth in shapes:
+            sram = BankedSram(banks, depth)
+            half_words = sram.words // 2   # as the RPU keeps it
+            addrs = range(sram.words)
+            assert [a % banks for a in addrs] == [sram.bank_of(a) for a in addrs]
+            assert [a // half_words for a in addrs] == [sram.half_of(a) for a in addrs]
 
     def test_coherence_replay(self):
         """Random single-writer traces replay to the same image as a flat

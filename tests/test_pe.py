@@ -321,24 +321,19 @@ class TestByValue:
 
 class FakeBus:
     """Single-PE test double implementing the array-side bus protocol:
-    write-back reads a receiver's latch through ``pes``, and deliveries and
-    consumes are staged by PE object until ``end_cycle``."""
+    write-back reads a receiver's latch through ``pes``, and the PE appends
+    deliveries and consumes, by PE object, to the two staging lists, which
+    ``end_cycle`` applies."""
 
     def __init__(self, pes):
         self.pes = dict(pes)
-        self._consumes = []
-        self._deliveries = []
+        self.consumes = []
+        self.deliveries = []
         self.mem_requests = []
         self.responses = {}
         self._next_responses = {}
         self.sreg = {}
         self.rtt_actions = []
-
-    def deliver(self, pe, direction, value):
-        self._deliveries.append((pe, direction, value))
-
-    def consume_latch(self, pe, direction):
-        self._consumes.append((pe, direction))
 
     def sreg_read(self, coord, idx):
         return self.sreg.get(idx, (0, False))
@@ -356,13 +351,13 @@ class FakeBus:
         self.rtt_actions.append((coord, imm16))
 
     def end_cycle(self):
-        for pe, direction in set(self._consumes):
+        for pe, direction in set(self.consumes):
             del pe.latch[direction]
-        self._consumes.clear()
-        for pe, direction, value in self._deliveries:
+        self.consumes.clear()
+        for pe, direction, value in self.deliveries:
             assert direction not in pe.latch
             pe.latch[direction] = value
-        self._deliveries.clear()
+        self.deliveries.clear()
         self.responses = self._next_responses
         self._next_responses = {}
 
@@ -390,7 +385,7 @@ class TestPipeline:
         tick_n(pe, bus, 8)
         assert pe.done
         assert pe.acc == 0
-        assert bus._deliveries == [] and bus.mem_requests == []
+        assert bus.deliveries == [] and bus.mem_requests == []
 
     def test_add_imm_completes_cycle_3(self):
         """Cold pipeline: fetch, decode, execute; acc holds 5 after cycle 3."""

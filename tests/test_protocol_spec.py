@@ -18,7 +18,10 @@ cycles. It reads the rules of ``docs/formats.md`` (Host command script):
 - a streamed batch queued behind launch j, where j is its index, is late;
 - a store after launch p faults if the streamed batch bound to flip p,
   which refills the half it reads, is queued before it and overlaps its
-  region, however far that batch has streamed.
+  region, however far that batch has streamed;
+- a script whose p launches leave a streamed batch bound to flip p + 1
+  starves: that batch can never stream, and the run faults once nothing
+  else can move.
 
 Every well-formed script of up to ``K`` commands runs on the cycle
 simulator, and the words each phase finds at launch, each stored result,
@@ -58,8 +61,8 @@ def spec(commands, rpu=0):
     external address} of the words it finds written there; ``stored`` maps
     each result address to the phase whose result it receives (0: before any
     phase), in store order; ``fault`` is the message of the first late
-    streamed batch or store over a queued refill, or None, and the script
-    ends there."""
+    streamed batch or store over a queued refill, and the script ends there,
+    else of a streamed batch bound to a flip no launch requests, or None."""
     launches = epoch = 0   # epoch: the flips landed before the last batch streams
     streamed = []   # per streamed batch, by the flip it follows: (ext, sm, length)
     batches = []   # per queued batch: (epoch, half, {half word: external address})
@@ -96,6 +99,11 @@ def spec(commands, rpu=0):
                         f"streamed batch (ext {refill_ext}, sm {refill_sm}, len {refill_length}), "
                         "queued ahead of the store to refill that half")
             stored[ext] = launches
+    if len(streamed) > launches + 1:
+        ext, sm, length = streamed[launches + 1]
+        return phases, stored, (
+            f"rpu {rpu}: streamed batch (ext {ext}, sm {sm}, len {length}) waits for flip "
+            f"{launches + 1}, but no phase is left to request it")
     return phases, stored, None
 
 
@@ -168,7 +176,9 @@ def command(symbol, position, mask):
 
 def well_formed(symbols):
     """Each launch has a config loaded since the last one, and each streamed
-    batch that is not late is bound to a flip the script's launches request."""
+    batch that is not late is bound to a flip the script's launches request:
+    the exhaustive run leaves out the scripts that starve, which would more
+    than double its time."""
     configured, launches, streamed = False, 0, 0
     for symbol in symbols:
         if symbol[0] == "load_config":
@@ -219,10 +229,15 @@ def test_every_short_script_matches_the_spec():
     # carried out once that batch has streamed past the result word
     ("01 1 0/02 1 0 0 1 1/02 1 40 0 10 0/02 1 80 0 20 0/03 1/" + "01 1 0/" * 40 + "04 1 10 0 1",
      True),
-], ids=["deferred-flip", "late-streamed-batch", "store-over-a-queued-refill"])
+    # three streamed batches and one launch: the third is bound to flip 2,
+    # which no phase is left to request
+    ("01 1 0/02 1 0 0 4 1/02 1 8 0 4 0/02 1 16 0 4 0/02 1 24 0 4 0/03 1/04 1 16 0 1", True),
+], ids=["deferred-flip", "late-streamed-batch", "store-over-a-queued-refill",
+        "streamed-batch-past-the-last-flip"])
 def test_named_scripts_match_the_spec(lines, faults):
-    """Scripts longer than ``K``: the launch rule's, the late batch's and the
-    store fault's repros."""
+    """Scripts longer than ``K`` or outside ``well_formed``: the launch
+    rule's, the late batch's, the store fault's and the starved batch's
+    repros."""
     assert (check(lines.split("/"))[2] is not None) == faults
 
 
@@ -259,7 +274,7 @@ class FourRpuScripts(RuleBasedStateMachine):
 
     def teardown(self):
         """Run the script, once a launch requests each flip a streamed batch
-        waits for: it would hold the run otherwise."""
+        waits for: the run would starve otherwise."""
         while mask := sum(1 << r for r in range(RPUS) if not well_formed(self.symbols[r])):
             self.add(("load_config",), mask)
             self.add(("launch",), mask)

@@ -83,6 +83,28 @@ def test_event_scheduler_skips_only_futile_ticks(run, monkeypatch):
         assert event_ticks == ticks
 
 
+# PE.tick calls of the ping-pong golden and of each kernel: a PE leaves the
+# awake set in the tick that holds its decoded word, so a change that brings
+# futile ticks back fails here
+TICKS = {"pingpong": 540, "dot": 335, "fir4": 729, "matmul4": 1995, "reduction": 335,
+         "vecadd": 601}
+
+
+@pytest.mark.parametrize("run", ["pingpong", *sorted(ALL_KERNELS)])
+def test_tick_count_is_pinned(run, monkeypatch):
+    calls = 0
+    tick = PE.tick
+
+    def counted(self, bus):
+        nonlocal calls
+        calls += 1
+        return tick(self, bus)
+
+    monkeypatch.setattr(PE, "tick", counted)
+    observed(run)
+    assert calls == TICKS[run]
+
+
 def test_a_finished_run_leaves_no_cyclic_garbage():
     """No PE refers to another PE, so a finished SystemSim is freed by
     reference counting alone: the cycle collector finds nothing."""

@@ -455,6 +455,24 @@ class TestStreaming:
         assert system.rpus[0].action_log == ["load_config", "load_data", "launch"]
         assert system.stats.total_cycles > 0 and not system.results_buffer
 
+    def test_streamed_batch_past_the_last_flip_faults(self):
+        """Three streamed batches and one launch: the third is bound to flip
+        2, which no phase is left to request. The run faults once the second
+        batch has landed, not at the system guard (320,000 cycles here)."""
+        system = SystemSim(replace(standard_preset(), rpu_count=1),
+                           [1000 + i for i in range(300)], cycle_limit=20000)
+        system.register_config(0, self.load_store_phase(16))
+        system.submit_script(parse_script("01 1 0\n02 1 0 0 4 1\n02 1 8 0 4 0\n02 1 16 0 4 0\n"
+                                          "02 1 24 0 4 0\n03 1\n04 1 16 0 1\n"))
+        with pytest.raises(ProtocolOrderViolation, match=re.escape(
+                "rpu 0: streamed batch (ext 36, sm 0, len 4) waits for flip 2, but no phase "
+                "is left to request it")):
+            system.run()
+        rpu = system.rpus[0]
+        assert rpu.action_log == ["load_config"] + ["load_data"] * 4 + ["launch", "store_results"]
+        assert rpu.dma.toggles == 1 and rpu.dma.active is None and len(rpu.dma.queue) == 1
+        assert system.stats.total_cycles < 30
+
     def test_random_phase_scripts_compute_on_their_data(self):
         """Seeded scripts of 1-3 staging batches, 2-4 phases and a store after
         a random subset of phases. Where each streamed batch is queued before

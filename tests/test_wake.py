@@ -1,14 +1,17 @@
 """Event-driven PE scheduling: a PE outside the awake set could not progress.
 
-An RPU ticks only the live PEs in its awake set. A tick that changes nothing
-takes the PE out of the set. A launch or a shared-register commit puts every
-live PE back; otherwise a wake is precise: a delivery wakes its receiver only
-if the decoded word waiting to fire pulls that latch, and a consume wakes the
-latch's driver only if its write-back waits on that latch. The oracle below
-checks, after every simulated cycle, that each live PE outside the awake set
-would still change nothing if ticked now: a copy of it is ticked against a
-read-only bus that sees the RPU's current latches, shared registers and
-responses.
+An RPU ticks only the live PEs in its awake set. A tick that changes
+nothing, or that holds the decoded word for a missing operand, takes the PE
+out of the set; a held tick still runs its write-back and a fetch into an
+empty fetch slot. A launch or a shared-register commit puts every live PE
+back; otherwise a wake is precise: a delivery wakes its receiver only if the
+decoded word waiting to fire pulls that latch, and a consume wakes the
+latch's driver only if its write-back waits on that latch. A tick stages its
+latch effects by appending to the bus's ``deliveries`` and ``consumes``
+lists. The oracle below checks, after every simulated cycle, that each live
+PE outside the awake set would still change nothing if ticked now: a copy of
+it is ticked against a read-only bus that sees the RPU's current latches,
+shared registers and responses, and whose staging lists stay empty.
 """
 
 import copy
@@ -21,7 +24,7 @@ import pytest
 from windmill.arch import TopologyKind, parse_arch_file, validate
 from windmill.interconnect import Direction
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
-from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
+from windmill.pe import PE, ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.system import HostCommand, SystemSim, run_protocol
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
@@ -35,13 +38,16 @@ W = ConfigWord
 
 class ReadOnlyBus:
     """An RPU's start-of-next-cycle view, read with ``.get`` only; every
-    effect method records its call instead of staging it."""
+    effect method records its call instead of staging it, and the latch
+    effects land in staging lists of its own."""
 
     def __init__(self, rpu, now):
         self.rpu = rpu
         self.pes = rpu.pes   # write-back reads a receiver's latch through it
         self.now = now   # the cycle about to tick
         self.effects = []
+        self.deliveries = []
+        self.consumes = []
 
     def sreg_read(self, coord, idx):
         return self.rpu.sregs.read(coord, idx)
@@ -51,8 +57,7 @@ class ReadOnlyBus:
         return value if due <= self.now else None
 
     def __getattr__(self, name):
-        if name not in ("deliver", "consume_latch", "sreg_write", "mem_request",
-                        "rtt_action"):
+        if name not in ("sreg_write", "mem_request", "rtt_action"):
             raise AttributeError(name)
         return lambda *args: self.effects.append((name, args))
 
@@ -80,7 +85,7 @@ class SleepOracle:
                 bus = ReadOnlyBus(rpu, system.stats.total_cycles)
                 assert twin.tick(bus) is False, pe.coord
                 assert pe_state(twin) == pe_state(pe), pe.coord
-                assert bus.effects == [], pe.coord
+                assert bus.effects == bus.deliveries == bus.consumes == [], pe.coord
                 self.checks += 1
 
 
@@ -221,19 +226,21 @@ def test_consume_does_not_wake_a_driver_with_an_empty_write_back():
 def snapshot(pe, bus):
     state = {k: list(v) if isinstance(v, list) else dict(v) if isinstance(v, dict) else v
              for k, v in pe_state(pe).items()}
-    effects = (len(bus._deliveries), len(bus._consumes), dict(bus.sreg),
+    effects = (len(bus.deliveries), len(bus.consumes), dict(bus.sreg),
                len(bus.rtt_actions))
     return state, effects
 
 
 def test_tick_reports_exactly_the_cycles_that_change_something():
     """Random programs under random operand arrivals and downstream drains:
-    ``tick`` returns False exactly when neither the PE nor the bus changed."""
+    ``tick`` returns False exactly when neither the PE nor the bus changed,
+    or the decoded word was held for a missing operand. A held tick may still
+    have changed something: its write-back drove, or it fetched."""
     rng = random.Random(4)
     sels = (SrcSel.W, SrcSel.N, SrcSel.IMM, SrcSel.ACC, SrcSel.NONE, SrcSel.SREG)
     dsts = (DstSel.E, DstSel.E, DstSel.ACC, DstSel.SREG, DstSel.NONE)
     ops = (Opcode.ADD, Opcode.PHI, Opcode.ROUTE, Opcode.SEL, Opcode.NOP, Opcode.HALT)
-    outcomes = set()
+    outcomes = set()   # (returned, held, changed)
     for _ in range(300):
         words = [W(rng.choice(ops), rng.choice(sels), rng.choice(sels), rng.choice(dsts),
                    imm16=rng.randrange(8), iter_count=rng.randrange(3),
@@ -253,11 +260,52 @@ def test_tick_reports_exactly_the_cycles_that_change_something():
             if rng.random() < 0.1:
                 bus.sreg[0] = (rng.randrange(4), True)
             before = snapshot(pe, bus)
+            decoded = pe.d_slot if pe.x_slot is None else None   # the word execute tries
             moved = pe.tick(bus)
-            assert moved is (snapshot(pe, bus) != before), words
-            outcomes.add(moved)
+            held = decoded is not None and pe.d_slot is decoded
+            changed = snapshot(pe, bus) != before
+            assert moved is (changed and not held), words
+            outcomes.add((moved, held, changed))
             bus.end_cycle()
-    assert outcomes == {True, False}
+    assert outcomes == {(True, False, True), (False, False, False), (False, True, False),
+                        (False, True, True)}
+
+
+def test_a_held_tick_that_drives_its_write_back_sleeps(monkeypatch):
+    """(2,2) drives 5 east in the same tick its next word is held lacking W:
+    that tick returns False, and (2,2) is not ticked again until the value
+    (2,1) drives lands in its W latch."""
+    target = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=5),
+              W(Opcode.ADD, SrcSel.W, SrcSel.ACC, DstSel.ACC), W(opcode=Opcode.HALT)]
+    east = [W(Opcode.ADD, SrcSel.W, SrcSel.ACC, DstSel.ACC), W(opcode=Opcode.HALT)]
+    west = [W(opcode=Opcode.NOP, iter_count=10),
+            W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.E, imm16=300), W(opcode=Opcode.HALT)]
+    ticks = []   # per tick of (2,2) in the run: (cycle, write-back drove, word held, returned)
+    tick = PE.tick
+
+    def recorded(self, bus):
+        drives, decoded = self.w_slot is not None, self.d_slot
+        moved = tick(self, bus)
+        if self.coord == (2, 2) and not isinstance(bus, ReadOnlyBus):   # not the oracle's twin
+            ticks.append((bus.now, drives and self.w_slot is None,
+                          decoded is not None and self.d_slot is decoded, moved))
+        return moved
+
+    monkeypatch.setattr(PE, "tick", recorded)
+    filled = []   # after each cycle: (2,2) holds W
+
+    def observe(rpu):
+        filled.append(Direction.W in rpu.pes[(2, 2)].latch)
+
+    rpu, checks = run_config([(2, 2, target), (2, 3, east), (2, 1, west)], observe)
+    assert (rpu.pes[(2, 2)].acc, rpu.pes[(2, 3)].acc) == (300, 5)   # its 5 went east
+    at = next(i for i, (_, drove, held, _) in enumerate(ticks) if drove and held)
+    cycle, _, _, moved = ticks[at]
+    assert moved is False
+    landed = filled.index(True)   # the cycle whose end delivers into W
+    assert landed > cycle + 1
+    assert ticks[at + 1][0] == landed + 1, ticks
+    assert checks > 0
 
 
 def test_starving_pe_reports_no_progress_until_its_operand_lands():
