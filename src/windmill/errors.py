@@ -77,10 +77,6 @@ class AddressOutOfRange(WindmillError):
     """A word address falls outside the addressed memory."""
 
 
-class IndexOutOfRange(WindmillError):
-    """A shared-register index exceeds the configured register count."""
-
-
 # --- system ----------------------------------------------------------------
 
 class UnknownOpcode(WindmillError):

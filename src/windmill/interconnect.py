@@ -11,7 +11,6 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .arch import IdentityEnum, SharedRegScope, TopologyKind
-from .errors import IndexOutOfRange
 
 Coord = tuple[int, int]
 
@@ -94,29 +93,23 @@ class SharedRegFile:
     register is valid once written, and ``committed`` holds exactly the
     valid ones, keyed by (scope instance, index). Writes are staged and
     committed together; two writes to the same register in one cycle
-    resolve to the lowest (row, col) writer and count a conflict.
+    resolve to the lowest (row, col) writer and count a conflict. Indices
+    are trusted: registration bounds them by the register count.
     """
 
-    def __init__(self, mode: SharedRegScope, dims: Coord, reg_count: int):
+    def __init__(self, mode: SharedRegScope, dims: Coord):
         self.mode = mode
         self.dims = dims
-        self.reg_count = reg_count
         self.committed: dict[tuple[int, int], int] = {}
         self.pending: dict[tuple[int, int], tuple[Coord, int]] = {}
         self.conflicts = 0
 
-    def _check_idx(self, idx: int):
-        if not 0 <= idx < self.reg_count:
-            raise IndexOutOfRange(f"shared register {idx} (count {self.reg_count})")
-
     def read(self, coord: Coord, idx: int) -> tuple[int, bool]:
-        self._check_idx(idx)
         value = self.committed.get((scope_of(self.mode, coord, self.dims), idx))
         return (0, False) if value is None else (value, True)
 
     def write(self, coord: Coord, idx: int, value: int):
         """Stage a write; committed at cycle end by ``commit``."""
-        self._check_idx(idx)
         s = scope_of(self.mode, coord, self.dims)
         key = (s, idx)
         prior = self.pending.get(key)

@@ -55,8 +55,7 @@ class Opcode(IntEnum):
     SHR = 8
     CMP_LT = 9
     SEL = 10
-    PHI = 11
-    ROUTE = 12
+    ROUTE = 12   # 11 (a deleted op) stays undefined, so no other op changes encoding
     LOAD = 13
     STORE = 14
     HALT = 15
@@ -137,23 +136,25 @@ class ConfigWord(NamedTuple):
         return max(1, self.iter_count)
 
 
-# the word layout, per ConfigWord field in order: (lowest bit, mask, values),
-# where values[v] is what the field value v decodes to: the enum's members, or
-# range(1 << width) for a plain integer field
-_LAYOUT = ((59, 0x1F, tuple(Opcode)), (55, 0xF, tuple(SrcSel)), (51, 0xF, tuple(SrcSel)),
-           (47, 0xF, tuple(DstSel)), (31, 0xFFFF, range(1 << 16)),
-           (23, 0xFF, range(1 << 8)), (19, 0xF, range(1 << 4)), (16, 0x7, range(1 << 3)))
-_FIELD_BOUNDS = tuple(len(values) for _, _, values in _LAYOUT)
+# the word layout, per ConfigWord field in order: (lowest bit, mask, values), where
+# values holds exactly the field's defined values, values[v] what v decodes to: an
+# enum's {value: member} table, which misses on a hole such as opcode 11, or a range
+_OPS, _SRCS, _DSTS = ({m.value: m for m in enum} for enum in (Opcode, SrcSel, DstSel))
+_LAYOUT = ((59, 0x1F, _OPS), (55, 0xF, _SRCS), (51, 0xF, _SRCS), (47, 0xF, _DSTS),
+           (31, 0xFFFF, range(1 << 16)), (23, 0xFF, range(1 << 8)), (19, 0xF, range(1 << 4)),
+           (16, 0x7, range(1 << 3)))
 
 
 # bounded like ``_predecode``; validate_bitstream finds here, for free, the
 # words that encode checked when the mapper packed them
 @lru_cache(maxsize=1024)
 def _undefined_field(word: ConfigWord) -> str | None:
-    """The first field of ``word`` outside its enum or bit width, if any."""
-    for name, value, bound in zip(ConfigWord._fields, word, _FIELD_BOUNDS):
-        if not 0 <= value < bound:
-            return f"{name}={value} is outside 0..{bound - 1}"
+    """The first field of ``word`` that is not one of its defined values, if any."""
+    for name, value, (_, _, values) in zip(ConfigWord._fields, word, _LAYOUT):
+        if value not in values:
+            top = max(values)
+            return f"{name}={value} is " + ("undefined" if 0 <= value <= top
+                                            else f"outside 0..{top}")
     return None
 
 
@@ -175,7 +176,7 @@ def decode(value: int) -> ConfigWord:
         raise DecodeError(f"reserved bits 15:0 are nonzero in {value:#018x}")
     try:
         return ConfigWord(*[values[(value >> low) & mask] for low, mask, values in _LAYOUT])
-    except IndexError:
+    except LookupError:   # a field value its table does not hold
         raw = ConfigWord(*[(value >> low) & mask for low, mask, _ in _LAYOUT])
         raise DecodeError(_undefined_field(raw)) from None
 
@@ -369,7 +370,8 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 #     (kind, alu, srcs, pulls, to, to_arg, entry, iterations, next_step, word)
 #
 # kind        one of the _K_* codes below; alu is the _ALU function of an
-#             _K_ALU word
+#             _K_ALU word. Every kind fires only once all of srcs are valid, so
+#             its result is a function of their values alone, not of timing
 # srcs        the required operands in firing order, each (_S_* code, arg):
 #             the entry latch Direction, a constant, or a shared-register index
 # pulls       the latch directions among srcs, each once, consumed when the
@@ -382,10 +384,10 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 # word        the ConfigWord itself, for the memory-address path and
 #             ``PE.context``
 
-_K_NOP, _K_ALU, _K_PHI, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(8)
-_KIND = {Opcode.NOP: _K_NOP, Opcode.PHI: _K_PHI, Opcode.ROUTE: _K_ROUTE,
-         Opcode.SEL: _K_SEL, Opcode.LOAD: _K_LOAD, Opcode.STORE: _K_STORE,
-         Opcode.HALT: _K_HALT, **{op: _K_ALU for op in BINARY_OPS}}
+_K_NOP, _K_ALU, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(7)
+_KIND = {Opcode.NOP: _K_NOP, Opcode.ROUTE: _K_ROUTE, Opcode.SEL: _K_SEL,
+         Opcode.LOAD: _K_LOAD, Opcode.STORE: _K_STORE, Opcode.HALT: _K_HALT,
+         **{op: _K_ALU for op in BINARY_OPS}}
 
 _S_LATCH, _S_CONST, _S_ACC, _S_SREG = range(4)
 
@@ -590,35 +592,30 @@ class PE:
             self.pc = len(self._code)
             self.done = True
             return True
-        if kind == _K_PHI:
-            result = self._merge(dec[2], bus)
-            if result is _STALLED:
-                return False
-        else:
-            latch = self.latch
-            vals = []
-            for src, arg in dec[2]:
-                if src == _S_LATCH:
-                    if arg not in latch:
-                        return False
-                    vals.append(latch[arg])
-                elif src == _S_CONST:
-                    vals.append(arg)
-                else:
-                    value, valid = self._operand(src, arg, bus)
-                    if not valid:
-                        return False
-                    vals.append(value)
-            for direction in dec[3]:
-                bus.consumes.append((self, direction))
-            if kind == _K_ALU:
-                result = dec[1](vals[0], vals[1])
-            elif kind == _K_ROUTE:
-                result = vals[0]
-            elif kind == _K_SEL:
-                result = vals[1] if vals[0] != 0 else 0
+        latch = self.latch
+        vals = []
+        for src, arg in dec[2]:
+            if src == _S_LATCH:
+                if arg not in latch:
+                    return False
+                vals.append(latch[arg])
+            elif src == _S_CONST:
+                vals.append(arg)
             else:
-                result = None   # NOP, or a memory op
+                value, valid = self._operand(src, arg, bus)
+                if not valid:
+                    return False
+                vals.append(value)
+        for direction in dec[3]:
+            bus.consumes.append((self, direction))
+        if kind == _K_ALU:
+            result = dec[1](vals[0], vals[1])
+        elif kind == _K_ROUTE:
+            result = vals[0]
+        elif kind == _K_SEL:
+            result = vals[1] if vals[0] != 0 else 0
+        else:
+            result = None   # NOP, or a memory op
         if kind == _K_LOAD or kind == _K_STORE:
             self._mem_request(dec, iter_idx, vals, bus)   # a faulting post counts no cycle
         else:
@@ -646,16 +643,6 @@ class PE:
             return self.acc, True
         return bus.sreg_read(self.coord, arg)
 
-    def _merge(self, srcs, bus):
-        """PHI: forward src0 when it is valid, else src1; stall on neither."""
-        (v0, ok0), (v1, ok1) = [self._operand(src, arg, bus) for src, arg in srcs]
-        if not (ok0 or ok1):
-            return _STALLED
-        src, arg = srcs[0] if ok0 else srcs[1]
-        if src == _S_LATCH:
-            bus.consumes.append((self, arg))
-        return v0 if ok0 else v1
-
     def _mem_request(self, dec, iter_idx: int, vals: list, bus):
         """Post a memory op to the scratchpad; execute waits for the reply."""
         word = dec[9]
@@ -679,6 +666,3 @@ class PE:
             self.w_slot = (dec, value)
         else:
             self.x_slot = (dec, value)
-
-
-_STALLED = object()

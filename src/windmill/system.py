@@ -154,7 +154,7 @@ class Rpu:
         self.half_words = self.sram.words // 2
         self.pai = PaiArbiter(params.sm_banks, machine.pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
-        self.sregs = SharedRegFile(params.shared_reg_mode, dims, params.shared_reg_count)
+        self.sregs = SharedRegFile(params.shared_reg_mode, dims)
         self.queue: list[tuple[str, tuple]] = []   # (action, operands)
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE

@@ -333,7 +333,7 @@ def test_criterion_9_encoding_stability():
     rng = random.Random(0x901DE)
     for _ in range(10_000):
         word = ConfigWord(
-            opcode=Opcode(rng.randrange(16)),
+            opcode=rng.choice(tuple(Opcode)),
             src0=SrcSel(rng.randrange(12)),
             src1=SrcSel(rng.randrange(12)),
             dst=DstSel(rng.randrange(12)),

@@ -296,6 +296,17 @@ class TestSim:
         assert "PE (2,2)" in r.stderr and "shared register 7" in r.stderr
         assert not stats.exists()
 
+    def test_undefined_opcode_rejected_before_the_run(self, std_arch, tmp_path):
+        """Opcode 11 is undefined: a bitstream carrying it is an input error
+        (exit 2), so no cycle runs and no stats are written."""
+        bs = tmp_path / "op11.bit"
+        bs.write_bytes(struct.pack("<IQ", (2 << 24) | (2 << 16) | 1, 11 << 59))
+        stats = tmp_path / "stats.csv"
+        r = windmill("sim", "--arch", std_arch, "--bitstream", bs, "--stats", stats)
+        assert r.returncode == 2
+        assert "opcode=11 is undefined" in r.stderr
+        assert not stats.exists()
+
     def test_context_over_capacity_rejected_before_the_run(self, std_arch, tmp_path, capsys):
         """standard.arch holds 16 words per PE: a 17-word record is an input
         error (exit 2) naming the PE, and no stats are written."""

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from windmill.arch import ArchParams, SharedRegScope, TopologyKind, with_default_type_map
-from windmill.errors import IndexOutOfRange
 from windmill.interconnect import (Direction, SharedRegFile, neighbor_map, neighbors,
                                    scope_of)
 from windmill.mapper import _route_tables, _Scheduler
@@ -157,20 +156,20 @@ class TestExchange:
 
 class TestSharedRegs:
     def test_global_scope_cross_array(self):
-        f = SharedRegFile(SharedRegScope.GLOBAL, (8, 8), 4)
+        f = SharedRegFile(SharedRegScope.GLOBAL, (8, 8))
         f.write((0, 0), 2, 0xABCD)
         f.commit()
         assert f.read((7, 7), 2) == (0xABCD, True)
 
     def test_row_scope_isolation(self):
-        f = SharedRegFile(SharedRegScope.ROW, (8, 8), 4)
+        f = SharedRegFile(SharedRegScope.ROW, (8, 8))
         f.write((0, 0), 0, 5)
         f.commit()
         assert f.read((1, 0), 0) == (0, False)
         assert f.read((0, 7), 0) == (5, True)
 
     def test_line_scope_is_column(self):
-        f = SharedRegFile(SharedRegScope.LINE, (8, 8), 4)
+        f = SharedRegFile(SharedRegScope.LINE, (8, 8))
         f.write((0, 3), 0, 9)
         f.commit()
         assert f.read((7, 3), 0) == (9, True)
@@ -189,7 +188,7 @@ class TestSharedRegs:
             assert sum(len(v) for v in seen.values()) == 64
 
     def test_write_conflict_lowest_coord_wins(self):
-        f = SharedRegFile(SharedRegScope.GLOBAL, (8, 8), 4)
+        f = SharedRegFile(SharedRegScope.GLOBAL, (8, 8))
         f.write((5, 5), 1, 111)
         f.write((2, 2), 1, 222)
         f.write((2, 3), 1, 333)
@@ -198,13 +197,8 @@ class TestSharedRegs:
         assert f.conflicts == 2
 
     def test_reads_see_previous_cycle(self):
-        f = SharedRegFile(SharedRegScope.GLOBAL, (4, 4), 2)
+        f = SharedRegFile(SharedRegScope.GLOBAL, (4, 4))
         f.write((0, 0), 0, 7)
         assert f.read((3, 3), 0) == (0, False)  # not yet committed
         f.commit()
         assert f.read((3, 3), 0) == (7, True)
-
-    def test_index_out_of_range(self):
-        f = SharedRegFile(SharedRegScope.GLOBAL, (4, 4), 2)
-        with pytest.raises(IndexOutOfRange):
-            f.read((0, 0), 2)

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 from windmill.arch import parse_arch_file, validate
+from windmill.errors import CycleLimitExceeded
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
 from windmill.pe import unpack_bitstream
-from windmill.system import HostCommand, SimStats, SystemSim, four_step_script
+from windmill.system import (DEFAULT_CYCLE_LIMIT, HostCommand, SimStats, SystemSim,
+                             four_step_script)
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
 
@@ -35,16 +37,27 @@ def kernel_case(name):
     return params, records, image, base, n
 
 
-def observe(params, records, image, base, n, rpu=0, load_len=None):
-    """Run the 4-step script on RPU ``rpu``, streaming the first ``load_len``
-    image words (all of them by default). The stats row's pe_idle_cycles
-    leaves out the RPUs other than ``rpu``, which never run."""
-    system = SystemSim(params, image)
-    system.register_config(0, records)
+def simulate(params, records, image, base, n, rpu=0, load_len=None, config_id=0,
+             cycle_limit=DEFAULT_CYCLE_LIMIT):
+    """Run the 4-step script on RPU ``rpu``, with the config registered and
+    loaded under ``config_id``, streaming the first ``load_len`` image words
+    (all of them by default)."""
+    system = SystemSim(params, image, cycle_limit)
+    system.register_config(config_id, records)
     load_len = len(image) if load_len is None else load_len
-    system.submit_script([HostCommand(c.opcode, (1 << rpu, *c.args[1:]))
-                          for c in four_step_script(load_len, base, n)])
-    stats = system.run()
+    script = four_step_script(load_len, base, n)
+    script[0] = HostCommand(0x01, (1, config_id))
+    system.submit_script([HostCommand(c.opcode, (1 << rpu, *c.args[1:])) for c in script])
+    system.run()
+    return system
+
+
+def observe(params, records, image, base, n, rpu=0, **run):
+    """The stats row, per-PE activity and per-LSU grants of RPU ``rpu``, and
+    the result words, of a ``simulate`` run. The stats row's pe_idle_cycles
+    leaves out the RPUs other than ``rpu``, which never run."""
+    system = simulate(params, records, image, base, n, rpu, **run)
+    stats = system.stats
     row = {c: getattr(stats, c) for c in SimStats.CSV_COLUMNS}
     row["pe_idle_cycles"] -= (params.rpu_count - 1) * stats.total_cycles * len(system.machine.cells)
     per_rpu = [{coord: count for (r, coord), count in counts.items() if r == rpu}
@@ -72,8 +85,27 @@ def on_one_and_four_rpus(params, records, image, base, n):
     return [observe(one, records, image, base, n), observe(params, records, image, base, n)]
 
 
+def under_another_config_id(params, records, image, base, n):
+    """The config registered and loaded as config 0, and as config 3."""
+    return [observe(params, records, image, base, n),
+            observe(params, records, image, base, n, config_id=3)]
+
+
+def at_the_tightest_cycle_limit(params, records, image, base, n):
+    """The default cycle limit, and the tightest one the run passes at. The
+    check ``running_cycles > cycle_limit`` runs only in a cycle that ends with
+    a PE still live, so a phase of R cycles passes at R - 1, and at R - 2 it
+    raises in its cycle R - 1."""
+    tight = simulate(params, records, image, base, n).rpus[0].running_cycles - 1
+    with pytest.raises(CycleLimitExceeded, match=f"no completion within {tight - 1} cycles"):
+        simulate(params, records, image, base, n, cycle_limit=tight - 1)
+    return [observe(params, records, image, base, n),
+            observe(params, records, image, base, n, cycle_limit=tight)]
+
+
 RELATIONS = {"each_rpu": on_each_rpu, "unused_words": with_unused_words,
-             "one_and_four_rpus": on_one_and_four_rpus}
+             "one_and_four_rpus": on_one_and_four_rpus, "config_id": under_another_config_id,
+             "cycle_limit": at_the_tightest_cycle_limit}
 
 
 @pytest.mark.parametrize("name", sorted(ALL_KERNELS))

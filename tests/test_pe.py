@@ -35,8 +35,9 @@ VALID_WORDS = st.builds(
     next_step=st.integers(0, 0x7),
 )
 
-# each ConfigWord field's bound: enum member count, else 1 << bit width
+# each ConfigWord field's bound: one past its largest enum value, else 1 << bit width
 FIELD_BOUNDS = (16, 12, 12, 12, 1 << 16, 1 << 8, 1 << 4, 1 << 3)
+UNDEFINED_OPCODE = 11   # the one hole below an enum field's bound
 
 
 class TestEncoding:
@@ -60,7 +61,7 @@ class TestEncoding:
         rng = random.Random(1234)
         for _ in range(10_000):
             word = ConfigWord(
-                opcode=Opcode(rng.randrange(16)),
+                opcode=rng.choice(tuple(Opcode)),
                 src0=SrcSel(rng.randrange(12)),
                 src1=SrcSel(rng.randrange(12)),
                 dst=DstSel(rng.randrange(12)),
@@ -99,6 +100,14 @@ class TestEncoding:
         with pytest.raises(DecodeError, match=f"^value {shown} is not a 64-bit word$"):
             decode(value)
 
+    def test_opcode_11_undefined_at_decode(self):
+        with pytest.raises(DecodeError, match="^opcode=11 is undefined$"):
+            decode(UNDEFINED_OPCODE << 59)
+
+    def test_opcode_11_undefined_at_encode(self):
+        with pytest.raises(EncodeError, match="^opcode=11 is undefined$"):
+            encode(ConfigWord(opcode=UNDEFINED_OPCODE))
+
     def test_field_overflow_rejected(self):
         with pytest.raises(EncodeError):
             encode(ConfigWord(imm16=1 << 16))
@@ -118,7 +127,8 @@ class TestEncoding:
         """Any int fields: encode accepts exactly the defined words, and
         decoding what it packs gives the word back."""
         word = ConfigWord(*fields)
-        if all(0 <= v < bound for v, bound in zip(fields, FIELD_BOUNDS)):
+        if (all(0 <= v < bound for v, bound in zip(fields, FIELD_BOUNDS))
+                and word.opcode != UNDEFINED_OPCODE):
             assert decode(encode(word)) == word
         else:
             with pytest.raises(EncodeError):
@@ -291,6 +301,7 @@ class TestByValue:
     @pytest.mark.parametrize("word, problem", [
         (ConfigWord(opcode=99), "opcode=99 is outside 0..15"),
         (ConfigWord(Opcode.ADD, SrcSel.IMM, 77, DstSel.ACC), "src1=77 is outside 0..11"),
+        (ConfigWord(UNDEFINED_OPCODE, SrcSel.N, SrcSel.S, DstSel.ACC), "opcode=11 is undefined"),
     ])
     def test_undefined_field_rejected_at_registration(self, word, problem):
         """A hand-built word with an undefined value is refused before any
