@@ -95,7 +95,8 @@ class BitstreamTargetInvalid(WindmillError):
 
 
 class CycleLimitExceeded(WindmillError):
-    """The launch deadlock guard tripped before all PEs went done."""
+    """A host launch and the phases chained to it ran ``cycle_limit`` cycles
+    with a PE still live."""
 
 
 class DeadlockDetected(CycleLimitExceeded):

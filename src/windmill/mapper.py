@@ -168,7 +168,7 @@ _SRC_DIR = {d: s for s, d in _DIR_BY_SEL.items()}
 _DIR_DST = {d: s for s, d in _DST_DIR.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     """One scheduled machine op on one PE."""
 
@@ -411,7 +411,7 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
                     key[j] = blocked
                 elif not spread[j]:
                     key[j] -= crowding[j]
-        j = min(range(len(cells)), key=key.__getitem__)
+        j = key.index(min(key))
         if key[j] >= blocked:
             raise Unmappable("PE capacity exhausted during placement", ln.id)
         pe = cells[j]

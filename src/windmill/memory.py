@@ -14,49 +14,26 @@ half. The array's finish signal flips ownership; a flip requested mid-batch
 is deferred until the batch completes. The DMA also owns the launch rule: a
 phase may launch unless a flip is deferred or a batch due in its half has
 not landed.
+
+An address is checked once, where it enters: a PE's in ``Rpu.mem_request``,
+a host region's in ``Rpu.check_region``; the SRAM's words are indexed unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AddressOutOfRange, SimulationError
+from .errors import SimulationError
 
 
 class BankedSram:
-    """Word-addressed banked SRAM. Bank = low bits, row = high bits."""
+    """Word-addressed banked SRAM: bank = ``addr % banks``, half = top row bit."""
 
     def __init__(self, banks: int, depth: int, width: int = 32):
         self.banks = banks
-        self.depth = depth
-        self.width = width
         self.words = banks * depth
         self.mask = (1 << width) - 1
         self.data = [0] * self.words
-
-    def _check(self, addr: int):
-        if not 0 <= addr < self.words:
-            raise AddressOutOfRange(f"address {addr} outside {self.words} words")
-
-    def bank_of(self, addr: int) -> int:
-        self._check(addr)
-        return addr % self.banks
-
-    def row_of(self, addr: int) -> int:
-        self._check(addr)
-        return addr // self.banks
-
-    def read(self, addr: int) -> int:
-        self._check(addr)
-        return self.data[addr]
-
-    def write(self, addr: int, value: int):
-        self._check(addr)
-        self.data[addr] = value & self.mask
-
-    def half_of(self, addr: int) -> int:
-        """Ping-pong half: top bit of the row address."""
-        return self.row_of(addr) // (self.depth // 2)
 
 
 @dataclass(slots=True)
@@ -200,7 +177,7 @@ class DmaController:
         half = None
         if batch.progress < batch.length:   # a zero-length batch writes nothing
             half = batch.half
-            if sram.bank_of(batch.sm_addr + batch.progress + half * self.half_words) in blocked_banks:
+            if (batch.sm_addr + batch.progress + half * self.half_words) % sram.banks in blocked_banks:
                 self.stall_cycles += 1
                 return None
             self.stream(sram, 1)
@@ -215,7 +192,8 @@ class DmaController:
         """What ``n`` unblocked ``step`` calls write, short of the batch end."""
         batch = self.active
         base = batch.sm_addr + batch.half * self.half_words
+        data, mask = sram.data, sram.mask
         for i in range(batch.progress, batch.progress + n):
             ext_idx = batch.ext_addr + i
-            sram.write(base + i, self.ext[ext_idx] if ext_idx < len(self.ext) else 0)
+            data[base + i] = (self.ext[ext_idx] if ext_idx < len(self.ext) else 0) & mask
         batch.progress += n

@@ -18,7 +18,7 @@ issue order:
 
 The canonical run is the four-step protocol: load configurations, load
 data, launch, store results. Launch ticks the machine until every PE with
-a loaded context raises its done flag (guarded by a cycle limit); the
+a loaded context raises its done flag (bounded by a cycle limit); the
 finish signal flips the ping-pong half ownership so a queued DMA batch can
 stream the next phase's data behind the next compute phase.
 
@@ -155,7 +155,7 @@ class Rpu:
         self.pai = PaiArbiter(params.sm_banks, machine.pai_order)
         self.dma = DmaController(ext_memory, self.half_words)
         self.sregs = SharedRegFile(params.shared_reg_mode, dims)
-        self.queue: list[tuple[str, tuple]] = []   # (action, operands)
+        self.queue: list[tuple[str, tuple | None]] = []   # (action, operands)
         self.manifest: list[tuple] = []
         self.status = RpuStatus.IDLE
         self.live: list[PE] = []   # PEs of the running phase not yet done, by coord
@@ -199,7 +199,6 @@ class Rpu:
         self.awake = dict.fromkeys(self.live)
         self.sregs.clear()
         self.status = RpuStatus.RUNNING
-        self.running_cycles = 0
 
     def store_results(self, sm_addr: int, length: int) -> list[int]:
         """Read a half-relative region out of the DMA-owned half: after the
@@ -214,7 +213,7 @@ class Rpu:
                 f"overlaps streamed batch (ext {b.ext_addr}, sm {b.sm_addr}, len {b.length}), "
                 "queued ahead of the store to refill that half")
         base = dma.half * self.half_words + sm_addr
-        return [self.sram.read(base + i) for i in range(length)]
+        return self.sram.data[base:base + length]
 
     def check_region(self, what: str, sm_addr: int, length: int):
         """A host transfer's half-relative region must lie in the half space."""
@@ -261,7 +260,7 @@ class Rpu:
         if action == "load_config":
             operands = (operand,)
         elif action == "launch":
-            operands = ()
+            operands = None   # a chained launch: it continues its phase's cycle count
         elif operand < len(self.manifest):
             operands = self.manifest[operand]
         else:
@@ -359,7 +358,7 @@ class Rpu:
                 raise DeadlockDetected(
                     f"rpu {self.id}: deadlock after {self.running_cycles} cycles: "
                     + "; ".join(pe.waiting_on(self) for pe in self.live))
-            elif self.running_cycles > system.cycle_limit:
+            elif self.running_cycles >= system.cycle_limit:
                 raise CycleLimitExceeded(
                     f"rpu {self.id}: no completion within {system.cycle_limit} cycles")
 
@@ -472,6 +471,8 @@ class SystemSim:
                     "already requested")
         elif action == "launch":
             rpu.launch()
+            if args is not None:   # a host launch; a chained one continues its phase's count
+                rpu.running_cycles = 0
         elif action == "store_results":
             sm, ext, length = args[:3]
             for i, w in enumerate(rpu.store_results(sm, length)):
@@ -520,15 +521,13 @@ class SystemSim:
         return not self.script and not self._active
 
     def run(self):
-        """Tick until quiescent, at most 16 cycle limits; the stats cover the
-        cycles run, also when a run-time fault ends the run."""
-        guard = self.cycle_limit * 16
+        """Tick until quiescent; the stats cover the cycles run, also when a
+        run-time fault ends the run. A run ends as each wait has its bound:
+        see docs/formats.md, "Run-time faults"."""
         running = False   # a running RPU keeps the system busy and streams no DMA alone
         try:
             while running or not self.quiescent():
-                if self.stats.total_cycles >= guard:
-                    raise CycleLimitExceeded(f"system made no progress in {guard} cycles")
-                skip = 0 if running else self._dma_only_cycles(guard)
+                skip = 0 if running else self._dma_only_cycles()
                 if skip:
                     for rpu in self._active:
                         rpu.dma.stream(rpu.sram, skip)
@@ -539,9 +538,9 @@ class SystemSim:
             self._finalize_stats()
         return self.stats
 
-    def _dma_only_cycles(self, guard: int) -> int:
+    def _dma_only_cycles(self) -> int:
         """Coming cycles that only stream one DMA word per busy RPU, short of
-        the guard and of the last word of a batch, which ``tick`` writes.
+        the last word of a batch, which ``tick`` writes.
         None under a ``trace_hook``, which observes every cycle. Once the
         script is drained and every busy RPU is starved, nothing can move:
         that is a protocol fault, raised here in the cycle it begins."""
@@ -555,13 +554,13 @@ class SystemSim:
                 f"waits for flip {b.epoch}, but no phase is left to request it")
         if self.trace_hook is not None:
             return 0
-        skip = guard - self.stats.total_cycles
+        left = []
         for rpu in self._active:
             batch = rpu.dma.active
             if batch is None or not rpu.only_dma_pending():
                 return 0
-            skip = min(skip, batch.length - batch.progress - 1)
-        return skip
+            left.append(batch.length - batch.progress - 1)
+        return min(left, default=0)
 
     def _finalize_stats(self):
         st = self.stats

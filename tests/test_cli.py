@@ -448,6 +448,28 @@ class TestSim:
         header, row = stats.read_text().splitlines()
         assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
 
+    def test_tightest_cycle_limit_outlasting_a_batch(self, std_arch, halt_bit, tmp_path, capsys):
+        """A 64-word staging batch, then a 3-cycle phase: at --cycle-limit 3
+        the run streams its whole batch and ends with the default limit's
+        results and stats row. At 2 the phase itself overruns."""
+        from windmill.cli import main
+        image, script = tmp_path / "in.bin", tmp_path / "batch.script"
+        write_image(image, list(range(200)))
+        script.write_text("01 1 0\n02 1 0 0 40 1\n03 1\n04 1 0 0 4\n")
+
+        def sim(*limit):
+            out, stats = tmp_path / "out.bin", tmp_path / "stats.csv"
+            rc = main(["sim", "--arch", str(std_arch), "--bitstream", str(halt_bit),
+                       "--data", str(image), "--script", str(script), "--out", str(out),
+                       "--stats", str(stats), "--result-len", "4", *limit])
+            return rc, read_image(out), stats.read_text()
+
+        default = sim()
+        assert default[:2] == (0, [0, 1, 2, 3])
+        assert sim("--cycle-limit", "3") == default
+        assert sim("--cycle-limit", "2")[0] == 4
+        assert capsys.readouterr().err == "error: rpu 0: no completion within 2 cycles\n"
+
     def test_in_process_sim_closes_its_files(self, std_arch, tmp_path):
         import gc
         import warnings

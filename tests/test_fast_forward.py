@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from windmill.errors import CycleLimitExceeded
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
 from windmill.pe import ConfigWord as W, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.system import HostCommand, SystemSim, run_protocol
@@ -30,8 +29,8 @@ def streamed(monkeypatch):
     count = [0]
     dma_only_cycles = SystemSim._dma_only_cycles
 
-    def counting(self, guard):
-        skip = dma_only_cycles(self, guard)
+    def counting(self):
+        skip = dma_only_cycles(self)
         count[0] += skip
         return skip
 
@@ -117,7 +116,7 @@ def ring_run(traced):
     system = new_system(params, traced, list(range(300)))
     for rpu in system.rpus:
         for i in range(8):
-            rpu.sram.write(i, rpu.id * 100 + i)
+            rpu.sram.data[i] = rpu.id * 100 + i
     remote = params.sm_words + 3
     system.register_config(0, [
         (0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=remote,
@@ -166,20 +165,23 @@ def test_random_graphs(seed):
 
 @pytest.mark.parametrize("length", [3, 50, 398, 399, 400, 401, 402])
 def test_cycle_limit_during_a_long_batch(length):
-    """The guard stops a fast-forward at the same cycle as a ticked run, while
-    RPU 1 streams a long batch: long after RPU 0's ``length``-word batch
-    ends, and after, at and before its last word."""
+    """No phase runs, so a tight cycle limit bounds nothing: both RPUs
+    stream their batches to the end, RPU 1 long after RPU 0's
+    ``length``-word batch, and the fast-forward lands on the ticked run's
+    cycle and words."""
     def run(traced):
         system = new_system(replace(test_sim_golden.standard_arch(), rpu_count=2), traced,
                             list(range(1000)))
-        system.cycle_limit = 25   # the guard is 16 cycle limits: 400 cycles
+        system.cycle_limit = 25
         system.submit_script([HostCommand(0x02, (0x3, 0, 0, length, 1)),
                               HostCommand(0x02, (0x2, 10, 0, 600, 1))])
-        with pytest.raises(CycleLimitExceeded, match="in 400 cycles"):
-            system.run()
+        system.run()
         return system.stats.total_cycles, [rpu.sram.data for rpu in system.rpus]
 
-    assert both_ways(run)[0] == 400
+    total, (data0, data1) = both_ways(run)
+    assert total == length + 600   # RPU 1's two batches, one word a cycle
+    assert data0 == list(range(length)) + [0] * (len(data0) - length)
+    assert data1 == list(range(10, 610)) + [0] * (len(data1) - 600)   # the 600 words overwrite
 
 
 def test_rpu_leaving_the_active_set_touches_no_half():

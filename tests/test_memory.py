@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from windmill.errors import AddressOutOfRange, SimulationError, ValidationError
+from windmill.errors import SimulationError, ValidationError
 from windmill.arch import PeType, standard_preset, validate
 from windmill.memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
 
@@ -15,37 +15,12 @@ def lsu_ids(n=28):
 
 
 class TestSram:
-    def test_write_read(self):
-        sram = BankedSram(16, 256)
-        sram.write(0, 0xDEADBEEF)
-        assert sram.read(0) == 0xDEADBEEF
-
-    def test_bank_row_split(self):
-        sram = BankedSram(16, 256)
-        assert sram.bank_of(17) == 1
-        assert sram.row_of(17) == 1
-
-    def test_capacity_boundary(self):
-        sram = BankedSram(16, 256)
-        sram.read(4095)
-        for access in (sram.read, sram.bank_of, sram.row_of, sram.half_of,
-                       lambda addr: sram.write(addr, 1)):
-            for addr in (4096, -1):
-                with pytest.raises(AddressOutOfRange, match=f"^address {addr} outside 4096 words$"):
-                    access(addr)
-
     def test_half_split_on_top_row_bit(self):
-        sram = BankedSram(16, 256)
-        assert sram.half_of(0) == 0
-        assert sram.half_of(16 * 127) == 0
-        assert sram.half_of(16 * 128) == 1
-        assert sram.half_of(4095) == 1
-
-    def test_unchecked_bank_and_half_match_the_checked_helpers(self):
-        """A memory grant takes the bank as ``addr % banks`` and the half as
-        ``addr // half_words``, unchecked. Over every bank count and depth up
+        """Every access takes the bank as ``addr % banks``, the low address
+        bits, and the ping-pong half as ``addr // half_words``, the top bit of
+        the row address ``addr // banks``. Over every bank count and depth up
         to 64 x 256 that ``validate`` accepts (powers of two), and every
-        address in range, both equal the checked ``bank_of`` and ``half_of``."""
+        address, both hold."""
         base = standard_preset()
         shapes = []
         for banks in range(1, 65):
@@ -60,24 +35,9 @@ class TestSram:
             sram = BankedSram(banks, depth)
             half_words = sram.words // 2   # as the RPU keeps it
             addrs = range(sram.words)
-            assert [a % banks for a in addrs] == [sram.bank_of(a) for a in addrs]
-            assert [a // half_words for a in addrs] == [sram.half_of(a) for a in addrs]
-
-    def test_coherence_replay(self):
-        """Random single-writer traces replay to the same image as a flat
-        reference interpreter."""
-        rng = random.Random(7)
-        sram = BankedSram(8, 32)
-        reference = [0] * 256
-        for _ in range(2000):
-            addr = rng.randrange(256)
-            if rng.random() < 0.5:
-                value = rng.getrandbits(32)
-                sram.write(addr, value)
-                reference[addr] = value
-            else:
-                assert sram.read(addr) == reference[addr]
-        assert sram.data == reference
+            assert sram.words == len(sram.data) == banks * depth
+            assert [a % banks for a in addrs] == [a & (banks - 1) for a in addrs]
+            assert [a // half_words for a in addrs] == [a // banks // (depth // 2) for a in addrs]
 
 
 class BruteForceArbiter:
@@ -93,7 +53,7 @@ class BruteForceArbiter:
         granted = []
         per_bank = {}
         for req, addr in sorted(requests.items(), key=lambda kv: self.order.index(kv[0])):
-            per_bank.setdefault(sram.bank_of(addr), []).append(req)
+            per_bank.setdefault(addr % sram.banks, []).append(req)
         for bank, reqs in sorted(per_bank.items()):
             self.conflicts += max(0, len(reqs) - 1)
             n = len(self.order)
@@ -111,7 +71,7 @@ def general_arbitrate(pai, sram):
     the winner the one nearest past the bank's pointer."""
     by_bank = {}
     for req in pai.pending.values():
-        by_bank.setdefault(sram.bank_of(req.addr), []).append(pai._pos[req.requester])
+        by_bank.setdefault(req.addr % sram.banks, []).append(pai._pos[req.requester])
     grants = []
     for bank in sorted(by_bank):
         contenders = by_bank[bank]
@@ -274,7 +234,7 @@ class TestDma:
         for _ in range(10):
             dma.step(sram, set())
         assert dma.idle() and dma.toggles == 0
-        assert [sram.read(i) for i in range(10)] == ext   # array half = 0
+        assert sram.data[:10] == ext   # array half = 0
 
     def test_toggle_deferred_until_batch_completes(self):
         ext = list(range(8))
@@ -285,7 +245,7 @@ class TestDma:
         assert dma.half == 1                      # deferred mid-batch
         for _ in range(7):
             dma.step(sram, set())
-        assert dma.idle() and [sram.read(i) for i in range(8)] == ext
+        assert dma.idle() and sram.data[:8] == ext
         assert dma.half == 0 and dma.toggles == 1   # applied at completion
 
     def test_streamed_batch_waits_for_its_half(self):
@@ -306,8 +266,8 @@ class TestDma:
             dma.step(sram, set())
         assert dma.idle() and dma.toggles == 1
         # phase-1 words went to the DMA-owned half 1, phase-2 to half 0
-        assert [sram.read(half + i) for i in range(4)] == [4, 5, 6, 7]
-        assert [sram.read(i) for i in range(4)] == [8, 9, 10, 11]
+        assert sram.data[half:half + 4] == [4, 5, 6, 7]
+        assert sram.data[:4] == [8, 9, 10, 11]
 
     def test_stages_before_flip(self):
         """A staging batch holds the launch while it is active or queued in the

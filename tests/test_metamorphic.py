@@ -92,11 +92,10 @@ def under_another_config_id(params, records, image, base, n):
 
 
 def at_the_tightest_cycle_limit(params, records, image, base, n):
-    """The default cycle limit, and the tightest one the run passes at. The
-    check ``running_cycles > cycle_limit`` runs only in a cycle that ends with
-    a PE still live, so a phase of R cycles passes at R - 1, and at R - 2 it
-    raises in its cycle R - 1."""
-    tight = simulate(params, records, image, base, n).rpus[0].running_cycles - 1
+    """The default cycle limit, and the tightest one the run passes at: a
+    phase of R cycles passes at R, and at R - 1 it raises in its cycle R - 1,
+    which ends with a PE still live."""
+    tight = simulate(params, records, image, base, n).rpus[0].running_cycles
     with pytest.raises(CycleLimitExceeded, match=f"no completion within {tight - 1} cycles"):
         simulate(params, records, image, base, n, cycle_limit=tight - 1)
     return [observe(params, records, image, base, n),

@@ -248,7 +248,7 @@ class TestProtocol:
         with pytest.raises(CycleLimitExceeded) as exc:
             system.run()
         assert not isinstance(exc.value, DeadlockDetected)
-        assert system.rpus[0].running_cycles == 201
+        assert system.rpus[0].running_cycles == 200
 
     def test_determinism_bit_identical(self):
         outs = []
@@ -383,7 +383,7 @@ class TestStreaming:
         batch queued behind it streams after the phase, not before it: the
         launch waits for neither, and the staged words land in the half the
         array owns after the flip."""
-        # a launch held for the staging batch would spin to the 16x guard: 1,600 cycles
+        # a launch held for the staging batch would never run: that batch waits for its flip
         system = SystemSim(arch(), list(range(1, 65)), cycle_limit=100)
         system.register_config(0, [(0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
                                              iter_count=8), W(opcode=Opcode.HALT)])])
@@ -457,8 +457,8 @@ class TestStreaming:
 
     def test_streamed_batch_past_the_last_flip_faults(self):
         """Three streamed batches and one launch: the third is bound to flip
-        2, which no phase is left to request. The run faults once the second
-        batch has landed, not at the system guard (320,000 cycles here)."""
+        2, which no phase is left to request. The run faults in the cycle the
+        second batch lands, as nothing can move after it."""
         system = SystemSim(replace(standard_preset(), rpu_count=1),
                            [1000 + i for i in range(300)], cycle_limit=20000)
         system.register_config(0, self.load_store_phase(16))
@@ -619,6 +619,19 @@ class TestCpe:
         assert rpu.pes[(3, 3)].context == [] and rpu.pes[(3, 3)].acc == 0
         assert rpu.pes[(1, 1)].context == []
 
+    def test_relaunch_loop_hits_the_cycle_limit(self):
+        """A controller that reloads and relaunches its own config never
+        stops, though each phase finishes: its launches continue the host
+        launch's cycle count, so the chain ends at the limit."""
+        system = SystemSim(arch(cpe=True), cycle_limit=50)
+        system.register_config(0, [(1, 1, [cfg_word(0x1, 0), cfg_word(0x3, 0),
+                                           W(opcode=Opcode.HALT)])])
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        with pytest.raises(CycleLimitExceeded, match=r"^rpu 0: no completion within 50 cycles$"):
+            system.run()
+        rpu = system.rpus[0]
+        assert rpu.running_cycles == 50 and rpu.action_log.count("launch") == 8
+
     def test_controller_actions_queue_in_issue_order_with_host_commands(self):
         """The controller writes load_config 1 in the cycle before the host's
         load_config 2 is dispatched, so config 2 is carried out last."""
@@ -681,7 +694,7 @@ class TestRing:
     def test_remote_read_returns_neighbor_value(self):
         params = arch(rpus=2)
         system = SystemSim(params)
-        system.rpus[1].sram.write(5, 9)     # neighbor's array half 0
+        system.rpus[1].sram.data[5] = 9     # neighbor's array half 0
         remote = params.sm_words + 5
         records = [(0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
                              imm16=remote),
@@ -695,8 +708,8 @@ class TestRing:
         def run_one(addr):
             params = arch(rpus=2)
             system = SystemSim(params)
-            system.rpus[0].sram.write(5, 1)
-            system.rpus[1].sram.write(5, 1)
+            system.rpus[0].sram.data[5] = 1
+            system.rpus[1].sram.data[5] = 1
             records = [(0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE,
                                  DstSel.ACC, imm16=addr),
                                W(opcode=Opcode.HALT)])]
@@ -734,7 +747,7 @@ class TestRing:
         system = SystemSim(params)
         for rpu in system.rpus:
             for i in range(8):
-                rpu.sram.write(i, rpu.id * 100 + i)
+                rpu.sram.data[i] = rpu.id * 100 + i
         remote = params.sm_words
         records = [(0, 1, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
                              imm16=remote + 3),
@@ -856,7 +869,7 @@ class TestRing:
         params = arch(rpus=2)
         system = SystemSim(params)
         for i in range(8):
-            system.rpus[1].sram.write(i, 100 + i)
+            system.rpus[1].sram.data[i] = 100 + i
         system.register_config(0, [
             (0, col, [W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC,
                         imm16=params.sm_words + 2 + col),
@@ -1025,13 +1038,13 @@ class TestFastForwardProbe:
         counts = {"ticks": 0, "probes": 0}
 
         def checked_tick(self):
-            assert probe(self, self.cycle_limit * 16) == 0
+            assert probe(self) == 0
             counts["ticks"] += 1
             return tick(self)
 
-        def counted_probe(self, guard):
+        def counted_probe(self):
             counts["probes"] += 1
-            return probe(self, guard)
+            return probe(self)
 
         monkeypatch.setattr(SystemSim, "tick", checked_tick)
         monkeypatch.setattr(SystemSim, "_dma_only_cycles", counted_probe)
@@ -1053,7 +1066,7 @@ class TestFastForwardProbe:
         system.submit_script([HostCommand(0x02, (0x1, 0, 0, 4, 1)),
                               HostCommand(0x02, (0x1, 4, 0, 300, 0))])
         load_and_launch(system)
-        assert system.rpus[0].sram.read(2048 + 299) == 303   # the DMA half
+        assert system.rpus[0].sram.data[2048 + 299] == 303   # the DMA half
         assert counts["probes"] * 4 < counts["ticks"]
 
 
