@@ -1,23 +1,22 @@
-"""Dataflow-graph compiler: lower, place, route, schedule, emit.
+"""Dataflow-graph compiler for the language of ``dfg.py``, in three passes.
 
-Compiles the language of ``dfg.py``; lowering turns ``sel p a b`` into a
-mask-and-merge of two predicated passes.
-
-Mapping strategy: greedy placement in a demand-driven topological order
-(consumers fire as soon as their operands exist), minimizing summed
-one-step link distance to placed predecessors with a light spreading penalty.
-Values travel as chains of single-target sends and ROUTE hops; a node with
-one remote consumer drives the first link straight from its datapath,
-anything else parks in the accumulator and sends from there. Chains are
-routed lazily -- when their consumer, or a reuse of the producer's
-accumulator, demands them -- and each is scheduled atomically, with every
-input latch alternating strictly between one scheduled arrival and its
-consumption. That alternation is what makes the one-deep elastic links of
-the array deliver tokens in exactly the order the schedule consumes them,
-whatever dynamic stalls occur; a congestion-blocked node simply retries
-after other nodes drain their arrivals. Constants fold into a consumer's
-immediate field when they fit; wider constants materialize as a shift-add
-chain.
+``_lower`` rewrites the graph into machine ops: directives become affine
+memory ops, ``sel p a b`` a mask-and-merge of two predicated passes, and
+constants fold into a consumer's immediate field when they fit or else
+materialize as a shift-add chain. ``_place`` then puts each op on a cell,
+greedily, in a demand-driven topological order (consumers fire as soon as
+their operands exist), minimizing summed one-step link distance to placed
+predecessors with a light spreading penalty. Last, ``_Scheduler.schedule``
+routes and steps the placed ops. Values travel as chains of single-target
+sends and ROUTE hops; a node with one remote consumer drives the first link
+straight from its datapath, anything else parks in the accumulator and
+sends from there. Chains are routed lazily -- when their consumer, or a
+reuse of the producer's accumulator, demands them -- and each is scheduled
+atomically, with every input latch alternating strictly between one
+scheduled arrival and its consumption. That alternation is what makes the
+one-deep elastic links of the array deliver tokens in exactly the order the
+schedule consumes them, whatever dynamic stalls occur; a congestion-blocked
+node simply retries after other nodes drain their arrivals.
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ def _pools(machine: MachineRecord):
     """Placement pools, GPEs then LSUs: (cells in raster order, cell ->
     index, ``row``), where ``row(p)[j]`` is the fewest one-step links from
     cell p to cells[j] on the free grid, or rows + cols if none joins them:
-    longer than a standard grid's paths, short of ``map_dfg``'s blocked key."""
+    longer than a standard grid's paths, short of ``_place``'s blocked key."""
     far = machine.params.rows + machine.params.cols
     steps = {cell: {d: to for d, to in out.items() if not d.is_two_hop}
              for cell, out in machine.ports.items()}
@@ -247,8 +246,62 @@ def _pools(machine: MachineRecord):
     return pool(PeType.GPE), pool(PeType.LSU)
 
 
+def _place(lnodes: list[_LNode], consumers: dict, machine: MachineRecord,
+           capacity: int) -> dict[str, tuple]:
+    """Greedy placement in lowering order: each node takes its pool's cell
+    of least key, op estimate + summed distance to placed predecessors,
+    + ``crowded`` if remote while its entry latches are spoken for; a full
+    cell, or co-location not directly behind the accumulator owner, is
+    ``blocked``. min() keeps the first least key: coordinate order breaks ties."""
+    params = machine.params
+    placement: dict[str, tuple] = {}
+    acc_owner: dict[tuple, str] = {}
+    remote_consumers: dict[tuple, int] = {}
+    crowded = capacity + 2 * (params.rows + params.cols)   # above any distance + estimate
+    blocked = 2 * crowded
+    alu_pool, mem_pool = (
+        (cells, index, [0 if capacity > 0 else blocked] * len(cells),
+         [0] * len(cells),   # validated grids give every cell two ports or more
+         dist)
+        for cells, index, dist in machine.derived(_pools))
+
+    for ln in lnodes:
+        cells, index, estimate, crowding, dist = (
+            mem_pool if ln.opcode in MEMORY_OPS else alu_pool)
+        if not cells:
+            raise Unmappable("no PE of the required type available", ln.id)
+        pred_pes = [placement[s[1]] for s in ln.srcs if s[0] == "node"]
+        key = spread = estimate
+        if pred_pes:
+            spread = dist(pred_pes[0])
+            for pe in pred_pes[1:]:
+                spread = list(map(add, spread, dist(pe)))
+            key = list(map(add, map(add, estimate, spread), crowding))
+            for pe in set(pred_pes) & index.keys():
+                j = index[pe]
+                owners = {s[1] for s in ln.srcs if s[0] == "node" and placement[s[1]] == pe}
+                if owners != {acc_owner.get(pe)}:
+                    key[j] = blocked
+                elif not spread[j]:
+                    key[j] -= crowding[j]
+        j = key.index(min(key))
+        if key[j] >= blocked:
+            raise Unmappable("PE capacity exhausted during placement", ln.id)
+        pe = cells[j]
+        placement[ln.id] = pe
+        n = estimate[j] + 1 + len(consumers[ln.id])
+        estimate[j] = n if n < capacity else blocked
+        if pred_pes and spread[j]:
+            remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
+            if remote_consumers[pe] >= len(machine.ports[pe]) - 1:
+                crowding[j] = crowded
+        if ln.opcode is not Opcode.STORE:
+            acc_owner[pe] = ln.id
+    return placement
+
+
 class _Scheduler:
-    """Placement-complete routing and step assignment.
+    """Routing and step assignment over a finished placement.
 
     Invariants maintained:
       * per PE, steps strictly increase in scheduling order (``next_free``);
@@ -257,7 +310,7 @@ class _Scheduler:
         token order with schedule order on the one-deep elastic links;
       * a node co-placed with a predecessor reads it from the accumulator,
         legal only when nothing overwrote the accumulator in between
-        (enforced during placement).
+        (enforced by ``_place``).
     """
 
     def __init__(self, machine: MachineRecord, capacity: int):
@@ -269,24 +322,20 @@ class _Scheduler:
         self.pending: set = set()          # (coord, entry dir) with an unconsumed arrival
         self.ops: list[MicroOp] = []
         self.op_count: dict[tuple, int] = {}
+        # (producer, consumer) -> (operand select, entry latch or None, ready step)
+        self.arrivals: dict[tuple[str, str], tuple] = {}
+        self.routes: dict[tuple, list] = {}
+        self.node_step: dict[str, int] = {}
+        self.acc_owner: dict[tuple, str] = {}   # PE -> node whose value parks in acc
 
     def emit(self, op: MicroOp):
         self.ops.append(op)
         self.next_free[op.pe] = op.step + 1
         self.op_count[op.pe] = self.op_count.get(op.pe, 0) + 1
 
-    def free_at(self, pe) -> int:
-        return self.next_free.get(pe, 1)
-
     def consume(self, pe, entry: Direction, step: int):
         self.last_consume[(pe, entry)] = step
         self.pending.discard((pe, entry))
-
-    def arrive(self, pe, entry: Direction):
-        self.pending.add((pe, entry))
-
-    def read_floor(self, pe, entry: Direction) -> int:
-        return self.last_consume.get((pe, entry), 0)
 
     def route(self, src, dst) -> list | None:
         """Deterministic cheapest path src -> dst.
@@ -351,9 +400,118 @@ class _Scheduler:
                 return None
             bound = min(pruned)
 
+    def schedule(self, lnodes: list[_LNode], placement: dict, consumers: dict):
+        """Schedule every node once its operands are; a congestion-blocked
+        node retries after the others, until a full pass makes no progress.
+        Raises Unmappable then, or when a PE needs more context words than
+        ``capacity``."""
+        self.placement, self.consumers = placement, consumers
+        work = deque(lnodes)
+        fails_in_row = 0
+        while work:
+            ln = work.popleft()
+            ready = all(src[1] in self.node_step for src in ln.srcs if src[0] == "node")
+            if ready and self.unit(ln):
+                fails_in_row = 0
+                continue
+            work.append(ln)
+            fails_in_row += 1
+            if fails_in_row > len(work):
+                raise Unmappable("routing congestion never cleared", ln.id)
+        for pe, n in sorted(self.op_count.items()):
+            if n > self.capacity:
+                worst = max((o for o in self.ops if o.pe == pe), key=lambda o: o.step)
+                raise Unmappable(
+                    f"PE {pe} needs {n} context words, capacity {self.capacity}", worst.node)
+
+    def chain(self, v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
+        """Route and schedule one value chain v -> cid. All or nothing."""
+        src_pe, dst_pe = self.placement[v], self.placement[cid]
+        path = self.route(src_pe, dst_pe)
+        if path is None:
+            return False
+        first = path[0]
+        if fused_op is not None:
+            fused_op.dst = _DIR_DST[first[1]]
+            prev_step = self.node_step[v]
+        else:
+            send = MicroOp(src_pe, max(self.next_free.get(src_pe, 1), self.node_step[v] + 1),
+                           Opcode.ROUTE, SrcSel.ACC, SrcSel.NONE, _DIR_DST[first[1]],
+                           node=f"{v}>")
+            self.emit(send)
+            prev_step = send.step
+        prev_entry = first[3]
+        for frm, drive, to, entry in path[1:]:
+            s = max(self.next_free.get(frm, 1), prev_step + 1,
+                    self.last_consume.get((frm, prev_entry), 0) + 1)
+            self.emit(MicroOp(frm, s, Opcode.ROUTE, _SRC_DIR[prev_entry], SrcSel.NONE,
+                              _DIR_DST[drive], node=f"{v}>{cid}"))
+            self.consume(frm, prev_entry, s)
+            prev_step, prev_entry = s, entry
+        self.pending.add((dst_pe, prev_entry))
+        self.arrivals[(v, cid)] = (_SRC_DIR[prev_entry], prev_entry, prev_step)
+        self.routes[(v, cid)] = [src_pe] + [h[2] for h in path]
+        return True
+
+    def unit(self, ln: _LNode) -> bool:
+        """Attempt to schedule one lowered node. Chain scheduling is
+        idempotent, so a congestion failure here can simply retry after
+        other units consume their in-flight arrivals."""
+        placement, routes = self.placement, self.routes
+        pe = placement[ln.id]
+        # every operand chain must exist before this op can be ordered
+        for src in ln.srcs:
+            if src[0] == "node" and placement[src[1]] != pe \
+                    and (src[1], ln.id) not in routes and not self.chain(src[1], ln.id):
+                return False
+        # the accumulator is about to be reused: drain its deferred chains
+        owner = self.acc_owner.get(pe)
+        if owner is not None:
+            for cid in self.consumers[owner]:
+                if placement[cid] != pe and (owner, cid) not in routes \
+                        and not self.chain(owner, cid):
+                    return False
+
+        sels: list[SrcSel] = []
+        step = self.next_free.get(pe, 1)
+        reads: list[Direction] = []
+        for src in ln.srcs:
+            if src[0] == "none":
+                sels.append(SrcSel.NONE)
+            elif src[0] == "imm":
+                sels.append(SrcSel.IMM)
+            else:
+                sel, entry, ready = self.arrivals[(src[1], ln.id)]
+                sels.append(sel)
+                step = max(step, ready + 1)
+                if entry is not None:
+                    reads.append(entry)
+        for entry in reads:
+            step = max(step, self.last_consume.get((pe, entry), 0) + 1)
+        op = MicroOp(pe, step, ln.opcode, *sels[:2],
+                     imm=ln.imm if ln.affine else _imm_of(ln.srcs), node=ln.id)
+        self.emit(op)
+        self.node_step[ln.id] = step
+        for entry in set(reads):
+            self.consume(pe, entry, step)
+
+        outs = self.consumers[ln.id]
+        if outs:
+            local = [cid for cid in outs if placement[cid] == pe]
+            for cid in local:
+                self.arrivals[(ln.id, cid)] = (SrcSel.ACC, None, step)
+            if local or len(outs) > 1 or not self.chain(ln.id, outs[0], fused_op=op):
+                # accumulator form: the value parks in acc and each chain
+                # is routed lazily, when its consumer (or an accumulator
+                # flush) demands it; this keeps in-flight arrivals scarce
+                op.dst = DstSel.ACC
+                self.acc_owner[pe] = ln.id
+        return True
+
 
 def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
-    """Compile a validated DFG onto ``machine``, or the standard one of ArchParams."""
+    """Compile a validated DFG onto ``machine``, or the standard one of
+    ArchParams: lower, place, then route and schedule."""
     if isinstance(machine, ArchParams):
         machine = standard_machine(machine)
     params = machine.params
@@ -367,185 +525,15 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
         if ln.affine and not 0 <= ln.imm < half_words:
             raise Unmappable(
                 f"bound address {ln.imm} outside the {half_words}-word space", ln.id)
-
-    pools = machine.derived(_pools)
-
     # each node's distinct consumers, in lowering order
     consumers: dict[str, list[str]] = {ln.id: [] for ln in lnodes}
     for ln in lnodes:
         for ref in {src[1] for src in ln.srcs if src[0] == "node"}:
             consumers[ref].append(ln.id)
-
-    # --- placement ---------------------------------------------------------
-    # a pool cell's key: op estimate + summed distance to placed predecessors,
-    # + ``crowded`` if remote while its entry latches are spoken for; a full
-    # cell, or co-location not directly behind the accumulator owner, is
-    # ``blocked``. min() keeps the first least key: coordinate order breaks ties
-    placement: dict[str, tuple] = {}
-    acc_owner_placed: dict[tuple, str] = {}
-    remote_consumers: dict[tuple, int] = {}
-    crowded = capacity + 2 * (params.rows + params.cols)   # above any distance + estimate
-    blocked = 2 * crowded
-    alu_pool, mem_pool = (
-        (cells, index, [0 if capacity > 0 else blocked] * len(cells),
-         [0] * len(cells),   # validated grids give every cell two ports or more
-         dist)
-        for cells, index, dist in pools)
-
-    for ln in lnodes:
-        cells, index, estimate, crowding, dist = (
-            mem_pool if ln.opcode in MEMORY_OPS else alu_pool)
-        if not cells:
-            raise Unmappable("no PE of the required type available", ln.id)
-        pred_pes = [placement[s[1]] for s in ln.srcs if s[0] == "node"]
-        key = spread = estimate
-        if pred_pes:
-            spread = dist(pred_pes[0])
-            for pe in pred_pes[1:]:
-                spread = list(map(add, spread, dist(pe)))
-            key = list(map(add, map(add, estimate, spread), crowding))
-            for pe in set(pred_pes) & index.keys():
-                j = index[pe]
-                owners = {s[1] for s in ln.srcs if s[0] == "node" and placement[s[1]] == pe}
-                if owners != {acc_owner_placed.get(pe)}:
-                    key[j] = blocked
-                elif not spread[j]:
-                    key[j] -= crowding[j]
-        j = key.index(min(key))
-        if key[j] >= blocked:
-            raise Unmappable("PE capacity exhausted during placement", ln.id)
-        pe = cells[j]
-        placement[ln.id] = pe
-        n = estimate[j] + 1 + len(consumers[ln.id])
-        estimate[j] = n if n < capacity else blocked
-        if pred_pes and spread[j]:
-            remote_consumers[pe] = remote_consumers.get(pe, 0) + 1
-            if remote_consumers[pe] >= len(machine.ports[pe]) - 1:
-                crowding[j] = crowded
-        if ln.opcode is not Opcode.STORE:
-            acc_owner_placed[pe] = ln.id
-
-    # --- routing and step assignment ---------------------------------------
+    placement = _place(lnodes, consumers, machine, capacity)
     sched = _Scheduler(machine, capacity)
-    # (producer, consumer) -> (operand select, entry latch or None, ready step)
-    arrivals: dict[tuple[str, str], tuple] = {}
-    routes: dict[tuple, list] = {}
-    node_step: dict[str, int] = {}
-    acc_owner: dict[tuple, str] = {}
-
-    def schedule_chain(v: str, cid: str, fused_op: MicroOp | None = None) -> bool:
-        """Route and schedule one value chain v -> cid. All or nothing."""
-        src_pe, dst_pe = placement[v], placement[cid]
-        path = sched.route(src_pe, dst_pe)
-        if path is None:
-            return False
-        first = path[0]
-        if fused_op is not None:
-            fused_op.dst = _DIR_DST[first[1]]
-            prev_step, prev_entry = node_step[v], first[3]
-        else:
-            send = MicroOp(src_pe, max(sched.free_at(src_pe), node_step[v] + 1),
-                           Opcode.ROUTE, SrcSel.ACC, SrcSel.NONE, _DIR_DST[first[1]],
-                           node=f"{v}>")
-            sched.emit(send)
-            prev_step, prev_entry = send.step, first[3]
-        for frm, drive, to, entry in path[1:]:
-            s = max(sched.free_at(frm), prev_step + 1,
-                    sched.read_floor(frm, prev_entry) + 1)
-            hop = MicroOp(frm, s, Opcode.ROUTE, _SRC_DIR[prev_entry], SrcSel.NONE,
-                          _DIR_DST[drive], node=f"{v}>{cid}")
-            sched.emit(hop)
-            sched.consume(frm, prev_entry, s)
-            prev_step, prev_entry = s, entry
-        final_entry = path[-1][3]
-        sched.arrive(dst_pe, final_entry)
-        arrivals[(v, cid)] = (_SRC_DIR[final_entry], final_entry, prev_step)
-        routes[(v, cid)] = [src_pe] + [h[2] for h in path]
-        return True
-
-    def flush_chains(v: str) -> bool:
-        """Schedule every not-yet-routed chain out of v's accumulator."""
-        for cid in consumers[v]:
-            if placement[cid] != placement[v] and (v, cid) not in routes \
-                    and not schedule_chain(v, cid):
-                return False
-        return True
-
-    def try_unit(ln: _LNode) -> bool:
-        """Attempt to schedule one lowered node. Chain scheduling is
-        idempotent, so a congestion failure here can simply retry after
-        other units consume their in-flight arrivals."""
-        pe = placement[ln.id]
-        # every operand chain must exist before this op can be ordered
-        for src in ln.srcs:
-            if src[0] == "node" and placement[src[1]] != pe \
-                    and (src[1], ln.id) not in routes:
-                if not schedule_chain(src[1], ln.id):
-                    return False
-        # the accumulator is about to be reused: drain its deferred chains
-        owner = acc_owner.get(pe)
-        if owner is not None and not flush_chains(owner):
-            return False
-
-        sels: list[SrcSel] = []
-        floor = 0
-        reads: list[Direction] = []
-        for src in ln.srcs:
-            if src[0] == "none":
-                sels.append(SrcSel.NONE)
-            elif src[0] == "imm":
-                sels.append(SrcSel.IMM)
-            else:
-                sel, entry, ready = arrivals[(src[1], ln.id)]
-                sels.append(sel)
-                floor = max(floor, ready + 1)
-                if entry is not None:
-                    reads.append(entry)
-        step = max(sched.free_at(pe), floor)
-        for entry in reads:
-            step = max(step, sched.read_floor(pe, entry) + 1)
-        op = MicroOp(pe, step, ln.opcode, *sels[:2],
-                     imm=ln.imm if ln.affine else _imm_of(ln.srcs), node=ln.id)
-        sched.emit(op)
-        node_step[ln.id] = step
-        for entry in set(reads):
-            sched.consume(pe, entry, step)
-
-        outs = consumers[ln.id]
-        if outs:
-            local = [cid for cid in outs if placement[cid] == pe]
-            for cid in local:
-                arrivals[(ln.id, cid)] = (SrcSel.ACC, None, step)
-            if local or len(outs) > 1 \
-                    or not schedule_chain(ln.id, outs[0], fused_op=op):
-                # accumulator form: the value parks in acc and each chain
-                # is routed lazily, when its consumer (or an accumulator
-                # flush) demands it; this keeps in-flight arrivals scarce
-                op.dst = DstSel.ACC
-                acc_owner[pe] = ln.id
-        return True
-
-    work = deque(lnodes)
-    fails_in_row = 0
-    while work:
-        ln = work.popleft()
-        ready = all(src[1] in node_step for src in ln.srcs if src[0] == "node")
-        if ready and try_unit(ln):
-            fails_in_row = 0
-            continue
-        work.append(ln)
-        fails_in_row += 1
-        if fails_in_row > len(work):
-            raise Unmappable("routing congestion never cleared", ln.id)
-
-    # --- capacity check ------------------------------------------------------
-    for pe, n in sorted(sched.op_count.items()):
-        if n > capacity:
-            worst = max((o for o in sched.ops if o.pe == pe), key=lambda o: o.step)
-            raise Unmappable(
-                f"PE {pe} needs {n} context words, capacity {capacity}", worst.node)
-
-    mapping = Mapping(params, placement, node_step, routes, sched.ops)
+    sched.schedule(lnodes, placement, consumers)
+    mapping = Mapping(params, placement, sched.node_step, sched.routes, sched.ops)
     _check_legal(mapping, machine)
     return mapping
 
@@ -564,7 +552,7 @@ def _check_legal(mapping: Mapping, machine: MachineRecord):
     seen = set()
     for op in mapping.micro_ops:
         key = (op.pe, op.step)
-        if key in seen:   # each op is emitted at or after _Scheduler.free_at(pe)
+        if key in seen:   # each op is emitted at or after _Scheduler.next_free[pe]
             raise Unmappable(f"two ops share {key}", op.node)
         seen.add(key)
         if op.opcode in MEMORY_OPS:
