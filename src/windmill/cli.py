@@ -191,13 +191,16 @@ def cmd_sim(args) -> int:
 
 def cmd_report(args) -> int:
     text = _read_text(args.stats)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
+    rows = [(n, ln.split(",")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(rows) < 2:
         raise ParseError(f"{args.stats}: expected a header row and a data row")
-    header = lines[0].split(",")
-    for data in lines[1:]:
-        values = data.split(",")
-        width = max(len(h) for h in header)
+    header = rows[0][1]
+    for n, values in rows[1:]:
+        if len(values) != len(header):
+            raise ParseError(f"{args.stats}: line {n}: expected {len(header)} fields, "
+                             f"got {len(values)}")
+    width = max(len(h) for h in header)
+    for _, values in rows[1:]:
         for h, v in zip(header, values):
             print(f"{h:<{width}}  {v}")
     return EXIT_OK

@@ -32,8 +32,8 @@ from .arch import ArchParams, ExecMode, PeType
 from .dfg import _OPS, Dfg, parse_dfg, reference_execute, topo_order, toposort  # noqa: F401
 from .errors import Unmappable
 from .interconnect import Direction
-from .pe import (_DIR_BY_SEL, _DST_DIR, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
-                 pack_bitstream, to_signed32)
+from .pe import (_DIR_BY_SEL, _DST_DIR, MASK32, MEMORY_OPS, ConfigWord, DstSel, Opcode,
+                 SrcSel, pack_bitstream, to_signed32)
 from .plugins import MachineRecord, standard_machine
 
 
@@ -157,6 +157,64 @@ def _lower(dfg: Dfg) -> list[_LNode]:
         else:
             lnodes.append(_LNode(nid, _OPS[node.op], binary_srcs(node.operands)))
     return lnodes
+
+
+def _check_memory_order(dfg: Dfg):
+    """Refuse two memory ops whose address spans may overlap when one writes
+    (``store`` or ``out``), unless the other is a read that feeds the write
+    through operand edges, so the write waits for it. Spans: in/out addresses
+    and constants are exact, ``and`` is at most its least operand, ``add``
+    sums its operands' unless that may wrap, and anything else may be any
+    word. Both walks are iterative, so a long chain cannot overflow."""
+    nodes, spans = dfg.nodes, {}
+
+    def span(ref):
+        stack = [ref]
+        while stack:
+            node = nodes[stack[-1]]
+            if node.op in ("add", "and") and (todo := [r for r in node.operands
+                                                       if r not in spans]):
+                stack += todo
+                continue
+            stack.pop()
+            lo, hi = 0, MASK32
+            if node.op == "const":
+                lo = hi = node.value & MASK32
+            elif node.op == "and":
+                hi = min(spans[r][1] for r in node.operands)
+            elif node.op == "add":
+                (lo0, hi0), (lo1, hi1) = (spans[r] for r in node.operands)
+                if hi0 + hi1 <= MASK32:
+                    lo, hi = lo0 + lo1, hi0 + hi1
+            spans[node.id] = (lo, hi)
+        return spans[ref]
+
+    @cache
+    def feeds(roots):   # roots and every node they read, transitively
+        seen, stack = set(roots), list(roots)
+        while stack:
+            new = set(nodes[stack.pop()].operands) - seen
+            seen |= new
+            stack += new
+        return seen
+
+    ops = []   # (name, lowest, highest address, a write's operands or None), in file order
+    for kind, key in dfg.decls:
+        if kind == "out":
+            nid, addr = dfg.outputs[key]
+            ops.append((f"out {key}", addr, addr, (nid,)))
+        elif (node := nodes[key]).op == "in":
+            ops.append((key, node.addr, node.addr, None))
+        elif node.op in ("load", "store"):
+            ops.append((key, *span(node.operands[0]),
+                        node.operands if node.op == "store" else None))
+    for k, (b, b_lo, b_hi, b_roots) in enumerate(ops):
+        for a, a_lo, a_hi, a_roots in ops[:k]:
+            if a_lo > b_hi or b_lo > a_hi or not (a_roots or b_roots):
+                continue
+            if a_roots and b_roots or (b if a_roots else a) not in feeds(a_roots or b_roots):
+                raise Unmappable(f"memory ops {a} and {b} may touch one word in an "
+                                 "order the machine does not keep")
 
 
 # --- mapping ---------------------------------------------------------------------
@@ -405,7 +463,7 @@ class _Scheduler:
         node retries after the others, until a full pass makes no progress.
         Raises Unmappable then, or when a PE needs more context words than
         ``capacity``."""
-        self.placement, self.consumers = placement, consumers
+        self.placement, self.consumers = placement, consumers   # read by chain and unit
         work = deque(lnodes)
         fails_in_row = 0
         while work:
@@ -525,6 +583,7 @@ def map_dfg(dfg: Dfg, machine: MachineRecord | ArchParams) -> Mapping:
         if ln.affine and not 0 <= ln.imm < half_words:
             raise Unmappable(
                 f"bound address {ln.imm} outside the {half_words}-word space", ln.id)
+    _check_memory_order(dfg)
     # each node's distinct consumers, in lowering order
     consumers: dict[str, list[str]] = {ln.id: [] for ln in lnodes}
     for ln in lnodes:

@@ -190,6 +190,18 @@ class TestMap:
                      "--out", tmp_path / "x.bit")
         assert r.returncode == 3
 
+    def test_racing_memory_ops_exit_3(self, std_arch, tmp_path):
+        """A load whose address arrives late and a store to the word it
+        reads: one error line naming both, and no bitstream."""
+        dfg, out = tmp_path / "race.dfg", tmp_path / "x.bit"
+        dfg.write_text("in a 0\nin i 1\nv0 add a a\nz0 sub a a\nw0 add i z0\n"
+                       "w1 add w0 z0\nw2 add w1 z0\nx load w2\nst store i v0\nout x 8\n")
+        r = windmill("map", "--arch", std_arch, "--dfg", dfg, "--out", out)
+        assert r.returncode == 3
+        assert r.stderr == ("error: memory ops x and st may touch one word in an order "
+                            "the machine does not keep\n")
+        assert not out.exists()
+
     def test_bad_dfg_exit_2(self, std_arch, tmp_path):
         dfg = tmp_path / "bad.dfg"
         dfg.write_text("z add x y\n")
@@ -591,6 +603,16 @@ class TestReport:
         assert main(["report", "--stats", str(stats)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {stats}: expected a header row and a data row\n")
+
+    def test_row_of_other_width_exit_2(self, tmp_path, capsys):
+        """A row with fewer fields than the header is refused, naming its
+        line (blank lines counted), and nothing is printed."""
+        from windmill.cli import main
+        stats = tmp_path / "s.csv"
+        stats.write_text("a,b\n1,2\n\n1\n")
+        assert main(["report", "--stats", str(stats)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {stats}: line 4: expected 2 fields, got 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,9 @@ and still change what a fresh process emits or simulates. This module maps
 the fixture graphs and seeded ``test_e2e.random_dfg`` graphs over the three
 topologies, and simulates each mapped graph over a seeded image, in two
 subprocesses with different ``PYTHONHASHSEED`` values and compares their
-digests. Run as a script, it prints the digest.
+digests. ``test_e2e.memory_dfg`` graphs put stores under the test too, and
+the ``test_mapper.RACES`` graphs the order in which the mapper's memory-order
+check names two ops. Run as a script, it prints the digest.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
 RANDOM_CASES = 30
-IMAGE_WORDS = 64   # covers every fixture's and random graph's in and out addresses
+MEMORY_CASES = 6
+IMAGE_WORDS = 64   # covers every fixture's and generated graph's memory addresses
 
 
 def digest() -> str:
@@ -33,7 +36,8 @@ def digest() -> str:
     from windmill.pe import unpack_bitstream
     from windmill.system import SystemSim, run_protocol
 
-    from test_e2e import make_arch, random_dfg
+    from test_e2e import make_arch, memory_dfg, random_dfg
+    from test_mapper import RACES
 
     topologies = (TopologyKind.MESH2D, TopologyKind.TORUS, TopologyKind.ONE_HOP)
     standard = parse_arch_file((FIXTURES / "standard.arch").read_text())
@@ -43,6 +47,10 @@ def digest() -> str:
         rng = random.Random(3000 + k)
         text, *_ = random_dfg(rng, n_ops=rng.randint(14, 40))
         cases.append((text, make_arch(topology=topologies[k % 3])))
+    for k in range(MEMORY_CASES):
+        text, _ = memory_dfg(random.Random(5000 + k))
+        cases.append((text, make_arch(topology=topologies[k % 3])))
+    cases += [(text, make_arch()) for text, _ in RACES.values()]
     sha = hashlib.sha256()
     for k, (text, params) in enumerate(cases):
         try:

@@ -5,14 +5,16 @@ import re
 
 import pytest
 
-from windmill.arch import ArchParams, PeType, perimeter_lsu_map, validate
-from windmill.dfg import Dfg, DfgNode, parse_dfg
+from windmill.arch import ArchParams, PeType, TopologyKind, perimeter_lsu_map, validate
+from windmill.dfg import Dfg, DfgNode, parse_dfg, reference_execute
 from windmill.errors import CyclicGraph, ParseError, Unmappable
 from windmill.mapper import Mapping, emit_bitstream, map_dfg
 from windmill.pe import Opcode, unpack_bitstream, validate_bitstream
 from windmill.plugins import standard_machine
+from windmill.system import SystemSim, run_protocol
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH, vecadd
+from test_e2e import make_arch, memory_dfg
 # the language's tests live in test_dfg.py; collected here too, they keep
 # the test ids they had before the language left this module
 from test_dfg import TestParse, TestReferenceExecute  # noqa: F401
@@ -209,3 +211,62 @@ def _random_dag(rng, n_ops=12, n_in=4):
     for j, nid in enumerate(ids[-3:]):
         lines.append(f"out {nid} {n_in + j}")
     return "\n".join(lines), n_in, n_in, 3
+
+
+# --- memory order ----------------------------------------------------------------
+
+# a memory op holds its LSU until memory answers, but nothing orders memory
+# ops on different LSUs: before map_dfg refused them, each of these graphs
+# simulated to other words than reference_execute gives. Each names the two
+# ops its refusal names.
+RACES = {
+    # the early store's word is read by a load whose address arrives late
+    "load-after-store": ("in a 0\nin i 1\nv0 add a a\nz0 sub a a\nw0 add i z0\n"
+                         "w1 add w0 z0\nw2 add w1 z0\nx load w2\nst store i v0\n"
+                         "out x 8\n", ("x", "st")),
+    # a store declared first, whose value arrives late, against a later read
+    "store-value-late": ("in a 0\nin i 1\nz0 sub a a\nv0 add a z0\nv1 add v0 z0\n"
+                         "st store i v1\nin j 1\nx load j\nout x 8\n", ("st", "j")),
+    # the oracle applies an out after every store
+    "out-before-store": ("in a 0\nc const 10\nz0 sub a a\nv0 add a z0\nv1 add v0 c\n"
+                         "s store c v1\nout a 10\n", ("s", "out 0")),
+    "two-stores": ("in a 0\nc const 10\nz0 sub a a\nv0 add a z0\nv1 add v0 c\n"
+                   "s0 store c v1\ns1 store c a\n", ("s0", "s1")),
+}
+
+# graphs whose reads feed their writes, or whose spans are disjoint: accepted
+ORDERED = {
+    "read-modify-write": "c const 5\nx load c\ny add x x\ns store c y\n",
+    "in-then-out": "in a 5\nb add a a\nout b 5\n",
+    "masked-load-beside-outs": ("in i0 0\nin i1 1\nk const 7\nm and i1 k\nn load m\n"
+                                "out n 8\nout i0 9\n"),
+    **{f"memory_dfg-{seed}": memory_dfg(random.Random(9100 + seed))[0] for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("text, ops", RACES.values(), ids=RACES)
+def test_memory_ops_that_may_race_are_unmappable(text, ops):
+    with pytest.raises(Unmappable) as exc:
+        map_dfg(parse_dfg(text), standard_no_cpe())
+    assert str(exc.value) == (f"memory ops {ops[0]} and {ops[1]} may touch one word "
+                              "in an order the machine does not keep")
+
+
+def test_address_spans_are_walked_without_recursion():
+    """2000 exact adds bound a store to word 2001, which an ``in`` reads."""
+    text = ("c const 1\nx0 add c c\n" + "".join(f"x{k} add x{k - 1} c\n" for k in range(1, 2000))
+            + "s store x1999 c\nin b 2001\n")
+    with pytest.raises(Unmappable, match="memory ops s and b may touch one word"):
+        map_dfg(parse_dfg(text), standard_no_cpe())
+
+
+@pytest.mark.parametrize("topology", [TopologyKind.MESH2D, TopologyKind.TORUS,
+                                      TopologyKind.ONE_HOP], ids=lambda t: t.value)
+@pytest.mark.parametrize("name", ORDERED)
+def test_ordered_memory_ops_match_the_reference(name, topology):
+    dfg, params = parse_dfg(ORDERED[name]), make_arch(topology=topology)
+    rng = random.Random(f"ordered/{name}/{topology.value}")
+    image = [rng.getrandbits(32) for _ in range(32)]
+    records = unpack_bitstream(emit_bitstream(map_dfg(dfg, params)))
+    got, _ = run_protocol(SystemSim(params), records, image, 0, 32)
+    assert got == reference_execute(dfg, image)[:32]
