@@ -11,6 +11,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .arch import IdentityEnum, SharedRegScope, TopologyKind
+from .errors import SimulationError
 
 Coord = tuple[int, int]
 
@@ -91,10 +92,12 @@ class SharedRegFile:
 
     Reads see the state committed at the end of the previous cycle: a
     register is valid once written, and ``committed`` holds exactly the
-    valid ones, keyed by (scope instance, index). Writes are staged and
-    committed together; two writes to the same register in one cycle
-    resolve to the lowest (row, col) writer and count a conflict. Indices
-    are trusted: registration bounds them by the register count.
+    valid ones, keyed by (scope instance, index). A register is written
+    once per launch, so a reader sees one value whenever it reads: a write
+    to a valid register is a machine fault. Writes are staged and committed
+    together; two writes to the same register in one cycle resolve to the
+    lowest (row, col) writer and count a conflict. Indices are trusted:
+    registration bounds them by the register count.
     """
 
     def __init__(self, mode: SharedRegScope, dims: Coord):
@@ -112,6 +115,9 @@ class SharedRegFile:
         """Stage a write; committed at cycle end by ``commit``."""
         s = scope_of(self.mode, coord, self.dims)
         key = (s, idx)
+        if key in self.committed:
+            raise SimulationError(f"PE {coord} writes shared register {idx} (scope {s}), "
+                                  "already written in this launch")
         prior = self.pending.get(key)
         if prior is None:
             self.pending[key] = (coord, value)

@@ -26,6 +26,11 @@ The Iteration Control Block repeats the word at pc ``iter_count`` times
 step, used by affine LSU addressing), then jumps to ``next_step``. HALT
 drains the pipeline, freezes the PE and raises its done flag; walking past
 the last context word does the same.
+
+The execute stage is compiled, not interpreted: each word shape (opcode,
+source kinds, pulled latches, destination kind) gets one generated
+function per process, which fires any word of that shape from the word's
+own constants (``_template``, ``_predecode``).
 """
 
 from __future__ import annotations
@@ -187,20 +192,22 @@ def context_capacity(exec_mode: ExecMode, context_depth_mcmd: int) -> int:
                       context_depth_mcmd=context_depth_mcmd).context_capacity()
 
 
-# One function per binary ALU opcode. Each masks its result (and, where the
-# operation is not modular, its inputs) to 32 bits, so any int operands give
-# the same result as masking them first.
-_ALU = {
-    Opcode.ADD: lambda a, b: (a + b) & MASK32,
-    Opcode.SUB: lambda a, b: (a - b) & MASK32,
-    Opcode.MUL: lambda a, b: (a * b) & MASK32,
-    Opcode.AND: lambda a, b: a & b & MASK32,
-    Opcode.OR: lambda a, b: (a | b) & MASK32,
-    Opcode.XOR: lambda a, b: (a ^ b) & MASK32,
-    Opcode.SHL: lambda a, b: (a << (b & 31)) & MASK32,
-    Opcode.SHR: lambda a, b: (a & MASK32) >> (b & 31),
-    Opcode.CMP_LT: lambda a, b: 1 if to_signed32(a) < to_signed32(b) else 0,
+# One expression per binary ALU opcode, over operands a and b. Each masks its
+# result (and, where the operation is not modular, its inputs) to 32 bits, so
+# any int operands give the same result as masking them first. The execute
+# templates (``_template``) inline these; ``_ALU`` holds them as functions.
+_ALU_EXPR = {
+    Opcode.ADD: "(a + b) & MASK32",
+    Opcode.SUB: "(a - b) & MASK32",
+    Opcode.MUL: "(a * b) & MASK32",
+    Opcode.AND: "a & b & MASK32",
+    Opcode.OR: "(a | b) & MASK32",
+    Opcode.XOR: "(a ^ b) & MASK32",
+    Opcode.SHL: "(a << (b & 31)) & MASK32",
+    Opcode.SHR: "(a & MASK32) >> (b & 31)",
+    Opcode.CMP_LT: "1 if to_signed32(a) < to_signed32(b) else 0",
 }
+_ALU = {op: eval(f"lambda a, b: {expr}") for op, expr in _ALU_EXPR.items()}
 
 
 def alu_eval(opcode: Opcode, a: int, b: int) -> int:
@@ -367,11 +374,14 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 # per-cycle path does no Enum hashing or property lookup. The tuple depends
 # on the word's value alone, not on the PE that holds it:
 #
-#     (kind, alu, srcs, pulls, to, to_arg, entry, iterations, next_step, word)
+#     (kind, fire, srcs, pulls, to, to_arg, entry, iterations, next_step, word, consts)
 #
-# kind        one of the _K_* codes below; alu is the _ALU function of an
-#             _K_ALU word. Every kind fires only once all of srcs are valid, so
-#             its result is a function of their values alone, not of timing
+# kind        one of the _K_* codes below. Every kind fires only once all of
+#             srcs are valid, so its result is a function of their values
+#             alone, not of timing
+# fire        the execute stage of the word's shape (``_template``), called as
+#             fire(pe, bus, dec, iteration): it fires the word and returns True
+#             when every source is valid, else holds it and returns False
 # srcs        the required operands in firing order, each (_S_* code, arg):
 #             the entry latch Direction, a constant, or a shared-register index
 # pulls       the latch directions among srcs, each once, consumed when the
@@ -383,6 +393,8 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 #             PE's port table (no neighbor: the value drops off the grid)
 # word        the ConfigWord itself, for the memory-address path and
 #             ``PE.context``
+# consts      the word's own operands, in the order fire unpacks them: the arg
+#             of each source but ACC, then the pulls
 
 _K_NOP, _K_ALU, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(7)
 _KIND = {Opcode.NOP: _K_NOP, Opcode.ROUTE: _K_ROUTE, Opcode.SEL: _K_SEL,
@@ -437,6 +449,53 @@ def _destination(word: ConfigWord) -> tuple:
     return (_TO_RTT, word.imm16, None)
 
 
+# per source kind, the statements that bind operand {v}, a latch's or shared
+# register's from the constant k{v}; an operand not valid holds the word
+_BIND = {_S_LATCH: ("{v} = latch.get(k{v})", "if {v} is None: return False"),
+         _S_ACC: ("{v} = pe.acc",),
+         _S_SREG: ("{v}, valid = bus.sreg_read(pe.coord, k{v})", "if not valid: return False")}
+_RESULT = {**_ALU_EXPR, Opcode.ROUTE: "a & MASK32", Opcode.SEL: "(b if a != 0 else 0) & MASK32"}
+
+
+# bounded like its sibling memos: a shape is the opcode, the source kinds, the
+# pull count and the destination kind, so a few hundred cover every graph
+@lru_cache(maxsize=256)
+def _template(opcode: int, sources: tuple, n_pulls: int, out: int):
+    """The execute stage of every word of one shape, compiled once: ``out``
+    is 0 for no result, 1 for ACC, 2 for the write-back slot. The source is
+    built from the tables above alone; each word's own values arrive as its
+    ``consts``."""
+    kind = _KIND[opcode]
+    if kind == _K_HALT:   # fetched only behind an empty pipeline: write-back is empty
+        # freeze: context stays loaded for a later relaunch
+        body = ["pe.d_slot = pe.f_slot = None", "pe.pc = len(pe._code)", "pe.done = True",
+                "return True"]
+    else:
+        operands = "ab"[:len(sources)]
+        names = [v if s == _S_CONST else "k" + v for v, s in zip(operands, sources) if s != _S_ACC]
+        names += [f"p{j}" for j in range(n_pulls)]
+        body = [f"{', '.join(names)}, = dec[10]"] * bool(names)
+        body += ["latch = pe.latch"] * (_S_LATCH in sources)
+        body += [line.format(v=v) for v, s in zip(operands, sources) for line in _BIND.get(s, ())]
+        body += [f"bus.consumes.append((pe, p{j}))" for j in range(n_pulls)]
+        if kind in (_K_LOAD, _K_STORE):   # a faulting post counts no cycle
+            store = kind == _K_STORE
+            address = operands[-1] if len(sources) > store else "None"   # None: affine
+            body += [f"bus.mem_request(pe.coord, {('read', 'write')[store]!r}, "
+                     f"lsu_addr(dec[9], it, {address}), {('None', 'a')[store]})",
+                     "pe.x_slot = (dec, None)"]
+        elif out == 1:
+            body.append(f"pe.acc = {_RESULT[opcode]}")
+        elif out == 2:   # a result that waits for the write-back slot to drain
+            body += [f"value = {_RESULT[opcode]}", "if pe.w_slot is None: pe.w_slot = (dec, value)",
+                     "else: pe.x_slot = (dec, value)"]
+        body += ["pe.d_slot = None", "pe.active_cycles += 1", "return True"]
+    namespace = {}
+    exec(compile("def fire(pe, bus, dec, it):\n    " + "\n    ".join(body),
+                 f"<execute {Opcode(opcode).name}>", "exec"), globals(), namespace)
+    return namespace["fire"]
+
+
 # bounded: a compile-and-run loop brings new words with every graph; 1024
 # holds the words configs keep reusing at ~0.5 MB
 @lru_cache(maxsize=1024)
@@ -445,8 +504,12 @@ def _predecode(word: ConfigWord) -> tuple:
     holds an equal word."""
     srcs = tuple(_source(sel, word) for sel in _required(word))
     pulls = tuple(dict.fromkeys(arg for kind, arg in srcs if kind == _S_LATCH))
-    return (_KIND[word.opcode], _ALU.get(word.opcode), srcs, pulls, *_destination(word),
-            word.iterations, word.next_step, word)
+    to, to_arg, entry = _destination(word)
+    # the destination kind follows the _TO_* order: none, ACC, then the outbound ones
+    fire = _template(word.opcode, tuple(s for s, _ in srcs), len(pulls), min(to, _TO_LATCH))
+    consts = (*(arg for s, arg in srcs if s != _S_ACC), *pulls)
+    return (_KIND[word.opcode], fire, srcs, pulls, to, to_arg, entry, word.iterations,
+            word.next_step, word, consts)
 
 
 def predecode(words) -> tuple:
@@ -547,7 +610,8 @@ class PE:
                 self.w_slot, self.x_slot = x, None
                 moved = True
         elif self.d_slot is not None:
-            if self._execute(bus):
+            dec, iteration = self.d_slot
+            if dec[1](self, bus, dec, iteration):
                 moved = True
             else:
                 # held: decode cannot pass the word, and only a delivery into a
@@ -581,49 +645,6 @@ class PE:
             self.iteration = 0
         return not held
 
-    def _execute(self, bus) -> bool:
-        """Fire the decoded word and return True when every required operand
-        is valid; otherwise hold it, leaving the accumulator untouched."""
-        dec, iter_idx = self.d_slot
-        kind = dec[0]
-        if kind == _K_HALT:   # fetched only behind an empty pipeline: write-back is empty
-            # freeze: context stays loaded for a later relaunch
-            self.d_slot = self.f_slot = None
-            self.pc = len(self._code)
-            self.done = True
-            return True
-        latch = self.latch
-        vals = []
-        for src, arg in dec[2]:
-            if src == _S_LATCH:
-                if arg not in latch:
-                    return False
-                vals.append(latch[arg])
-            elif src == _S_CONST:
-                vals.append(arg)
-            else:
-                value, valid = self._operand(src, arg, bus)
-                if not valid:
-                    return False
-                vals.append(value)
-        for direction in dec[3]:
-            bus.consumes.append((self, direction))
-        if kind == _K_ALU:
-            result = dec[1](vals[0], vals[1])
-        elif kind == _K_ROUTE:
-            result = vals[0]
-        elif kind == _K_SEL:
-            result = vals[1] if vals[0] != 0 else 0
-        else:
-            result = None   # NOP, or a memory op
-        if kind == _K_LOAD or kind == _K_STORE:
-            self._mem_request(dec, iter_idx, vals, bus)   # a faulting post counts no cycle
-        else:
-            self._complete(dec, result)
-        self.d_slot = None
-        self.active_cycles += 1
-        return True
-
     def waiting_on(self, bus) -> str:
         """What a sleeping PE waits for: a full latch, or operands it lacks."""
         if self.w_slot is not None:
@@ -643,18 +664,10 @@ class PE:
             return self.acc, True
         return bus.sreg_read(self.coord, arg)
 
-    def _mem_request(self, dec, iter_idx: int, vals: list, bus):
-        """Post a memory op to the scratchpad; execute waits for the reply."""
-        word = dec[9]
-        addr = lsu_addr(word, iter_idx, vals[-1] if word.src1 != SrcSel.NONE else None)
-        store = dec[0] == _K_STORE
-        bus.mem_request(self.coord, "write" if store else "read", addr,
-                        vals[0] if store else None)
-        self.x_slot = (dec, None)
-
     def _complete(self, dec, result):
-        """Execute-stage completion: accumulator updates land here; outbound
-        destinations continue to the write-back stage."""
+        """A memory op's completion, when its response arrives: the
+        accumulator update lands here; an outbound destination continues to
+        the write-back stage."""
         self.x_slot = None
         to = dec[4]
         if to == _TO_NONE:

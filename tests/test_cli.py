@@ -377,6 +377,23 @@ class TestSim:
         header, row = stats.read_text().splitlines()
         assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_shared_register_rewrite_exit_4_with_partial_stats(self, std_arch, tmp_path,
+                                                               capsys, k):
+        """A second write to a shared register in one launch is a machine
+        fault, however long the reader waits before it reads."""
+        from windmill.cli import main
+        from test_system import SREG_REWRITE_FAULT, sreg_rewrite_records
+        bs = tmp_path / "rewrite.bit"
+        bs.write_bytes(pack_bitstream(sreg_rewrite_records(k)))
+        stats = tmp_path / "stats.csv"
+        assert main(["sim", "--arch", str(std_arch), "--bitstream", str(bs),
+                     "--stats", str(stats)]) == 4
+        message = capsys.readouterr().err
+        assert message.startswith("error: ") and re.match(SREG_REWRITE_FAULT, message[7:-1])
+        header, row = stats.read_text().splitlines()
+        assert header.startswith("total_cycles,") and int(row.split(",")[0]) > 0
+
     def test_launch_waits_for_every_staging_batch(self, std_arch, tmp_path, capsys):
         """The launch waits for both staging batches, so the LSU at (0, 3)
         reads the array's half only once the DMA is done with it, and the

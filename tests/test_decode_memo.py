@@ -1,16 +1,22 @@
 """The decoded-word memo: one decode per distinct word value per process,
-shared by every PE, config, ``SystemSim`` and topology that holds the word."""
+shared by every PE, config, ``SystemSim`` and topology that holds the word;
+and the template memo beneath it: one compiled execute stage per word shape."""
 
 import functools
+import importlib.util
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from windmill.arch import TopologyKind
+from windmill.arch import TopologyKind, parse_arch_file, validate
 from windmill.interconnect import neighbor_map
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
-from windmill.pe import _TO_LATCH, _predecode, unpack_bitstream
-from windmill.system import SystemSim, run_protocol
+from windmill.pe import (_TO_LATCH, ConfigWord, DstSel, Opcode, SrcSel, _predecode, _template,
+                         predecode, unpack_bitstream)
+from windmill.system import SystemSim, _loadable, run_protocol
 
 from kernels import ALL_KERNELS, KERNEL_CONTEXT_DEPTH
 from test_sim_golden import GOLDEN, standard_arch
@@ -76,3 +82,68 @@ def test_topologies_share_the_memo_in_either_order(order):
     for topology in order:
         _, stats = run(topology)
         assert stats.csv_row() == want[topology]
+
+
+def test_template_memo_is_bounded():
+    assert _template.cache_info().maxsize is not None
+
+
+ADD_N = ConfigWord(Opcode.ADD, SrcSel.N, SrcSel.IMM, DstSel.E, imm16=5)
+SUB_SREG = ConfigWord(Opcode.SUB, SrcSel.SREG, SrcSel.W, DstSel.SREG, shared_reg_idx=1)
+
+
+@pytest.mark.parametrize("word, twin", [
+    (ADD_N, ADD_N._replace(imm16=0xFFFF)),
+    (ADD_N, ADD_N._replace(src0=SrcSel.S, dst=DstSel.W)),
+    (SUB_SREG, SUB_SREG._replace(shared_reg_idx=3)),
+], ids=["imm16", "latch-direction", "shared-register-index"])
+def test_words_of_one_shape_share_one_template(word, twin):
+    """A template holds no field value: words that differ only in one run
+    the same compiled execute stage, each with its own constants."""
+    dec, twin_dec = _predecode.__wrapped__(word), _predecode.__wrapped__(twin)
+    assert dec[1] is twin_dec[1]
+    assert dec[10] != twin_dec[10]
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    """The benchmark's workload module, loaded without writing beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_second_pass_over_random_graphs_compiles_no_template(workloads):
+    """Seeded ``random_dag`` maps, decoded again once the word memo is
+    dropped, meet only the templates their first decode compiled."""
+    deep = parse_arch_file((Path(__file__).resolve().parent.parent / "fixtures"
+                            / "standard_deep.arch").read_text())
+    contexts = []
+    for i in range(12):
+        rng = random.Random(f"template-memo-{i}")
+        params = validate(replace(deep, topology=workloads.TOPOLOGIES[i % 3]))
+        text = workloads.random_dag(rng, rng.randint(workloads.MIN_OPS, workloads.MAX_OPS))
+        records = unpack_bitstream(emit_bitstream(map_dfg(parse_dfg(text), params)))
+        contexts += [words for _, _, words in records]
+    first = [predecode(words) for words in contexts]
+    compiled = _template.cache_info().misses
+    _predecode.cache_clear()
+    assert [predecode(words) for words in contexts] == first
+    assert _template.cache_info().misses == compiled
+
+
+@pytest.mark.parametrize("memos", [(_predecode,), (_predecode, _template)],
+                         ids=["words", "words-and-templates"])
+def test_cold_memos_run_as_a_warm_one(memos):
+    """fir4 after its config, word and template memos are dropped decodes
+    and compiles again, and gives the golden row a warm run gives."""
+    _, warm = run(TopologyKind.MESH2D)
+    for memo in (_loadable, *memos):
+        memo.cache_clear()
+    _, cold = run(TopologyKind.MESH2D)
+    assert cold.csv_row() == warm.csv_row() == GOLDEN["fir4"][0]
+    assert all(memo.cache_info().misses > 0 for memo in memos)

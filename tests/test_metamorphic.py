@@ -5,7 +5,10 @@ whether it should have. Each relation below is a pair of runs that the
 machine's own symmetries say must agree, so it needs no golden. Every
 relation runs each of the five kernels on ``fixtures/standard.arch`` with
 the 4-step host script and compares, per run, the stats row, the per-PE
-activity and per-LSU grants of the RPU it ran on, and the result words.
+activity and per-LSU grants of the RPU it ran on, and the result words;
+the results-only relations change what the machine's timing rests on, so
+they compare the result words alone. Every run's result words equal the
+oracle's.
 """
 
 import random
@@ -16,8 +19,9 @@ import pytest
 
 from windmill.arch import parse_arch_file, validate
 from windmill.errors import CycleLimitExceeded
-from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
+from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import unpack_bitstream
+from windmill.plugins import standard_machine
 from windmill.system import (DEFAULT_CYCLE_LIMIT, HostCommand, SimStats, SystemSim,
                              four_step_script)
 
@@ -102,15 +106,41 @@ def at_the_tightest_cycle_limit(params, records, image, base, n):
             observe(params, records, image, base, n, cycle_limit=tight)]
 
 
+def results(machine, records, image, base, n):
+    """The result words of a ``simulate`` run, as a one-field observation."""
+    return (simulate(machine, records, image, base, n).results_words(n),)
+
+
+def with_banks_of_another_depth(params, records, image, base, n):
+    """16 banks of 256 words, and 8 of 512: the scratchpad keeps its size, so
+    every kernel address fits both. Bank conflicts and cycles may move."""
+    assert (params.sm_banks, params.bank_depth) == (16, 256)
+    other = validate(replace(params, sm_banks=8, bank_depth=512))
+    return [results(p, records, image, base, n) for p in (params, other)]
+
+
+def with_the_arbiter_order_reversed(params, records, image, base, n):
+    """The arbiter's requesters in raster order with the ring port last, and
+    in the reverse order. Which contender a bank grants first may move."""
+    machine = standard_machine(params)
+    reversed_order = replace(machine, pai_order=machine.pai_order[::-1])
+    return [results(m, records, image, base, n) for m in (machine, reversed_order)]
+
+
 RELATIONS = {"each_rpu": on_each_rpu, "unused_words": with_unused_words,
              "one_and_four_rpus": on_one_and_four_rpus, "config_id": under_another_config_id,
-             "cycle_limit": at_the_tightest_cycle_limit}
+             "cycle_limit": at_the_tightest_cycle_limit,
+             "bank_geometry": with_banks_of_another_depth,
+             "arbiter_order": with_the_arbiter_order_reversed}
 
 
 @pytest.mark.parametrize("name", sorted(ALL_KERNELS))
 @pytest.mark.parametrize("relation", RELATIONS)
 def test_relation_holds(relation, name):
-    first, *others = RELATIONS[relation](*kernel_case(name))
+    case = kernel_case(name)
+    first, *others = RELATIONS[relation](*case)
     assert others
     for other in others:
         assert other == first
+    _, _, image, base, n = case
+    assert first[-1] == reference_execute(parse_dfg(ALL_KERNELS[name]()[0]), image)[base:base + n]

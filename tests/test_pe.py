@@ -5,14 +5,14 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from windmill.arch import (ArchParams, ExecMode, TopologyKind, standard_preset,
                            validate, with_default_type_map)
-from windmill.errors import (BitstreamTargetInvalid, CapacityExceeded, DecodeError,
-                             EncodeError)
+from windmill.errors import (AddressOutOfRange, BitstreamTargetInvalid, CapacityExceeded,
+                             DecodeError, EncodeError)
 from windmill.interconnect import Direction
-from windmill.pe import (PE, BINARY_OPS, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
+from windmill.pe import (PE, BINARY_OPS, MASK32, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
                          _predecode, _required, _undefined_field, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
                          predecode, unpack_bitstream, validate_bitstream)
@@ -531,6 +531,113 @@ class TestPipeline:
         validate_bitstream(machine, [(2, 0, [ConfigWord()] * 128)])
         with pytest.raises(CapacityExceeded, match=r"^PE \(2,0\): 129 words > capacity 128$"):
             validate_bitstream(machine, [(2, 0, [ConfigWord()] * 129)])
+
+
+# --- the execute stage against the ISA ----------------------------------------------
+
+# the word behind the one under test, and a write-back that stays blocked: it
+# drives E into the sink's full W latch
+NEXT = ConfigWord(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.ACC, imm16=3)
+BLOCKED = (_predecode(ConfigWord(Opcode.ROUTE, SrcSel.IMM, SrcSel.NONE, DstSel.E)), 1)
+
+
+def isa_operand(sel, word, pe, bus):
+    """(value, valid) of source select ``sel`` of ``word``, as the ISA reads it."""
+    if sel <= SrcSel.W2:
+        direction = Direction[SrcSel(sel).name]
+        return pe.latch.get(direction), direction in pe.latch
+    if sel == SrcSel.ACC:
+        return pe.acc, True
+    if sel == SrcSel.IMM:
+        return ((word.imm16 ^ 0x8000) - 0x8000) & MASK32, True   # sign-extended
+    if sel == SrcSel.SREG:
+        return bus.sreg.get(word.shared_reg_idx, (0, False))
+    return 0, True
+
+
+def isa_tick(word, it, pe, bus, fetched, blocked):
+    """What one tick of ``pe`` does by the ISA, read off ``word``'s fields:
+    the PE decodes ``word`` (context word 0) at iteration ``it`` behind an
+    empty execute slot, with NEXT in its fetch slot if ``fetched``, and its
+    write-back blocked if ``blocked``. The effects, by PE slot, return value,
+    memory post and latch effect, or the error the tick raises."""
+    dec = pe.d_slot[0]
+    next_dec = (_predecode(NEXT), 0)
+    want = {"acc": pe.acc, "active_cycles": 0, "done": False, "x_slot": None,
+            "w_slot": BLOCKED if blocked else None, "pc": 2, "iteration": 0,
+            "posts": [], "consumes": [], "deliveries": []}
+    if word.opcode == Opcode.HALT:
+        return {**want, "returned": True, "f_slot": None, "d_slot": None, "done": True}
+    vals = [isa_operand(sel, word, pe, bus) for sel in _required(word)]
+    if not all(valid for _, valid in vals):   # held: fetch still fills an empty slot
+        return {**want, "returned": False, "f_slot": next_dec, "d_slot": pe.d_slot}
+    vals = [value for value, _ in vals]
+    pulls = dict.fromkeys(Direction[SrcSel(sel).name] for sel in _required(word)
+                          if sel <= SrcSel.W2)
+    want.update(returned=True, active_cycles=1, consumes=[(pe, d) for d in pulls],
+                f_slot=None if fetched else next_dec, d_slot=next_dec if fetched else None)
+    op = word.opcode
+    if op in MEMORY_OPS:
+        try:
+            addr = lsu_addr(word, it, vals[-1] if word.src1 != SrcSel.NONE else None)
+        except AddressOutOfRange as exc:
+            return exc
+        store = op == Opcode.STORE
+        want.update(x_slot=(dec, None),
+                    posts=[(pe.coord, "write" if store else "read", addr,
+                            vals[0] if store else None)])
+        return want
+    if op in BINARY_OPS:
+        result = alu_eval(op, *vals)
+    elif op == Opcode.ROUTE:
+        result = vals[0]
+    elif op == Opcode.SEL:
+        result = vals[1] if vals[0] != 0 else 0
+    else:   # NOP writes no result
+        return want
+    if word.dst == DstSel.ACC:
+        want["acc"] = result & MASK32
+    elif word.dst != DstSel.NONE:
+        want["x_slot" if blocked else "w_slot"] = (dec, result & MASK32)
+    return want
+
+
+@pytest.mark.parametrize("opcode", Opcode, ids=lambda o: o.name)
+@settings(max_examples=60, deadline=None)
+@given(word=VALID_WORDS, it=st.integers(0, 0xFF),
+       latch=st.one_of(st.just(frozenset(Direction)), st.frozensets(st.sampled_from(Direction))),
+       values=st.lists(st.integers(0, MASK32), min_size=8, max_size=8),
+       acc=st.integers(0, MASK32), sreg=st.dictionaries(st.integers(0, 15), st.integers(0, MASK32)),
+       fetched=st.booleans(), blocked=st.booleans())
+def test_execute_stage_matches_the_isa(opcode, word, it, latch, values, acc, sreg, fetched,
+                                      blocked):
+    """One tick of a PE decoding ``word`` with ``opcode``, under random latch,
+    ACC and shared-register states, agrees with ``isa_tick`` on every effect.
+    Each latch value carries bit 32, above the 32 bits a latch holds, so every
+    input mask shows."""
+    word = word._replace(opcode=opcode)
+    assume(not (blocked and word.opcode == Opcode.HALT))   # HALT enters behind an empty pipeline
+    sink = make_pe([], coord=(0, 1))
+    pe = make_pe([word, NEXT], ports={Direction.E: (0, 1)})
+    bus = FakeBus({(0, 0): pe, (0, 1): sink})
+    pe.d_slot, pe.pc = (pe._code[0], it), 1
+    if fetched:
+        pe.f_slot, pe.pc = (pe._code[1], 0), 2
+    if blocked:
+        pe.w_slot, sink.latch[Direction.W] = BLOCKED, 0
+    pe.latch.update((d, v | 1 << 32) for d, v in zip(Direction, values) if d in latch)
+    pe.acc = acc
+    bus.sreg = {i: (v, True) for i, v in sreg.items()}
+    want = isa_tick(word, it, pe, bus, fetched, blocked)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{want}$"):
+            pe.tick(bus)
+        return
+    returned = pe.tick(bus)
+    got = {name: getattr(pe, name) for name in want if hasattr(pe, name)}
+    got.update(returned=returned, posts=bus.mem_requests, consumes=bus.consumes,
+               deliveries=bus.deliveries)
+    assert got == want
 
 
 # --- bitstream wire format ------------------------------------------------------

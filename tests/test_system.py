@@ -10,8 +10,8 @@ import pytest
 from windmill.arch import (ArchParams, ExecMode, TopologyKind, perimeter_lsu_map,
                            standard_preset, validate)
 from windmill.errors import (AddressOutOfRange, BitstreamTargetInvalid, CycleLimitExceeded,
-                             DeadlockDetected,
-                             ProtocolOrderViolation, UnknownOpcode, ValidationError)
+                             DeadlockDetected, ProtocolOrderViolation, SimulationError,
+                             UnknownOpcode, ValidationError)
 from windmill.mapper import emit_bitstream, map_dfg, parse_dfg, reference_execute
 from windmill.pe import ConfigWord, DstSel, Opcode, SrcSel, unpack_bitstream
 from windmill.plugins import DEFAULT_RTT, HOST_RTT, elaborate_arch, read_machine
@@ -904,6 +904,33 @@ class TestSharedRegsInSystem:
         system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
         system.run()
         assert system.rpus[0].pes[(6, 6)].acc == 78
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_second_write_in_a_launch_faults_wherever_the_reader_reads(self, k):
+        """A shared register is written once per launch: a second write to it
+        is a machine fault, so what the reader sees never depends on when it
+        reads. The run still finalises its stats."""
+        system = SystemSim(standard_preset())
+        system.register_config(0, sreg_rewrite_records(k))
+        system.submit_script([HostCommand(0x01, (0x1, 0)), HostCommand(0x03, (0x1,))])
+        with pytest.raises(SimulationError, match=SREG_REWRITE_FAULT):
+            system.run()
+        assert system.stats.total_cycles > 0 and system.stats.sreg_conflicts == 0
+
+
+SREG_REWRITE_FAULT = (r"^PE \(2, 2\) writes shared register 2 \(scope 0\), "
+                      r"already written in this launch$")
+
+
+def sreg_rewrite_records(k):
+    """PE (2,2) writes shared register 2 with 77 and then with 88; PE (5,5)
+    reads it into ACC after k NOPs, a time at which, were registers
+    rewritable, it would read one value for k <= 2 and the other for k >= 3."""
+    writer = [W(Opcode.ADD, SrcSel.IMM, SrcSel.NONE, DstSel.SREG, imm16=v, shared_reg_idx=2)
+              for v in (77, 88)]
+    reader = [W(opcode=Opcode.NOP)] * k + [
+        W(Opcode.ADD, SrcSel.SREG, SrcSel.NONE, DstSel.ACC, shared_reg_idx=2)]
+    return [(2, 2, writer + [W(opcode=Opcode.HALT)]), (5, 5, reader + [W(opcode=Opcode.HALT)])]
 
 
 class TestVecadd64:
