@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ParseError, ValidationError
 
@@ -287,6 +288,10 @@ def read_value(key: str, text: str, lineno: int | None = None):
         raise ParseError(f"{key}: expected {expected}, got {text!r}", lineno) from None
 
 
+# bounded like ``plugins.standard_machine``: a run reads few descriptions, and
+# an in-process map and sim of one file parse its text once; an error is
+# raised again on every call, never kept
+@lru_cache(maxsize=16)
 def parse_arch_file(text: str) -> ArchParams:
     """Parse and validate one architecture description."""
     section = None

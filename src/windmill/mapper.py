@@ -24,16 +24,16 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
-from operator import add
+from functools import cache, lru_cache
+from operator import add, attrgetter
 
 from .arch import ArchParams, ExecMode, PeType
 # parse_dfg and reference_execute stay bound here: the bench reads them as mapper.*
 from .dfg import _OPS, Dfg, parse_dfg, reference_execute, topo_order, toposort  # noqa: F401
 from .errors import Unmappable
 from .interconnect import Direction
-from .pe import (_DIR_BY_SEL, _DST_DIR, MASK32, MEMORY_OPS, ConfigWord, DstSel, Opcode,
-                 SrcSel, pack_bitstream, to_signed32)
+from .pe import (_DIR_BY_SEL, _DST_DIR, _LAYOUT, MASK32, MEMORY_OPS, ConfigWord, DstSel,
+                 Opcode, SrcSel, encode, pack_record, to_signed32)
 from .plugins import MachineRecord, standard_machine
 
 
@@ -626,17 +626,29 @@ def _check_legal(mapping: Mapping, machine: MachineRecord):
 # --- emission ---------------------------------------------------------------------
 
 
+# an op's word is its head, encoded with imm16 zero, OR-ed with its immediate
+_IMM_LOW = _LAYOUT[ConfigWord._fields.index("imm16")][0]
+_step = attrgetter("step")
+
+
+# bounded like ``encode``'s memo, in its place: ``encode`` checks each head's
+# fields, and its own memo would keep a second entry per head
+@lru_cache(maxsize=1024)
+def _head(opcode: Opcode, src0: SrcSel, src1: SrcSel, dst: DstSel) -> int:
+    """The encoded word of an emitted op whose immediate is zero."""
+    return encode.__wrapped__(ConfigWord(opcode, src0, src1, dst, iter_count=1))
+
+
 def emit_bitstream(mapping: Mapping) -> bytes:
     """Per-PE configuration words implementing the mapping, plus a HALT."""
     per_pe: dict[tuple, list[MicroOp]] = {}
     for op in mapping.micro_ops:
         per_pe.setdefault(op.pe, []).append(op)
+    halt = encode(ConfigWord(opcode=Opcode.HALT))
     records = []
     for pe in sorted(per_pe):
-        words = []
-        for op in sorted(per_pe[pe], key=lambda o: o.step):
-            words.append(ConfigWord(op.opcode, op.src0, op.src1, op.dst, op.imm & 0xFFFF,
-                                    iter_count=1))
-        words.append(ConfigWord(opcode=Opcode.HALT))
-        records.append((pe[0], pe[1], words))
-    return pack_bitstream(records)
+        values = [_head(op.opcode, op.src0, op.src1, op.dst) | (op.imm & 0xFFFF) << _IMM_LOW
+                  for op in sorted(per_pe[pe], key=_step)]
+        values.append(halt)
+        records.append(pack_record(*pe, values))
+    return b"".join(records)

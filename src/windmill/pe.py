@@ -150,8 +150,8 @@ _LAYOUT = ((59, 0x1F, _OPS), (55, 0xF, _SRCS), (51, 0xF, _SRCS), (47, 0xF, _DSTS
            (16, 0x7, range(1 << 3)))
 
 
-# bounded like ``_predecode``; validate_bitstream finds here, for free, the
-# words that encode checked when the mapper packed them
+# bounded like its sibling memos, ``encode`` and ``_predecode``, which check
+# each word they meet here
 @lru_cache(maxsize=1024)
 def _undefined_field(word: ConfigWord) -> str | None:
     """The first field of ``word`` that is not one of its defined values, if any."""
@@ -243,7 +243,6 @@ def lsu_addr(word: ConfigWord, iter_idx: int, src1_value: int | None) -> int:
 # 23:16, word count in 15:0) followed by count 64-bit little-endian words.
 
 _HEADER = struct.Struct("<I")
-_WORD = struct.Struct("<Q")
 
 
 def record_holders(params: ArchParams, row: int, col: int) -> tuple:
@@ -254,15 +253,16 @@ def record_holders(params: ArchParams, row: int, col: int) -> tuple:
     return ((row, col),)
 
 
+def pack_record(row: int, col: int, values: list[int]) -> bytes:
+    """One record of encoded 64-bit word values, packed in one call."""
+    if not (0 <= row < 256 and 0 <= col < 256 and len(values) < 65536):
+        raise EncodeError(f"bitstream record ({row},{col}) header field overflow")
+    return struct.pack(f"<I{len(values)}Q", (row << 24) | (col << 16) | len(values), *values)
+
+
 def pack_bitstream(records: list[tuple[int, int, list[ConfigWord]]]) -> bytes:
-    out = bytearray()
-    for row, col, words in records:
-        if not (0 <= row < 256 and 0 <= col < 256 and len(words) < 65536):
-            raise EncodeError(f"bitstream record ({row},{col}) header field overflow")
-        out += _HEADER.pack((row << 24) | (col << 16) | len(words))
-        for w in words:
-            out += _WORD.pack(encode(w))
-    return bytes(out)
+    return b"".join(pack_record(row, col, list(map(encode, words)))
+                    for row, col, words in records)
 
 
 def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
@@ -275,7 +275,7 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
         off += 4
         row, col, count = header >> 24, (header >> 16) & 0xFF, header & 0xFFFF
         present = min(count, (len(blob) - off) // 8)
-        words = [decode(value) for value in struct.unpack_from(f"<{present}Q", blob, off)]
+        words = list(map(decode, struct.unpack_from(f"<{present}Q", blob, off)))
         off += 8 * present
         if present < count:
             raise DecodeError(f"truncated record for PE ({row},{col})")
@@ -283,8 +283,10 @@ def unpack_bitstream(blob: bytes) -> list[tuple[int, int, list[ConfigWord]]]:
     return records
 
 
-def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]):
-    """Static legality of a bitstream against a ``plugins.MachineRecord``.
+def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]) -> tuple:
+    """Static legality of a bitstream against a ``plugins.MachineRecord``;
+    returns the records in the form ``system.Rpu.load_config`` loads: per
+    record, its holders and one tuple of pre-decoded words.
 
     Every field a defined value, memory ops only on LSUs, the RTT
     destination only on the CPE and, in the words that emit, only with a
@@ -295,7 +297,8 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
     shared-register selects the PE reads or writes within the register
     count, capacity respected, all targets inside the grid. The rules hold
     on every PE a record configures (under SCMD its whole row:
-    ``record_holders``), and no PE is configured twice. Each word is checked
+    ``record_holders``), and no PE is configured twice. Each word is
+    pre-decoded once per process, and what it needs of its PE is checked
     once per process for each PE type, register count, pair of
     link-direction sets and set of controller nibbles it meets.
     """
@@ -307,20 +310,30 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
     # the RTT payload nibbles a controller may emit: every action but load_manifest
     nibbles = frozenset(op for op, action in machine.rtt.items() if action != "load_manifest")
     seen = set()
+    loadable = []
     for row, col, words in records:
         if not (0 <= row < params.rows and 0 <= col < params.cols):
             raise BitstreamTargetInvalid(f"record targets ({row},{col}) outside grid")
-        for r, c in record_holders(params, row, col):
+        holders = record_holders(params, row, col)
+        for r, c in holders:
             if (r, c) in seen:
                 raise BitstreamTargetInvalid(f"duplicate record for PE ({r},{c})")
             seen.add((r, c))
             if len(words) > cap:
                 raise CapacityExceeded(f"PE ({r},{c}): {len(words)} words > capacity {cap}")
             pe_type, links = params.pe_type(r, c), cell_directions[(r, c)]
+            code = []
             for i, w in enumerate(words):
-                problem = _word_problem(w, pe_type, n_sregs, links, directions, nibbles)
+                try:
+                    dec = _predecode(w)
+                    problem = _cell_problem(dec[11], pe_type, n_sregs, links, directions, nibbles)
+                except DecodeError as exc:
+                    problem = str(exc)
                 if problem is not None:
                     raise BitstreamTargetInvalid(f"PE ({r},{c}) word {i}: {problem}")
+                code.append(dec)
+        loadable.append((holders, tuple(code)))
+    return tuple(loadable)
 
 
 def _link_directions(machine) -> frozenset:
@@ -336,35 +349,30 @@ def _cell_directions(machine) -> dict:
             for rc, out in machine.ports.items()}
 
 
-# bounded like its sibling memos; a config re-registered per job, or a word
-# many PEs share, is checked once per process
+# bounded like its sibling memos; keyed by what a word needs, not by the word,
+# so words that differ only in constants share an entry: 300 compile_random
+# graphs over three machines check ~85,000 words against ~1,700 keys (~500 needs)
 @lru_cache(maxsize=1024)
-def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions: frozenset,
+def _cell_problem(needs: tuple, pe_type: PeType, n_sregs: int, cell_directions: frozenset,
                   directions: frozenset, nibbles: frozenset) -> str | None:
-    """Why ``w`` may not sit on a PE of that type, if it may not."""
-    problem = _undefined_field(w)
-    if problem is not None:
-        return problem
-    if w.opcode in MEMORY_OPS and pe_type is not PeType.LSU:
-        return f"{Opcode(w.opcode).name} on a {pe_type.name}"
-    if w.dst == DstSel.RTT and pe_type is not PeType.CPE:
+    """Why a word of these ``needs`` (``_predecode``) may not sit on a PE of
+    that type, if it may not."""
+    memory_op, rtt_destination, nibble, pulls, drive, sreg = needs
+    if memory_op is not None and pe_type is not PeType.LSU:
+        return f"{memory_op.name} on a {pe_type.name}"
+    if rtt_destination and pe_type is not PeType.CPE:
         return f"RTT destination on a {pe_type.name}"
-    # the rest reads the word as the PE runs it, so only a select it reads,
-    # or a destination it writes, needs a link or names a register: a HALT's
-    # all-zero fields encode N, and the index field is also a memory op's
-    # stride selector
-    _, _, srcs, pulls, to, to_arg, *_ = _predecode(w)
-    if to == _TO_RTT and to_arg >> 12 not in nibbles:
-        return f"controller action nibble {to_arg >> 12:#x} undefined"
+    if nibble is not None and nibble not in nibbles:
+        return f"controller action nibble {nibble:#x} undefined"
     used = [("reads", d, cell_directions) for d in pulls]
-    if to == _TO_LATCH:
-        used.append(("drives", to_arg, directions))
+    if drive is not None:
+        used.append(("drives", drive, directions))
     for verb, direction, links in used:
         if direction not in links:
             owner = "the PE" if direction in directions else "the machine"
             return f"{verb} {direction.name}, but {owner} has no {direction.name} link"
-    if w.shared_reg_idx >= n_sregs and (to == _TO_SREG or (_S_SREG, w.shared_reg_idx) in srcs):
-        return f"shared register {w.shared_reg_idx} (count {n_sregs})"
+    if sreg is not None and sreg >= n_sregs:
+        return f"shared register {sreg} (count {n_sregs})"
     return None
 
 
@@ -374,7 +382,8 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 # per-cycle path does no Enum hashing or property lookup. The tuple depends
 # on the word's value alone, not on the PE that holds it:
 #
-#     (kind, fire, srcs, pulls, to, to_arg, entry, iterations, next_step, word, consts)
+#     (kind, fire, srcs, pulls, to, to_arg, entry, iterations, next_step, word, consts,
+#      needs)
 #
 # kind        one of the _K_* codes below. Every kind fires only once all of
 #             srcs are valid, so its result is a function of their values
@@ -395,6 +404,15 @@ def _word_problem(w: ConfigWord, pe_type: PeType, n_sregs: int, cell_directions:
 #             ``PE.context``
 # consts      the word's own operands, in the order fire unpacks them: the arg
 #             of each source but ACC, then the pulls
+# needs       what the word asks of the PE that holds it, which
+#             ``validate_bitstream`` checks per cell (``_cell_problem``): its
+#             memory opcode, whether its destination select is RTT, the
+#             controller nibble it emits, its pulls, the direction it drives
+#             and the shared register it reads or writes, each None if none.
+#             It reads the word as the PE runs it, so only a select it reads,
+#             or a destination it writes, needs a link or names a register: a
+#             HALT's all-zero fields encode N, and the index field is also a
+#             memory op's stride selector
 
 _K_NOP, _K_ALU, _K_ROUTE, _K_SEL, _K_LOAD, _K_STORE, _K_HALT = range(7)
 _KIND = {Opcode.NOP: _K_NOP, Opcode.ROUTE: _K_ROUTE, Opcode.SEL: _K_SEL,
@@ -462,9 +480,9 @@ _RESULT = {**_ALU_EXPR, Opcode.ROUTE: "a & MASK32", Opcode.SEL: "(b if a != 0 el
 @lru_cache(maxsize=256)
 def _template(opcode: int, sources: tuple, n_pulls: int, out: int):
     """The execute stage of every word of one shape, compiled once: ``out``
-    is 0 for no result, 1 for ACC, 2 for the write-back slot. The source is
-    built from the tables above alone; each word's own values arrive as its
-    ``consts``."""
+    is 0 for no result or a memory op, 1 for ACC, 2 for the write-back slot.
+    The source is built from the tables above alone; each word's own values
+    arrive as its ``consts``."""
     kind = _KIND[opcode]
     if kind == _K_HALT:   # fetched only behind an empty pipeline: write-back is empty
         # freeze: context stays loaded for a later relaunch
@@ -501,15 +519,25 @@ def _template(opcode: int, sources: tuple, n_pulls: int, out: int):
 @lru_cache(maxsize=1024)
 def _predecode(word: ConfigWord) -> tuple:
     """The runtime tuple of ``word``, shared by every PE and config that
-    holds an equal word."""
+    holds an equal word. Raises DecodeError for an undefined field."""
+    problem = _undefined_field(word)
+    if problem is not None:
+        raise DecodeError(problem)
+    kind = _KIND[word.opcode]
     srcs = tuple(_source(sel, word) for sel in _required(word))
-    pulls = tuple(dict.fromkeys(arg for kind, arg in srcs if kind == _S_LATCH))
+    pulls = tuple(dict.fromkeys(arg for s, arg in srcs if s == _S_LATCH))
     to, to_arg, entry = _destination(word)
-    # the destination kind follows the _TO_* order: none, ACC, then the outbound ones
-    fire = _template(word.opcode, tuple(s for s, _ in srcs), len(pulls), min(to, _TO_LATCH))
+    # the destination kind follows the _TO_* order: none, ACC, then the outbound
+    # ones; a memory op's template leaves its destination to ``_complete``
+    out = 0 if kind in (_K_LOAD, _K_STORE) else min(to, _TO_LATCH)
+    fire = _template(word.opcode, tuple(s for s, _ in srcs), len(pulls), out)
     consts = (*(arg for s, arg in srcs if s != _S_ACC), *pulls)
-    return (_KIND[word.opcode], fire, srcs, pulls, to, to_arg, entry, word.iterations,
-            word.next_step, word, consts)
+    uses_sreg = to == _TO_SREG or any(s == _S_SREG for s, _ in srcs)
+    needs = (_OPS[word.opcode] if kind in (_K_LOAD, _K_STORE) else None,
+             word.dst == DstSel.RTT, to_arg >> 12 if to == _TO_RTT else None, pulls,
+             to_arg if to == _TO_LATCH else None, word.shared_reg_idx if uses_sreg else None)
+    return (kind, fire, srcs, pulls, to, to_arg, entry, word.iterations, word.next_step,
+            word, consts, needs)
 
 
 def predecode(words) -> tuple:
@@ -554,8 +582,8 @@ class PE:
         return [dec[9] for dec in self._code]
 
     def load_context(self, code: tuple):
-        """Load a validated context, pre-decoded by ``predecode``, by
-        reference; ``launch_reset`` arms it."""
+        """Load a validated context, pre-decoded (``predecode``,
+        ``validate_bitstream``), by reference; ``launch_reset`` arms it."""
         self._code = code
 
     def launch_reset(self):

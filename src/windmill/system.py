@@ -42,7 +42,7 @@ from .errors import (AddressOutOfRange, CycleLimitExceeded, DeadlockDetected, Pa
                      ProtocolOrderViolation, SimulationError, UnknownOpcode)
 from .interconnect import SharedRegFile
 from .memory import BankedSram, DmaController, PaiArbiter, Request, TransferBatch
-from .pe import PE, predecode, record_holders, validate_bitstream
+from .pe import PE, validate_bitstream
 
 DEFAULT_CYCLE_LIMIT = 1_000_000
 
@@ -569,20 +569,30 @@ class SystemSim:
         st.dma_stall_cycles = sum(r.dma.stall_cycles for r in self.rpus)
         st.pingpong_toggles = sum(r.dma.toggles for r in self.rpus)
         st.sreg_conflicts = sum(r.sregs.conflicts for r in self.rpus)
-        m = self.machine
-        st.grants_per_lsu, st.pe_active = {}, {}
-        for r in self.rpus:   # by RPU id, then the machine's cell order
-            counts = r.pai.grant_counts
-            st.grants_per_lsu.update(((r.id, rc), counts[rc]) for rc in m.lsu_report_order)
+        lsus = self.machine.lsu_report_order
+        grants, active = self.machine.derived(_zero_stats)
+        st.grants_per_lsu, st.pe_active = dict(grants), dict(active)
+        # an RPU never configured has no PEs: its LSUs were granted nothing and
+        # its PEs never active, as the copied zeros say
+        for r in self.rpus:
             if r.pes:   # built in cell order
+                counts = r.pai.grant_counts
+                st.grants_per_lsu.update(((r.id, rc), counts[rc]) for rc in lsus)
                 st.pe_active.update(((r.id, rc), pe.active_cycles) for rc, pe in r.pes.items())
-            else:   # a PE never built (its RPU never configured) was never active
-                st.pe_active.update(dict.fromkeys([(r.id, rc) for rc, _, _ in m.cells], 0))
         st.pe_active_cycles = sum(st.pe_active.values())
         st.pe_idle_cycles = st.total_cycles * len(st.pe_active) - st.pe_active_cycles
 
     def results_words(self, length: int, base: int = 0) -> list[int]:
         return [self.results_buffer.get(base + i, 0) for i in range(length)]
+
+
+def _zero_stats(machine) -> tuple[dict, dict]:
+    """Every RPU's ``grants_per_lsu`` and ``pe_active`` keys, in the order the
+    stats list them (by RPU id, then the machine's LSU report and cell
+    orders), each at zero: the tables ``_finalize_stats`` copies."""
+    rpus = range(machine.params.rpu_count)
+    return (dict.fromkeys([(r, rc) for r in rpus for rc in machine.lsu_report_order], 0),
+            dict.fromkeys([(r, rc) for r in rpus for rc, _, _ in machine.cells], 0))
 
 
 # bounded, since it holds each machine it keys; 16 covers a host that cycles a
@@ -593,9 +603,7 @@ class SystemSim:
 def _loadable(machine, records: tuple) -> tuple:
     """``records``, validated against ``machine``, in the form ``Rpu.load_config``
     loads: per record, its holders and one shared tuple of pre-decoded words."""
-    validate_bitstream(machine, records)
-    return tuple((record_holders(machine.params, row, col), predecode(words))
-                 for row, col, words in records)
+    return validate_bitstream(machine, records)
 
 
 def four_step_script(load_len: int, result_addr: int, result_len: int) -> list[HostCommand]:

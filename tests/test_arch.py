@@ -158,6 +158,20 @@ class TestArchFile:
             parse_arch_file(text)
         assert err.value.line == 2
 
+    def test_equal_texts_parse_to_equal_params(self):
+        text = (FIXTURES / "standard.arch").read_text()
+        twin = "".join(list(text))   # equal, but another object
+        assert twin is not text
+        assert parse_arch_file(text) == parse_arch_file(twin) == parse_arch_file(text)
+
+    def test_malformed_text_raises_on_every_call(self):
+        """A parse error is raised anew each time, never kept as a result."""
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse_arch_file("[array]\nrows = eight\n")
+            assert err.value.line == 2
+            assert str(err.value) == "line 2: rows: expected an integer, got 'eight'"
+
     @pytest.mark.parametrize("text, line, message", [
         ("# an 8x8\n\n[array]\nrows = eight\n", 4, "rows: expected an integer, got 'eight'"),
         ("[array]\ntopology = ring\n", 2,

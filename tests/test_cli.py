@@ -181,6 +181,22 @@ class TestMap:
                  "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_in_process_map_reads_the_rewritten_arch(self, std_arch, tmp_path, capsys):
+        """Two in-process maps of one arch path, rewritten in between: the
+        second maps the new description, though the first one's parse is
+        kept for its text."""
+        from windmill.arch import parse_arch_file
+        from windmill.cli import main
+        from windmill.mapper import emit_bitstream, map_dfg, parse_dfg
+        dfg = FIXTURES / "vecadd16.dfg"
+        mesh, torus = tmp_path / "mesh.bit", tmp_path / "torus.bit"
+        assert main(["map", "--arch", str(std_arch), "--dfg", str(dfg), "--out", str(mesh)]) == 0
+        text = std_arch.read_text().replace("topology = mesh2d", "topology = torus")
+        std_arch.write_text(text)
+        assert main(["map", "--arch", str(std_arch), "--dfg", str(dfg), "--out", str(torus)]) == 0
+        want = emit_bitstream(map_dfg(parse_dfg(dfg.read_text()), parse_arch_file(text)))
+        assert torus.read_bytes() == want != mesh.read_bytes()
+
     def test_unmappable_exit_3(self, tmp_path):
         tiny = tmp_path / "tiny.arch"
         tiny.write_text("[array]\nrows = 2\ncols = 2\nGL\nLG\n"

@@ -90,19 +90,24 @@ def test_template_memo_is_bounded():
 
 ADD_N = ConfigWord(Opcode.ADD, SrcSel.N, SrcSel.IMM, DstSel.E, imm16=5)
 SUB_SREG = ConfigWord(Opcode.SUB, SrcSel.SREG, SrcSel.W, DstSel.SREG, shared_reg_idx=1)
+LOAD_ACC = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=3)
 
 
 @pytest.mark.parametrize("word, twin", [
     (ADD_N, ADD_N._replace(imm16=0xFFFF)),
     (ADD_N, ADD_N._replace(src0=SrcSel.S, dst=DstSel.W)),
     (SUB_SREG, SUB_SREG._replace(shared_reg_idx=3)),
-], ids=["imm16", "latch-direction", "shared-register-index"])
+    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.E)),
+    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.NONE)),
+], ids=["imm16", "latch-direction", "shared-register-index", "load-to-latch", "load-to-none"])
 def test_words_of_one_shape_share_one_template(word, twin):
     """A template holds no field value: words that differ only in one run
-    the same compiled execute stage, each with its own constants."""
+    the same compiled execute stage, each with its own constants and
+    destination. A memory op's template leaves the destination to the
+    response, so a LOAD to ACC, to a latch and to NONE share one."""
     dec, twin_dec = _predecode.__wrapped__(word), _predecode.__wrapped__(twin)
     assert dec[1] is twin_dec[1]
-    assert dec[10] != twin_dec[10]
+    assert (dec[4:7], dec[10]) != (twin_dec[4:7], twin_dec[10])
 
 
 @pytest.fixture()

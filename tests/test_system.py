@@ -293,6 +293,47 @@ class TestProtocol:
         assert not any(n for (r, _), n in stats.pe_active.items() if r > 0)
 
 
+class TestFinalStats:
+    """Each run's per-LSU and per-PE tables are its own, though every run on
+    a machine starts them from one table of zeros."""
+
+    LOAD = W(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=5)
+
+    def run(self, params, mask):
+        system = SystemSim(params)
+        system.register_config(0, [(0, 1, [self.LOAD, self.LOAD, W(opcode=Opcode.HALT)])])
+        system.submit_script([HostCommand(0x01, (mask, 0)), HostCommand(0x03, (mask,))])
+        return system.run()
+
+    def test_a_run_shares_no_table_with_the_next(self):
+        params = arch(rpus=2)
+        first = self.run(params, 0x1)
+        want = (dict(first.grants_per_lsu), dict(first.pe_active))
+        for table in (first.grants_per_lsu, first.pe_active):
+            table[(0, (0, 1))] += 7   # a configured RPU's entry
+            table[(1, (0, 1))] = 9    # an idle RPU's entry
+            table[(5, (0, 0))] = 1
+        second = self.run(params, 0x1)
+        assert (second.grants_per_lsu, second.pe_active) == want
+
+    def test_idle_rpus_read_zero_in_key_order(self):
+        """RPUs 0 and 2 configured and launched, 1 and 3 never: the keys run
+        by RPU id, then LSUs by the text of their coordinate and PEs in
+        raster order, and every idle RPU's entry is 0."""
+        params = arch(rpus=4)
+        stats = self.run(params, 0b101)
+        lsus = sorted((c for c in params.coords() if params.pe_type(*c).name == "LSU"), key=str)
+        assert list(stats.grants_per_lsu) == [(r, c) for r in range(4) for c in lsus]
+        assert list(stats.pe_active) == [(r, c) for r in range(4) for c in params.coords()]
+        for r in (0, 2):
+            assert stats.grants_per_lsu[(r, (0, 1))] == 2
+            assert stats.pe_active[(r, (0, 1))] > 0
+        for table in (stats.grants_per_lsu, stats.pe_active):
+            assert not any(n for (r, _), n in table.items() if r in (1, 3))
+        assert stats.pe_active_cycles == 2 * stats.pe_active[(0, (0, 1))]
+        assert stats.pe_idle_cycles == stats.total_cycles * 4 * 64 - stats.pe_active_cycles
+
+
 class TestScmd:
     def test_row_broadcast(self):
         params = arch(exec_mode=ExecMode.SCMD)
