@@ -150,9 +150,6 @@ _LAYOUT = ((59, 0x1F, _OPS), (55, 0xF, _SRCS), (51, 0xF, _SRCS), (47, 0xF, _DSTS
            (16, 0x7, range(1 << 3)))
 
 
-# bounded like its sibling memos, ``encode`` and ``_predecode``, which check
-# each word they meet here
-@lru_cache(maxsize=1024)
 def _undefined_field(word: ConfigWord) -> str | None:
     """The first field of ``word`` that is not one of its defined values, if any."""
     for name, value, (_, _, values) in zip(ConfigWord._fields, word, _LAYOUT):
@@ -315,6 +312,15 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
         if not (0 <= row < params.rows and 0 <= col < params.cols):
             raise BitstreamTargetInvalid(f"record targets ({row},{col}) outside grid")
         holders = record_holders(params, row, col)
+        # pre-decoded once per record; an undefined field is reported on each
+        # holder after the words before it, in word order
+        code, undefined = [], None
+        for i, w in enumerate(words):
+            try:
+                code.append(_predecode(w))
+            except DecodeError as exc:
+                undefined = f"word {i}: {exc}"
+                break
         for r, c in holders:
             if (r, c) in seen:
                 raise BitstreamTargetInvalid(f"duplicate record for PE ({r},{c})")
@@ -322,16 +328,12 @@ def validate_bitstream(machine, records: list[tuple[int, int, list[ConfigWord]]]
             if len(words) > cap:
                 raise CapacityExceeded(f"PE ({r},{c}): {len(words)} words > capacity {cap}")
             pe_type, links = params.pe_type(r, c), cell_directions[(r, c)]
-            code = []
-            for i, w in enumerate(words):
-                try:
-                    dec = _predecode(w)
-                    problem = _cell_problem(dec[11], pe_type, n_sregs, links, directions, nibbles)
-                except DecodeError as exc:
-                    problem = str(exc)
+            for i, dec in enumerate(code):
+                problem = _cell_problem(dec[11], pe_type, n_sregs, links, directions, nibbles)
                 if problem is not None:
                     raise BitstreamTargetInvalid(f"PE ({r},{c}) word {i}: {problem}")
-                code.append(dec)
+            if undefined is not None:
+                raise BitstreamTargetInvalid(f"PE ({r},{c}) {undefined}")
         loadable.append((holders, tuple(code)))
     return tuple(loadable)
 

@@ -93,21 +93,25 @@ SUB_SREG = ConfigWord(Opcode.SUB, SrcSel.SREG, SrcSel.W, DstSel.SREG, shared_reg
 LOAD_ACC = ConfigWord(Opcode.LOAD, SrcSel.NONE, SrcSel.NONE, DstSel.ACC, imm16=3)
 
 
-@pytest.mark.parametrize("word, twin", [
-    (ADD_N, ADD_N._replace(imm16=0xFFFF)),
-    (ADD_N, ADD_N._replace(src0=SrcSel.S, dst=DstSel.W)),
-    (SUB_SREG, SUB_SREG._replace(shared_reg_idx=3)),
-    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.E)),
-    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.NONE)),
+# the part of the runtime tuple that must tell the twins apart
+CONSTS, DESTINATION = 10, slice(4, 7)   # consts; (to, to_arg, entry)
+
+
+@pytest.mark.parametrize("word, twin, own", [
+    (ADD_N, ADD_N._replace(imm16=0xFFFF), CONSTS),
+    (ADD_N, ADD_N._replace(src0=SrcSel.S, dst=DstSel.W), CONSTS),
+    (SUB_SREG, SUB_SREG._replace(shared_reg_idx=3), CONSTS),
+    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.E), DESTINATION),
+    (LOAD_ACC, LOAD_ACC._replace(dst=DstSel.NONE), DESTINATION),
 ], ids=["imm16", "latch-direction", "shared-register-index", "load-to-latch", "load-to-none"])
-def test_words_of_one_shape_share_one_template(word, twin):
+def test_words_of_one_shape_share_one_template(word, twin, own):
     """A template holds no field value: words that differ only in one run
-    the same compiled execute stage, each with its own constants and
-    destination. A memory op's template leaves the destination to the
-    response, so a LOAD to ACC, to a latch and to NONE share one."""
+    the same compiled execute stage, each with its own constants. A memory
+    op's template leaves the destination to the response, so a LOAD to ACC,
+    to a latch and to NONE share one, each with its own destination."""
     dec, twin_dec = _predecode.__wrapped__(word), _predecode.__wrapped__(twin)
     assert dec[1] is twin_dec[1]
-    assert (dec[4:7], dec[10]) != (twin_dec[4:7], twin_dec[10])
+    assert dec[own] != twin_dec[own]
 
 
 @pytest.fixture()

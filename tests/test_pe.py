@@ -13,7 +13,7 @@ from windmill.errors import (AddressOutOfRange, BitstreamTargetInvalid, Capacity
                              DecodeError, EncodeError)
 from windmill.interconnect import Direction
 from windmill.pe import (PE, BINARY_OPS, MASK32, MEMORY_OPS, ConfigWord, DstSel, Opcode, SrcSel,
-                         _predecode, _required, _undefined_field, alu_eval,
+                         _predecode, _required, alu_eval,
                          context_capacity, decode, encode, lsu_addr, pack_bitstream,
                          predecode, unpack_bitstream, validate_bitstream)
 from windmill.plugins import DEFAULT_RTT, HOST_RTT, read_machine, standard_machine
@@ -139,7 +139,6 @@ class TestCodecMemo:
     def test_memos_are_bounded(self):
         assert encode.cache_info().maxsize is not None
         assert decode.cache_info().maxsize is not None
-        assert _undefined_field.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("call, bad, error", [
         (encode, ConfigWord(opcode=99), EncodeError),
@@ -312,6 +311,17 @@ class TestByValue:
             system.register_config(0, [(2, 2, [ConfigWord(), word])])
         assert str(exc.value) == f"PE (2,2) word 1: {problem}"
         system.register_config(0, [(2, 2, [int_twin(ConfigWord(Opcode.ADD, SrcSel.IMM))])])
+
+    @pytest.mark.parametrize("words, problem", [
+        ([ConfigWord(Opcode.LOAD), ConfigWord(opcode=99)], "word 0: LOAD on a GPE"),
+        ([ConfigWord(opcode=99), ConfigWord(Opcode.LOAD)], "word 0: opcode=99 is outside 0..15"),
+    ], ids=["placement-first", "undefined-first"])
+    def test_first_failing_word_named(self, words, problem):
+        """An undefined field and a word its PE cannot hold are reported in
+        word order, whichever kind of fault comes first."""
+        with pytest.raises(BitstreamTargetInvalid) as exc:
+            validate_bitstream(standard_machine(standard_preset()), [(2, 2, words)])
+        assert str(exc.value) == f"PE (2,2) {problem}"
 
     def test_int_twin_memory_op_on_a_gpe_named(self):
         with pytest.raises(BitstreamTargetInvalid) as exc:
